@@ -66,8 +66,6 @@ from .scenarios import (
     build_scenario,
     classify_grwf,
     classify_grwm,
-    detect_resurrection,
-    marble_census,
 )
 from .state import (
     BranchState,

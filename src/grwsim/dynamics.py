@@ -100,13 +100,6 @@ class CollapseEvent:
     post_weights: tuple
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    time: float
-    weights: tuple | None = None
-    summary: tuple | None = None
-
-
 @dataclass
 class BranchSystems:
     """Non-interacting branch systems sharing one collapse clock.
@@ -144,7 +137,6 @@ class TrajectoryRecord:
     stream: RngStream
     num_particles: int
     events: list[CollapseEvent]
-    snapshots: list[Snapshot]
     initial_state: TrajectoryState
     final_state: TrajectoryState
     status: str = "completed"  # "completed" | "aborted"
@@ -226,13 +218,7 @@ def branch_collapse_update(
     if not np.isfinite(center):
         raise NumericsError(f"collapse center {center} is not finite")
     if check_separation:
-        sep = state.separation()
-        if sep < 10.0 * sigma:
-            warnings.warn(
-                f"branch separation {sep:.3g} < 10 sigma; point-anchor update "
-                "is a poor approximation in this regime",
-                stacklevel=2,
-            )
+        _warn_if_close(state, sigma)
     # plain-float arithmetic: this is the per-event hot path and the branch
     # counts are tiny, where numpy's call overhead dominates
     inv = 1.0 / (sigma * sigma)
@@ -339,27 +325,16 @@ def _event_weights(state: TrajectoryState, particle: int) -> tuple:
     return tuple(math.exp(v) for v in state.log_weights.tolist())
 
 
-def _snapshot_of(state: TrajectoryState, t: float) -> Snapshot:
-    if isinstance(state, GridWaveFunction):
-        summ = tuple(_grid_summary(state, p) for p in range(state.spec.num_particles))
-        return Snapshot(t, weights=None, summary=summ)
-    if isinstance(state, BranchSystems):
-        return Snapshot(t, weights=tuple(tuple(map(float, s.weights)) for s in state.systems))
-    return Snapshot(t, weights=tuple(float(w) for w in state.weights))
-
-
 def run_trajectory(
     initial_state: TrajectoryState,
     params: GrwParams,
     stream: RngStream,
-    snapshot_times: Sequence[float] = (),
 ) -> TrajectoryRecord:
     """Run one full GRW trajectory up to params.total_time.
 
     Interleaves exponential waiting times (rate N * lambda_eff), uniform
     particle selection, collapse-center sampling, collapse application and
-    unitary evolution.  Every collapse is logged as a CollapseEvent; the
-    state is additionally recorded at each requested snapshot time.
+    unitary evolution.  Every collapse is logged as a CollapseEvent.
     Deterministic given the RngStream.  Numerical failures abort the
     trajectory with a diagnostic instead of silently continuing.
     """
@@ -376,36 +351,16 @@ def run_trajectory(
         for s in state.systems:
             _warn_if_close(s, sigma)
 
-    pending = sorted(float(s) for s in snapshot_times)
-    snaps: list[Snapshot] = []
     events: list[CollapseEvent] = []
     status, diagnostic = "completed", None
 
-    def advance(st: TrajectoryState, t_from: float, t_to: float) -> TrajectoryState:
-        # records any snapshots in (t_from, t_to] along the way
-        while pending and t_from < pending[0] <= t_to:
-            s = pending.pop(0)
-            if isinstance(st, GridWaveFunction):
-                st = evolve_unitary(st, s - t_from, params.hamiltonian)
-            t_from = s
-            snaps.append(_snapshot_of(st, s))
-        if isinstance(st, GridWaveFunction):
-            st = evolve_unitary(st, t_to - t_from, params.hamiltonian)
-        return st
-
-    if pending and pending[0] <= 0.0:
-        # time-zero snapshots are always available
-        while pending and pending[0] <= 0.0:
-            snaps.append(_snapshot_of(state, pending.pop(0)))
-
     t = 0.0
     while True:
-        wait = sample_waiting_time(n, params.lambda_eff, rng)
-        t_next = t + wait
+        t_next = t + sample_waiting_time(n, params.lambda_eff, rng)
+        if isinstance(state, GridWaveFunction):
+            state = evolve_unitary(state, min(t_next, params.total_time) - t, params.hamiltonian)
         if t_next > params.total_time:
-            state = advance(state, t, params.total_time)
             break
-        state = advance(state, t, t_next)
         particle = int(rng.integers(n))
         center = sample_collapse_center(state, particle, sigma, rng)
         pre = _event_weights(state, particle)
@@ -423,7 +378,6 @@ def run_trajectory(
         stream=stream,
         num_particles=n,
         events=events,
-        snapshots=snaps,
         initial_state=initial_state,
         final_state=state,
         status=status,
@@ -457,10 +411,11 @@ def replay_state_at(
 
 
 def _warn_if_close(state: BranchState, sigma: float) -> None:
+    # stacklevel 3 names the caller of run_trajectory / branch_collapse_update
     sep = state.separation()
     if sep < 10.0 * sigma:
         warnings.warn(
-            f"branch separation {sep:.3g} < 10 sigma; analytic branch updates "
+            f"branch separation {sep:.3g} < 10 sigma; point-anchor updates "
             "are unreliable for this state",
             stacklevel=3,
         )

@@ -21,6 +21,7 @@ from .dynamics import (
     GridWaveFunction,
     RngStream,
     TrajectoryRecord,
+    TrajectoryState,
     collapse_center_density,
     run_trajectory,
 )
@@ -34,12 +35,11 @@ from .scenarios import (
     ScenarioConfig,
     ScenarioKind,
     Verdict,
-    branch_box_fraction,
     build_scenario,
     classify_branch_grwm,
     classify_grwf,
+    classify_grwm,
     scenario_plan,
-    verdict_from_fraction,
 )
 from .state import BranchState
 
@@ -99,8 +99,6 @@ class TrajectoryStats:
     final_weights: tuple[tuple[float, ...], ...]
     max_weights: tuple[float, ...]
     winners: tuple[int, ...]
-    snapshot_w1: tuple[float, ...]
-    box_fraction: float | None
     initial_verdict: str | None
     final_verdict: str | None
     flipped: bool | None
@@ -126,115 +124,89 @@ class EnsembleSummary:
         return self.failures == 0 and all(r.passed for r in self.records)
 
 
-def _final_systems(record: TrajectoryRecord) -> list[BranchState]:
-    state = record.final_state
+def _systems(state: TrajectoryState) -> list[TrajectoryState]:
+    return state.systems if isinstance(state, BranchSystems) else [state]
+
+
+def _flashes_by_system(record: TrajectoryRecord, prehistory: list[Flash]) -> list[list[Flash]]:
+    """Each system's prehistory and run flashes in time order, grouped in one pass."""
+    state = record.initial_state
     if isinstance(state, BranchSystems):
-        return state.systems
-    if isinstance(state, BranchState):
-        return [state]
-    return []
+        owner = [state.locate(p)[0] for p in range(state.num_particles)]
+    else:
+        owner = [0] * record.num_particles
+    groups: list[list[Flash]] = [[] for _ in _systems(state)]
+    for f in prehistory + flashes_of(record):
+        groups[owner[f.particle]].append(f)
+    return groups
 
 
-def _system_flashes(record: TrajectoryRecord, scenario: Scenario, system: int) -> list[Flash]:
-    # one particle per system in every multi-system scenario built here
-    if not isinstance(record.final_state, BranchSystems):
-        return flashes_of(record)
-    return [Flash(e.time, e.center, e.particle) for e in record.events if e.particle == system]
+def _verdict_at(
+    config: ScenarioConfig, state: TrajectoryState | None, flashes: list[Flash], t: float
+) -> str:
+    """One system's verdict at time t, read off the configured ontology.
 
+    Matter density reads the system's state at t.  Flashes read the window
+    ending at t: the last window_flashes flashes up to t, or else the flashes
+    in the half-open interval (t - w, t].
+    """
+    if config.ontology is Ontology.GRWM:
+        if isinstance(state, GridWaveFunction):
+            from .ontology import matter_density
 
-def _last_window(
-    flashes: list[Flash], prehistory: list[Flash], config: ScenarioConfig, t_end: float
-) -> list[Flash]:
-    pool = prehistory + flashes
+            c = classify_grwm(matter_density(state), config.box, config.theta_m)
+        else:
+            c = classify_branch_grwm(state, config.box, config.theta_m)
+        return c.verdict.value
+    seen = [f for f in flashes if f.time <= t]
     if config.window_flashes is not None:
-        return pool[-config.window_flashes :]
-    w = config.window_length()
-    return [f for f in pool if t_end - w < f.time <= t_end]
+        window = seen[-config.window_flashes :]
+    else:
+        w = config.window_length()
+        window = [f for f in seen if f.time > t - w]
+    return classify_grwf(window, config.box, None, config.theta_f).verdict.value
 
 
 def reduce_trajectory(
     record: TrajectoryRecord, scenario: Scenario, index: int
 ) -> TrajectoryStats:
     config = scenario.config
-    systems = _final_systems(record)
-    final_weights = tuple(tuple(float(x) for x in s.weights) for s in systems)
+    finals = _systems(record.final_state)
+    branches = [s for s in finals if isinstance(s, BranchState)]
+    final_weights = tuple(tuple(float(x) for x in s.weights) for s in branches)
     max_weights = tuple(max(w) for w in final_weights)
     winners = tuple(int(np.argmax(w)) for w in final_weights)
-    snapshot_w1 = tuple(
-        float(s.weights[0][0] if isinstance(s.weights[0], tuple) else s.weights[0])
-        for s in record.snapshots
-        if s.weights is not None
-    )
 
-    box_fraction = None
-    initial_verdict = final_verdict = None
+    initial_verdict = final_verdict = first_window_verdict = None
     flipped = None
     census = None
-    first_window_verdict = None
-
-    if systems:
-        box_fraction = branch_box_fraction(systems[0], config.box)
-        if config.ontology is Ontology.GRWM:
-            initial = scenario.initial_state
-            init_sys = initial.systems[0] if isinstance(initial, BranchSystems) else initial
-            v0 = classify_branch_grwm(init_sys, config.box, config.theta_m).verdict
-            v1 = classify_branch_grwm(systems[0], config.box, config.theta_m).verdict
-            initial_verdict, final_verdict = v0.value, v1.value
-        elif config.ontology is Ontology.GRWF:
-            fl0 = _system_flashes(record, scenario, 0)
-            pre0 = [f for f in scenario.prehistory if f.particle == 0]
-            w = config.window_length()
-            v0 = classify_grwf(pre0, config.box, (-w, 0.0), config.theta_f).verdict
-            v1 = classify_grwf(
-                _last_window(fl0, pre0, config, record.params.total_time),
-                config.box,
-                None,
-                config.theta_f,
-            ).verdict
-            initial_verdict, final_verdict = v0.value, v1.value
-            if config.window_flashes is not None:
-                first = fl0[: config.window_flashes]
-            else:
-                first = [f for f in fl0 if 0.0 < f.time <= w]
-            first_window_verdict = classify_grwf(
-                first, config.box, None, config.theta_f
-            ).verdict.value
+    if config.ontology is not Ontology.GRW0:
+        horizon = record.params.total_time
+        if config.ontology is Ontology.GRWF:
+            flashes = _flashes_by_system(record, scenario.prehistory)
+        else:
+            flashes = [[] for _ in finals]
+        initial = _systems(scenario.initial_state)[0]
+        initial_verdict = _verdict_at(config, initial, flashes[0], 0.0)
+        final_verdict = _verdict_at(config, finals[0], flashes[0], horizon)
         definite = (Verdict.INSIDE.value, Verdict.OUTSIDE.value)
         if initial_verdict in definite and final_verdict in definite:
             flipped = initial_verdict != final_verdict
-
-        if config.kind is ScenarioKind.MARBLES and config.ontology is not Ontology.GRW0:
-            counts = {v: 0 for v in Verdict}
-            if config.ontology is Ontology.GRWM:
-                for s in systems:
-                    counts[classify_branch_grwm(s, config.box, config.theta_m).verdict] += 1
+        if config.ontology is Ontology.GRWF:
+            # the first window reads run flashes only and closes when it is
+            # full: at time w, or at the window_flashes-th flash
+            run = [f for f in flashes[0] if f.time > 0.0]
+            k = config.window_flashes
+            if k is None:
+                closes = config.window_length()
             else:
-                for sys_idx in range(len(systems)):
-                    fl = _system_flashes(record, scenario, sys_idx)
-                    pre = [f for f in scenario.prehistory if f.particle == sys_idx]
-                    window = _last_window(fl, pre, config, record.params.total_time)
-                    counts[classify_grwf(window, config.box, None, config.theta_f).verdict] += 1
-            census = (
-                counts[Verdict.INSIDE],
-                counts[Verdict.OUTSIDE],
-                counts[Verdict.PARTIAL],
-                counts[Verdict.UNDEFINED],
-            )
-    elif isinstance(record.final_state, GridWaveFunction):
-        from .ontology import mass_fraction_in_region, matter_density
-
-        field = matter_density(record.final_state)
-        box_fraction = mass_fraction_in_region(field, config.box)
-        if config.ontology is Ontology.GRWM:
-            initial_field = matter_density(scenario.initial_state)
-            v0 = verdict_from_fraction(
-                mass_fraction_in_region(initial_field, config.box), config.theta_m
-            )
-            v1 = verdict_from_fraction(box_fraction, config.theta_m)
-            initial_verdict, final_verdict = v0.value, v1.value
-            definite = (Verdict.INSIDE.value, Verdict.OUTSIDE.value)
-            if initial_verdict in definite and final_verdict in definite:
-                flipped = initial_verdict != final_verdict
+                closes = run[k - 1].time if len(run) >= k else horizon
+            first_window_verdict = _verdict_at(config, None, run, closes)
+        if config.kind is ScenarioKind.MARBLES:
+            counts = {v.value: 0 for v in Verdict}
+            for state, fl in zip(finals, flashes):
+                counts[_verdict_at(config, state, fl, horizon)] += 1
+            census = tuple(counts[v.value] for v in Verdict)
 
     return TrajectoryStats(
         index=index,
@@ -244,8 +216,6 @@ def reduce_trajectory(
         final_weights=final_weights,
         max_weights=max_weights,
         winners=winners,
-        snapshot_w1=snapshot_w1,
-        box_fraction=box_fraction,
         initial_verdict=initial_verdict,
         final_verdict=final_verdict,
         flipped=flipped,
@@ -289,12 +259,7 @@ def run_ensemble(
         else:
             pre_rng = RngStream(master_seed, _PREHISTORY_STREAM_OFFSET + i).generator()
             scenario = build_scenario(config, pre_rng)
-        record = run_trajectory(
-            scenario.initial_state,
-            config.params,
-            RngStream(master_seed, i),
-            snapshot_times=config.snapshot_times,
-        )
+        record = run_trajectory(scenario.initial_state, config.params, RngStream(master_seed, i))
         stats = reduce_trajectory(record, scenario, i)
         keep = record if i < log_first else None
         return stats, keep, scenario.prehistory if keep is not None else []
@@ -403,6 +368,37 @@ def event_count_test(summary: EnsembleSummary) -> StatRecord:
     )
 
 
+def _merged_chi2(
+    expected: np.ndarray, observed: np.ndarray, min_bins: int, name: str
+) -> tuple[float, int]:
+    """Chi-square p-value and bin count after merging adjacent bins.
+
+    Bins merge from the low end into their right neighbor until each expects
+    >= 5; a leftover tail joins the last bin.  Fewer than min_bins merged
+    bins leave nothing to test and raise ConfigError.
+    """
+    exp_bins: list[float] = []
+    obs_bins: list[float] = []
+    acc_e = acc_o = 0.0
+    for e, o in zip(expected, observed):
+        acc_e += e
+        acc_o += o
+        if acc_e >= 5.0:
+            exp_bins.append(acc_e)
+            obs_bins.append(acc_o)
+            acc_e = acc_o = 0.0
+    if acc_e > 0 and exp_bins:
+        exp_bins[-1] += acc_e
+        obs_bins[-1] += acc_o
+    if len(exp_bins) < min_bins:
+        raise ConfigError(
+            f"{name} has {len(exp_bins)} usable bins (needs >= {min_bins}); "
+            "increase the horizon or the ensemble size"
+        )
+    stat = float(np.sum((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins)))
+    return float(sps.chi2.sf(stat, len(exp_bins) - 1)), len(exp_bins)
+
+
 def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
     """Chi-square of the event-count histogram against Poisson(N lambda T)."""
     config = summary.config
@@ -413,51 +409,19 @@ def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
     upper = int(sps.poisson.isf(1e-12, mu)) + 1
     pmf = sps.poisson.pmf(np.arange(upper), mu)
     pmf = np.append(pmf, 1.0 - pmf.sum())  # tail bin
-    observed_full = np.bincount(np.minimum(counts, upper), minlength=upper + 1)
-
-    # merge adjacent bins until each expects >= 5
-    exp_bins: list[float] = []
-    obs_bins: list[float] = []
-    acc_e = acc_o = 0.0
-    for e, o in zip(pmf * n, observed_full):
-        acc_e += e
-        acc_o += o
-        if acc_e >= 5.0:
-            exp_bins.append(acc_e)
-            obs_bins.append(acc_o)
-            acc_e = acc_o = 0.0
-    if acc_e > 0 and exp_bins:
-        exp_bins[-1] += acc_e
-        obs_bins[-1] += acc_o
-    if len(exp_bins) < 3:
-        raise ConfigError(
-            f"poisson_flash_test has {len(exp_bins)} usable bins (needs >= 3); "
-            "increase the horizon or the ensemble size"
-        )
-    stat = float(np.sum((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins)))
-    p = float(sps.chi2.sf(stat, len(exp_bins) - 1))
-    return gof_record(
-        "poisson_chi2_p", p, f"chi-square vs Poisson({mu:g}), {len(exp_bins)} bins"
-    )
+    observed = np.bincount(np.minimum(counts, upper), minlength=upper + 1)
+    p, bins = _merged_chi2(pmf * n, observed, 3, "poisson_flash_test")
+    return gof_record("poisson_chi2_p", p, f"chi-square vs Poisson({mu:g}), {bins} bins")
 
 
-def martingale_test(summary: EnsembleSummary, t: float | None = None) -> StatRecord:
-    """Mean first-branch weight at time t (default: horizon) vs its start value."""
+def martingale_test(summary: EnsembleSummary) -> StatRecord:
+    """Mean first-branch weight at the horizon vs its start value."""
     config = summary.config
-    if t is None or t >= config.params.total_time:
-        values = np.array([t_.final_weights[0][0] for t_ in summary.trajectories])
-        label = "final"
-    else:
-        times = list(config.snapshot_times)
-        if t not in times:
-            raise ConfigError(f"no snapshots recorded at t={t}")
-        idx = times.index(t)
-        values = np.array([t_.snapshot_w1[idx] for t_ in summary.trajectories])
-        label = f"t={t:g}"
+    values = np.array([t.final_weights[0][0] for t in summary.trajectories])
     target = config.c1_sq
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return z_record(
-        f"martingale_w1_{label}",
+        "martingale_w1_final",
         float(values.mean()),
         se,
         target,
@@ -526,27 +490,8 @@ def census_chi2_test(summary: EnsembleSummary) -> StatRecord:
     n, p = config.n_marbles, config.c1_sq
     pmf = sps.binom.pmf(np.arange(n + 1), n, p)
     observed = np.bincount(inside, minlength=n + 1).astype(float)
-    expected = pmf * inside.size
-    # merge under-filled bins from the low end into their right neighbor
-    exp_b: list[float] = []
-    obs_b: list[float] = []
-    acc_e = acc_o = 0.0
-    for e, o in zip(expected, observed):
-        acc_e += e
-        acc_o += o
-        if acc_e >= 5.0:
-            exp_b.append(acc_e)
-            obs_b.append(acc_o)
-            acc_e = acc_o = 0.0
-    if acc_e > 0 and exp_b:
-        exp_b[-1] += acc_e
-        obs_b[-1] += acc_o
-    stat = float(np.sum((np.array(obs_b) - np.array(exp_b)) ** 2 / np.array(exp_b)))
-    dof = max(len(exp_b) - 1, 1)
-    p_val = float(sps.chi2.sf(stat, dof))
-    return gof_record(
-        "census_chi2_p", p_val, f"chi-square vs Binomial({n}, {p:g}), {len(exp_b)} bins"
-    )
+    p_val, bins = _merged_chi2(pmf * inside.size, observed, 2, "census_chi2_test")
+    return gof_record("census_chi2_p", p_val, f"chi-square vs Binomial({n}, {p:g}), {bins} bins")
 
 
 def resurrection_rate_test(summary: EnsembleSummary) -> StatRecord:

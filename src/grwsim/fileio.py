@@ -52,7 +52,6 @@ _SCHEMA: dict[str, Callable[[str], object]] = {
     "grid_points": int,
     "x_min": float,
     "x_max": float,
-    "snapshot_times": _parse_times,
     "density_times": _parse_times,
     # process parameters
     "lambda_eff": float,
@@ -152,7 +151,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "grid_points": config.grid_points,
         "x_min": config.x_min,
         "x_max": config.x_max,
-        "snapshot_times": list(config.snapshot_times),
         "density_times": list(config.density_times),
         "lambda_eff": config.params.lambda_eff,
         "sigma": config.params.sigma,

@@ -18,16 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    BranchSystems,
-    GrwParams,
-    TrajectoryRecord,
-    TrajectoryState,
-)
+from .dynamics import BranchSystems, GrwParams, TrajectoryState
 from .errors import ConfigError
 from .ontology import (
     Flash,
@@ -108,7 +103,6 @@ class ScenarioConfig:
     grid_points: int = 512
     x_min: float | None = None
     x_max: float | None = None
-    snapshot_times: tuple[float, ...] = ()
     density_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -304,102 +298,6 @@ def classify_branch_grwm(state: BranchState, box: Region, theta_m: float = 0.5) 
     return Classification(verdict_from_fraction(frac, theta_m), frac, Ontology.GRWM)
 
 
-# ---------------------------------------------------------------------------
-# trajectory-level analysis
-
-def _system_events(trajectory: TrajectoryRecord, system: int):
-    state = trajectory.initial_state
-    if isinstance(state, BranchSystems):
-        return [e for e in trajectory.events if state.locate(e.particle)[0] == system]
-    return list(trajectory.events)
-
-
-def _initial_system(trajectory: TrajectoryRecord, system: int) -> BranchState:
-    state = trajectory.initial_state
-    if isinstance(state, BranchSystems):
-        return state.systems[system]
-    if isinstance(state, BranchState):
-        return state
-    raise ConfigError("branch-weight reconstruction needs a branch-model trajectory")
-
-
-def branch_weights_at(trajectory: TrajectoryRecord, t: float, system: int = 0) -> np.ndarray:
-    """Branch weights of one system at time t (H=0: piecewise constant)."""
-    weights = np.asarray(_initial_system(trajectory, system).weights, dtype=float)
-    for event in _system_events(trajectory, system):
-        if event.time > t:
-            break
-        weights = np.asarray(event.post_weights, dtype=float)
-    return weights
-
-
-def grwm_trajectory_classifier(
-    config: ScenarioConfig, system: int = 0
-) -> Callable[[TrajectoryRecord, float], Classification]:
-    """Matter-density verdicts along a branch trajectory."""
-    a_in, a_out = config.anchor_positions()
-    anchors = np.array([[a_in], [a_out]])
-
-    def classify(trajectory: TrajectoryRecord, t: float) -> Classification:
-        w = branch_weights_at(trajectory, t, system)
-        state = BranchState(config.labels, np.log(np.maximum(w, 1e-300)), anchors)
-        return classify_branch_grwm(state, config.box, config.theta_m)
-
-    return classify
-
-
-def grwf_trajectory_classifier(
-    config: ScenarioConfig,
-    prehistory: Sequence[Flash] = (),
-    system: int = 0,
-) -> Callable[[TrajectoryRecord, float], Classification]:
-    """Flash-window verdicts along a trajectory (time or count windows)."""
-
-    def classify(trajectory: TrajectoryRecord, t: float) -> Classification:
-        state = trajectory.initial_state
-        if isinstance(state, BranchSystems):
-            offsets = np.cumsum([0] + [s.num_particles for s in state.systems])
-            wanted = set(range(offsets[system], offsets[system + 1]))
-        else:
-            wanted = None
-        flashes = [Flash(e.time, e.center, e.particle) for e in trajectory.events]
-        pool = [f for f in list(prehistory) + flashes if f.time <= t]
-        if wanted is not None:
-            pool = [f for f in pool if f.particle in wanted]
-        if config.window_flashes is not None:
-            pool = pool[-config.window_flashes :]
-            return classify_grwf(pool, config.box, None, config.theta_f)
-        w = config.window_length()
-        return classify_grwf(pool, config.box, (t - w, t), config.theta_f)
-
-    return classify
-
-
-def detect_resurrection(
-    trajectory: TrajectoryRecord,
-    classifier: Callable[[TrajectoryRecord, float], Classification],
-    sampling_times: Sequence[float],
-) -> list[tuple[float, Verdict, Verdict]]:
-    """All definite-verdict flips between consecutive sampled verdicts.
-
-    Partial/Undefined samples carry no definite fact and are skipped, so a
-    flip is recorded whenever the next definite verdict differs from the
-    last one; the parity of the returned list tells whether the final
-    definite verdict differs from the first.
-    """
-    if len(sampling_times) < 2:
-        raise ConfigError("resurrection detection needs at least 2 sampling times")
-    transitions: list[tuple[float, Verdict, Verdict]] = []
-    last: Verdict | None = None
-    for t in sorted(sampling_times):
-        v = classifier(trajectory, t).verdict
-        if v in (Verdict.INSIDE, Verdict.OUTSIDE):
-            if last is not None and v != last:
-                transitions.append((float(t), last, v))
-            last = v
-    return transitions
-
-
 def density_grid(config: ScenarioConfig, points: int = 2048) -> np.ndarray:
     """Uniform cell-center grid covering box and anchors with 5-sigma margins."""
     a_in, a_out = config.anchor_positions()
@@ -408,33 +306,3 @@ def density_grid(config: ScenarioConfig, points: int = 2048) -> np.ndarray:
     hi = max(config.box.upper, a_in, a_out) + 5.0 * sigma
     step = (hi - lo) / points
     return lo + (np.arange(points) + 0.5) * step
-
-
-def default_sampling_times(config: ScenarioConfig) -> np.ndarray:
-    """One sample per expected collapse, plus the endpoint."""
-    step = 1.0 / (config.num_particles * config.params.lambda_eff)
-    times = np.arange(0.0, config.params.total_time + 0.5 * step, step)
-    if times[-1] < config.params.total_time:
-        times = np.append(times, config.params.total_time)
-    return times
-
-
-def marble_census(
-    systems: Sequence[BranchState] | BranchSystems,
-    classifier: Callable[[BranchState], Classification],
-) -> dict[Verdict, int]:
-    """Verdict counts over same-config marbles; counts sum to n."""
-    if isinstance(systems, BranchSystems):
-        systems = systems.systems
-    if not systems:
-        raise ConfigError("census needs at least one marble")
-    first = systems[0]
-    for s in systems[1:]:
-        if s.labels != first.labels or s.anchors.shape != first.anchors.shape or not np.allclose(
-            s.anchors, first.anchors
-        ):
-            raise ConfigError("census rejects mixed marble configurations")
-    counts = {v: 0 for v in Verdict}
-    for s in systems:
-        counts[classifier(s).verdict] += 1
-    return counts

@@ -290,13 +290,12 @@ class TestRunTrajectory:
         se = math.sqrt(0.7 * 0.3 / n)
         assert abs(wins / n - 0.7) < 4.0 * se
 
-    def test_snapshots_recorded(self):
-        params = GrwParams(total_time=10.0)
-        rec = run_trajectory(
-            _branch_pair(), params, RngStream(77, 0), snapshot_times=(0.0, 5.0, 10.0)
-        )
-        assert [s.time for s in rec.snapshots] == [0.0, 5.0, 10.0]
-        assert rec.snapshots[0].weights == (pytest.approx(0.7), pytest.approx(0.3))
+    def test_close_initial_branches_warn(self):
+        # 2 sigma apart: the warning names the caller of run_trajectory
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [2.0]])
+        with pytest.warns(UserWarning, match="separation") as caught:
+            run_trajectory(state, GrwParams(total_time=1.0), RngStream(0, 0))
+        assert caught[0].filename == __file__
 
     def test_grid_trajectory_norms(self, two_packet_state):
         params = GrwParams(total_time=5.0)

@@ -12,7 +12,6 @@ from grwsim import (
     ScenarioConfig,
     ScenarioKind,
     center_histogram_test,
-    martingale_test,
     run_ensemble,
 )
 from grwsim.ensemble import (
@@ -66,14 +65,6 @@ class TestRunEnsemble:
         assert summary.failures == 0
         assert "event_count" in summary.histograms
 
-    def test_martingale_at_snapshot_time(self):
-        config = _cat_config(snapshot_times=(0.0, 10.0))
-        summary = run_ensemble(config, 300, master_seed=41)
-        at_zero = martingale_test(summary, 0.0)
-        assert at_zero.estimate == pytest.approx(0.7, abs=1e-12)
-        with pytest.raises(ConfigError):
-            martingale_test(summary, 3.3)
-
     def test_symmetric_selection(self):
         summary = run_ensemble(_cat_config(c1=0.5), 2000, master_seed=51)
         rec = next(r for r in summary.records if r.name == "selection_frequency")
@@ -91,8 +82,8 @@ class TestRunEnsemble:
 
         real = ens.run_trajectory
 
-        def sabotage(initial_state, params, stream, snapshot_times=()):
-            record = real(initial_state, params, stream, snapshot_times)
+        def sabotage(initial_state, params, stream):
+            record = real(initial_state, params, stream)
             if stream.stream == 3:
                 record.status = "aborted"
                 record.diagnostic = "synthetic failure"
@@ -248,9 +239,8 @@ class TestPoissonFlashTest:
                 ens.TrajectoryStats(
                     index=i, status="completed", diagnostic=None, num_events=0,
                     final_weights=((0.7, 0.3),), max_weights=(0.7,), winners=(0,),
-                    snapshot_w1=(), box_fraction=None, initial_verdict=None,
-                    final_verdict=None, flipped=None, census=None,
-                    first_window_verdict=None,
+                    initial_verdict=None, final_verdict=None, flipped=None,
+                    census=None, first_window_verdict=None,
                 )
                 for i in range(50)
             ],
@@ -259,6 +249,21 @@ class TestPoissonFlashTest:
         )
         with pytest.raises(ConfigError):
             poisson_flash_test(counts_summary)
+
+
+class TestCensusChi2:
+    def test_one_bin_census_rejected(self):
+        # Binomial(1, 0.99) over 200 runs expects (2, 198) marbles inside,
+        # which merges into one bin: nothing is left to test
+        config = ScenarioConfig(
+            kind=ScenarioKind.MARBLES,
+            c1_sq=0.99,
+            n_marbles=1,
+            ontology=Ontology.GRWM,
+            params=GrwParams(total_time=20.0),
+        )
+        with pytest.raises(ConfigError, match="census_chi2_test has 1 usable bins"):
+            run_ensemble(config, 200, master_seed=5)
 
 
 class TestCenterHistogram:

@@ -21,21 +21,18 @@ from grwsim import (
     build_scenario,
     classify_grwf,
     classify_grwm,
-    detect_resurrection,
-    marble_census,
     matter_density,
     norm_squared,
     run_trajectory,
 )
 from grwsim.dynamics import BranchSystems, CollapseEvent, TrajectoryRecord
+from grwsim.ensemble import reduce_trajectory
 from grwsim.ontology import MatterDensityField
 from grwsim.scenarios import (
+    Scenario,
     branch_box_fraction,
-    classify_branch_grwm,
-    default_sampling_times,
     density_grid,
-    grwf_trajectory_classifier,
-    grwm_trajectory_classifier,
+    scenario_plan,
     verdict_from_fraction,
 )
 
@@ -227,112 +224,112 @@ def _fabricated_record(w_path, times=None):
         stream=RngStream(0, 0),
         num_particles=1,
         events=events,
-        snapshots=[],
         initial_state=state0,
         final_state=final,
     )
 
 
+def _reduce(record, config, prehistory=()):
+    scenario = Scenario(config, record.initial_state, list(prehistory), scenario_plan(config))
+    return reduce_trajectory(record, scenario, 0)
+
+
 class TestDetectResurrection:
-    def _classifier(self):
-        config = ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.999)
-        return grwm_trajectory_classifier(config)
+    """Verdict flips as reduce_trajectory reads them: start against horizon."""
+
+    _config = ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.999)
 
     def test_monotone_trajectory_no_transitions(self):
-        rec = _fabricated_record([0.7, 0.9, 0.999, 0.9999])
-        assert detect_resurrection(rec, self._classifier(), [0.0, 1.5, 2.5, 3.5, 4.5]) == []
+        stats = _reduce(_fabricated_record([0.7, 0.9, 0.999, 0.9999]), self._config)
+        assert (stats.initial_verdict, stats.final_verdict) == ("inside", "inside")
+        assert stats.flipped is False
 
     def test_single_flip_detected(self):
-        rec = _fabricated_record([0.999, 0.999, 0.001])
-        transitions = detect_resurrection(rec, self._classifier(), [0.0, 1.5, 2.5, 3.5])
-        assert len(transitions) == 1
-        t, before, after = transitions[0]
-        assert (before, after) == (Verdict.INSIDE, Verdict.OUTSIDE)
-
-    def test_flip_and_return_has_two_transitions(self):
-        rec = _fabricated_record([0.999, 0.001, 0.999])
-        transitions = detect_resurrection(rec, self._classifier(), [0.0, 1.5, 2.5, 3.5])
-        assert [(b, a) for _, b, a in transitions] == [
-            (Verdict.INSIDE, Verdict.OUTSIDE),
-            (Verdict.OUTSIDE, Verdict.INSIDE),
-        ]
+        stats = _reduce(_fabricated_record([0.999, 0.999, 0.001]), self._config)
+        assert (stats.initial_verdict, stats.final_verdict) == ("inside", "outside")
+        assert stats.flipped is True
 
     def test_partial_samples_skipped(self):
-        rec = _fabricated_record([0.999, 0.5, 0.001])
-        transitions = detect_resurrection(rec, self._classifier(), [0.0, 1.5, 2.5, 3.5])
-        assert len(transitions) == 1  # Inside -> Outside straight through the Partial sample
-
-    def test_needs_two_sampling_times(self):
-        rec = _fabricated_record([0.999, 0.001])
-        with pytest.raises(ConfigError):
-            detect_resurrection(rec, self._classifier(), [0.0])
+        # an exact half is Partial: no definite fact at the horizon, so no flip
+        stats = _reduce(_fabricated_record([0.999, 0.5]), self._config)
+        assert stats.final_verdict == "partial"
+        assert stats.flipped is None
 
     def test_grwf_classifier_on_fabricated_record(self):
         config = ScenarioConfig(
             kind=ScenarioKind.TAIL, c1_sq=0.999, ontology=Ontology.GRWF, window=10.0
         )
-        rec = _fabricated_record([0.999, 0.999])
-        classifier = grwf_trajectory_classifier(config)
-        # single flash at the in-anchor: Inside; before it: Undefined
-        c_before = classifier(rec, 0.5)
-        c_after = classifier(rec, 1.5)
-        assert c_before.verdict == Verdict.UNDEFINED
-        assert c_after.verdict == Verdict.INSIDE
+        # single flash at the in-anchor at t=1: no flashes before it, Inside after
+        stats = _reduce(_fabricated_record([0.999, 0.999]), config)
+        assert stats.initial_verdict == "undefined"
+        assert stats.final_verdict == "inside"
+        assert stats.first_window_verdict == "inside"
+        assert stats.flipped is None
 
-    def test_default_sampling_times(self):
-        config = ScenarioConfig(params=GrwParams(total_time=10.0))
-        times = default_sampling_times(config)
-        assert times[0] == 0.0 and times[-1] == pytest.approx(10.0)
-        assert np.allclose(np.diff(times), 1.0)
+
+def _marble_record(final_w1, events=(), total_time=20.0):
+    """A fabricated marble record whose systems end with the given w1 weights."""
+    def systems(ws):
+        return BranchSystems(
+            [BranchState.from_weights(("in", "out"), (w, 1.0 - w), [[0.0], [30.0]]) for w in ws]
+        )
+
+    return TrajectoryRecord(
+        params=GrwParams(total_time=total_time),
+        stream=RngStream(0, 0),
+        num_particles=len(final_w1),
+        events=list(events),
+        initial_state=systems([0.9] * len(final_w1)),
+        final_state=systems(final_w1),
+    )
 
 
 class TestMarbleCensus:
-    def _classifier(self):
-        box = Region(-10.0, 10.0)
-        return lambda s: classify_branch_grwm(s, box, 0.5)
+    @staticmethod
+    def _config(n, **kwargs):
+        return ScenarioConfig(kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=n, **kwargs)
 
     def test_all_inside(self):
-        winners = [
-            BranchState.from_weights(("in", "out"), (1.0, 0.0), [[0.0], [30.0]])
-            for _ in range(5)
-        ]
-        counts = marble_census(winners, self._classifier())
-        assert counts[Verdict.INSIDE] == 5
-        assert sum(counts.values()) == 5
+        stats = _reduce(_marble_record([1.0] * 5), self._config(5))
+        assert stats.census == (5, 0, 0, 0)
 
     def test_mixed_census(self):
-        systems = [
-            BranchState.from_weights(("in", "out"), (w, 1.0 - w), [[0.0], [30.0]])
-            for w in (0.999, 0.001, 0.999)
-        ]
-        counts = marble_census(systems, self._classifier())
-        assert counts[Verdict.INSIDE] == 2
-        assert counts[Verdict.OUTSIDE] == 1
+        stats = _reduce(_marble_record([0.999, 0.001, 0.999]), self._config(3))
+        assert stats.census == (2, 1, 0, 0)
 
-    def test_mixed_configs_rejected(self):
-        systems = [
-            BranchState.from_weights(("in", "out"), (0.9, 0.1), [[0.0], [30.0]]),
-            BranchState.from_weights(("in", "out"), (0.9, 0.1), [[0.0], [40.0]]),
+    def test_flash_windows_per_system(self):
+        # interleaved flashes, window of 3: particle 0 always in the box,
+        # particle 1 always out, particle 2 mixed, particle 3 never flashes.
+        # A window pooled over particles would read (in, out, in) at the end.
+        positions = {0: [0.0] * 4, 1: [30.0] * 4, 2: [30.0, 0.0, 30.0, 0.0]}
+        events = [
+            CollapseEvent(float(3 * j + p + 1), p, positions[p][j], (0.5, 0.5), (0.5, 0.5))
+            for j in range(4)
+            for p in range(3)
         ]
-        with pytest.raises(ConfigError):
-            marble_census(systems, self._classifier())
+        events.sort(key=lambda e: e.time)
+        record = _marble_record([0.5] * 4, events, total_time=13.0)
+        config = self._config(4, ontology=Ontology.GRWF, window_flashes=3)
+        stats = _reduce(record, config)
+        assert stats.census == (1, 1, 1, 1)  # (inside, outside, partial, undefined)
+        assert stats.initial_verdict == "undefined"  # fresh preparation: no flashes yet
+        assert stats.first_window_verdict == "inside"  # particle 0's first 3 flashes
+        # the time window (8, 13] gives each particle the same verdict
+        stats = _reduce(record, self._config(4, ontology=Ontology.GRWF, window=5.0))
+        assert stats.census == (1, 1, 1, 1)
 
     def test_census_binomial_mean(self):
         # the long-run census: Inside-count mean over seeds near n * c1_sq,
         # within the binomial-width bound 4 * sqrt(n p q)
         n, c1 = 100, 0.9
-        params = GrwParams(total_time=20.0)
+        config = ScenarioConfig(
+            kind=ScenarioKind.MARBLES, c1_sq=c1, n_marbles=n, params=GrwParams(total_time=20.0)
+        )
+        scenario = build_scenario(config)
         means = []
         for seed in range(30):
-            systems = BranchSystems(
-                [
-                    BranchState.from_weights(("in", "out"), (c1, 1 - c1), [[0.0], [30.0]])
-                    for _ in range(n)
-                ]
-            )
-            rec = run_trajectory(systems, params, RngStream(7000, seed))
-            counts = marble_census(rec.final_state, self._classifier())
-            means.append(counts[Verdict.INSIDE])
+            rec = run_trajectory(scenario.initial_state, config.params, RngStream(7000, seed))
+            means.append(reduce_trajectory(rec, scenario, seed).census[0])
         assert abs(np.mean(means) - 90.0) <= 4.0 * math.sqrt(n * c1 * (1 - c1))
 
 
