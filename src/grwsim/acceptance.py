@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import GrwParams, RngStream, apply_collapse_grid, collapse_center_density, sample_collapse_center
+from .dynamics import BranchSystems, GrwParams, RngStream, apply_collapse_grid, collapse_center_density, sample_collapse_center
 from .ensemble import center_histogram_test, run_ensemble
 from .errors import GrwError
 from .ontology import mass_fraction_in_region, matter_density
@@ -48,7 +48,7 @@ def _random_state(rng: np.random.Generator, spec: GridSpec):
     return make_grid_wavefunction(spec, packets)
 
 
-def criterion_1_completeness(threads: int = 1, reference: dict | None = None):
+def criterion_1_completeness(reference: dict | None = None):
     spec = GridSpec(-25.6, 25.6, 512, 1)
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -59,7 +59,7 @@ def criterion_1_completeness(threads: int = 1, reference: dict | None = None):
     return worst < 1e-6, f"max |integral - 1| = {worst:.3e} (< 1e-6) over 20 random states"
 
 
-def criterion_2_norm_preservation(threads: int = 1, reference: dict | None = None):
+def criterion_2_norm_preservation(reference: dict | None = None):
     spec = GridSpec(-25.6, 25.6, 512, 1)
     rng_states = np.random.default_rng(102)
     stream_rng = RngStream(102, 1).generator()
@@ -81,35 +81,35 @@ def _record(summary, name):
     raise GrwError(f"summary is missing the {name!r} record")
 
 
-def criterion_3_martingale(threads: int = 1, reference: dict | None = None):
+def criterion_3_martingale(reference: dict | None = None):
     config = ScenarioConfig(
         kind=ScenarioKind.CAT,
         c1_sq=0.7,
         ontology=Ontology.GRW0,
         params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=20.0),
     )
-    summary = run_ensemble(config, 10_000, master_seed=1003, threads=threads)
+    summary = run_ensemble(config, 10_000, master_seed=1003)
     r = _record(summary, "martingale_w1_final")
     return r.passed, (
         f"mean w1 = {r.estimate:.5f} vs 0.7, se = {r.se:.5f}, |z| = {abs(r.z):.2f} (<= 4)"
     )
 
 
-def criterion_4_selection(threads: int = 1, reference: dict | None = None):
+def criterion_4_selection(reference: dict | None = None):
     config = ScenarioConfig(
         kind=ScenarioKind.CAT,
         c1_sq=0.7,
         ontology=Ontology.GRW0,
         params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=50.0),
     )
-    summary = run_ensemble(config, 10_000, master_seed=1004, threads=threads)
+    summary = run_ensemble(config, 10_000, master_seed=1004)
     r = _record(summary, "selection_frequency")
     return r.passed, (
         f"winner frequency = {r.estimate:.5f} vs 0.7, |z| = {abs(r.z):.2f} (<= 4)"
     )
 
 
-def criterion_5_census(threads: int = 1, reference: dict | None = None):
+def criterion_5_census(reference: dict | None = None):
     config = ScenarioConfig(
         kind=ScenarioKind.MARBLES,
         c1_sq=0.9,
@@ -117,7 +117,7 @@ def criterion_5_census(threads: int = 1, reference: dict | None = None):
         ontology=Ontology.GRWM,
         params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=20.0),
     )
-    summary = run_ensemble(config, 10_000, master_seed=1005, threads=threads)
+    summary = run_ensemble(config, 10_000, master_seed=1005)
     r_all = _record(summary, "census_all_inside")
     r_mean = _record(summary, "census_inside_mean")
     ok = r_all.passed and r_mean.passed
@@ -127,14 +127,14 @@ def criterion_5_census(threads: int = 1, reference: dict | None = None):
     )
 
 
-def criterion_6_poisson(threads: int = 1, reference: dict | None = None):
+def criterion_6_poisson(reference: dict | None = None):
     config = ScenarioConfig(
         kind=ScenarioKind.CAT,
         c1_sq=0.5,
         ontology=Ontology.GRW0,
         params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=10.0),
     )
-    summary = run_ensemble(config, 10_000, master_seed=1006, threads=threads)
+    summary = run_ensemble(config, 10_000, master_seed=1006)
     r_chi = _record(summary, "poisson_chi2_p")
     r_mean = _record(summary, "event_count_mean")
     ok = r_chi.passed and r_mean.passed
@@ -144,7 +144,7 @@ def criterion_6_poisson(threads: int = 1, reference: dict | None = None):
     )
 
 
-def criterion_7_center_tv(threads: int = 1, reference: dict | None = None):
+def criterion_7_center_tv(reference: dict | None = None):
     spec = GridSpec(-25.6, 25.6, 512, 1)
     psi = make_grid_wavefunction(
         spec,
@@ -155,18 +155,18 @@ def criterion_7_center_tv(threads: int = 1, reference: dict | None = None):
     return ok, f"TV distance = {r.estimate:.4f} (<= 0.02, 50 bins, 10^5 samples)"
 
 
-def criterion_8_crosscheck(threads: int = 1, reference: dict | None = None):
+def criterion_8_crosscheck(reference: dict | None = None):
     result = grid_branch_crosscheck(n_cases=100, seed=1008)
     ok = result.compliant and result.max_discrepancy < 1e-6
     return ok, f"max posterior discrepancy = {result.max_discrepancy:.3e} (< 1e-6, 100 cases)"
 
 
-def criterion_9_tail_fact(threads: int = 1, reference: dict | None = None):
+def criterion_9_tail_fact(reference: dict | None = None):
     box = Region(-10.0, 10.0)
     c2 = 0.1
     # branch model
-    state = BranchState.from_weights(
-        ("inside", "outside"), (1.0 - c2, c2), [[0.0], [30.0]]
+    state = BranchSystems(
+        [BranchState.from_weights(("inside", "outside"), (1.0 - c2, c2), [[0.0], [30.0]])]
     )
     cfg = ScenarioConfig(
         kind=ScenarioKind.MARBLES, c1_sq=1.0 - c2, box=box, ontology=Ontology.GRWM
@@ -188,21 +188,21 @@ def criterion_9_tail_fact(threads: int = 1, reference: dict | None = None):
     )
 
 
-def criterion_10_resurrection(threads: int = 1, reference: dict | None = None):
+def criterion_10_resurrection(reference: dict | None = None):
     config = ScenarioConfig(
         kind=ScenarioKind.TAIL,
         c1_sq=0.99,
         ontology=Ontology.GRWM,
         params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=20.0),
     )
-    summary = run_ensemble(config, 100_000, master_seed=1010, threads=threads)
+    summary = run_ensemble(config, 100_000, master_seed=1010)
     r = _record(summary, "resurrection_rate")
     return r.passed, (
         f"flip frequency = {r.estimate:.5f} vs 0.01, se = {r.se:.2e}, |z| = {abs(r.z):.2f} (<= 4)"
     )
 
 
-def criterion_11_grwf_fresh(threads: int = 1, reference: dict | None = None):
+def criterion_11_grwf_fresh(reference: dict | None = None):
     config = ScenarioConfig(
         kind=ScenarioKind.MARBLES,
         c1_sq=0.99,
@@ -214,7 +214,7 @@ def criterion_11_grwf_fresh(threads: int = 1, reference: dict | None = None):
     )
     if reference is None:
         reference = load_reference_values()
-    summary = run_ensemble(config, 10_000, master_seed=1011, threads=threads, reference=reference)
+    summary = run_ensemble(config, 10_000, master_seed=1011, reference=reference)
     r = _record(summary, "grwf_inside_rate")
     return r.passed, (
         f"Inside frequency = {r.estimate:.5f} vs oracle p* = {r.target:.5f}, "
@@ -234,7 +234,7 @@ total_time = 10.0
 """
 
 
-def criterion_12_determinism(threads: int = 1, reference: dict | None = None):
+def criterion_12_determinism(reference: dict | None = None):
     from .cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -287,9 +287,7 @@ _CRITERIA: list[tuple[int, str, Callable, float]] = [
 
 
 def run_criteria(
-    numbers: list[int] | None = None,
-    reference: dict | None = None,
-    threads: int = 1,
+    numbers: list[int] | None = None, reference: dict | None = None
 ) -> list[CriterionResult]:
     """Run the selected criteria (all by default) and collect results."""
     results = []
@@ -298,7 +296,7 @@ def run_criteria(
             continue
         start = time.perf_counter()
         try:
-            passed, detail = fn(threads=threads, reference=reference)
+            passed, detail = fn(reference=reference)
         except GrwError as exc:
             passed, detail = False, f"error: {exc}"
         elapsed = time.perf_counter() - start

@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 statistical failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .dynamics import replay_state_at
@@ -32,7 +30,7 @@ from .fileio import (
 )
 from .ontology import flashes_of, matter_density
 from .oracles import load_reference_values, write_reference_values
-from .scenarios import Ontology, density_grid
+from .scenarios import density_grid
 from .state import GridWaveFunction
 
 EXIT_OK = 0
@@ -41,23 +39,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("GRWSIM_THREADS", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"GRWSIM_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_scenario_file(args.config)
-    if args.ontology is not None:
-        config = replace(config, ontology=Ontology(args.ontology))
-    threads = _resolve_threads(args.threads)
     log_first = args.log_trajectories
     if config.density_times and log_first < 1:
         log_first = 1  # density snapshots replay trajectory 0's event log
@@ -66,7 +49,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config,
         args.trajectories,
         args.seed,
-        threads=threads,
+        threads=args.threads,
         log_first=log_first,
     )
 
@@ -114,9 +97,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     wanted = None
     if args.criteria:
         wanted = sorted({int(tok) for tok in args.criteria.split(",")})
-    results = run_criteria(
-        numbers=wanted, reference=reference, threads=_resolve_threads(args.threads)
-    )
+    results = run_criteria(numbers=wanted, reference=reference)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number:2d} [{status}] {r.name}: {r.detail} ({r.elapsed:.1f}s)")
@@ -162,12 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario config file (key = value)")
     p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_run.add_argument("--trajectories", type=int, default=100, help="ensemble size")
-    p_run.add_argument("--threads", type=int, default=None, help="workers (env GRWSIM_THREADS)")
+    p_run.add_argument("--threads", type=int, default=1, help="workers (default 1)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument(
-        "--ontology", choices=[o.value for o in Ontology], default=None,
-        help="override the config's ontology",
-    )
     p_run.add_argument(
         "--log-trajectories", type=int, default=10,
         help="how many trajectories get full event/flash logs (default 10)",
@@ -183,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the acceptance suite")
     p_check.add_argument("--reference", default=None, help="reference file (default: packaged)")
     p_check.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    p_check.add_argument("--threads", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_report = sub.add_parser("report", help="summarize a results directory")

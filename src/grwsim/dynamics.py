@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -104,29 +104,35 @@ class CollapseEvent:
 class BranchSystems:
     """Non-interacting branch systems sharing one collapse clock.
 
-    Global particle indices run over the systems in order; with one particle
-    per system the particle index is the system index.
+    The trajectory state of every branch scenario: a cat or a tail is one
+    system, n marbles are n systems.  Global particle indices run over the
+    systems in order; with one particle per system the particle index is the
+    system index.
     """
 
     systems: list[BranchState]
+    # global particle -> (system, local particle); fixed at construction
+    _owners: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._owners = [
+            (i, k) for i, s in enumerate(self.systems) for k in range(s.num_particles)
+        ]
 
     @property
     def num_particles(self) -> int:
-        return sum(s.num_particles for s in self.systems)
+        return len(self._owners)
 
     def locate(self, particle: int) -> tuple[int, int]:
-        offset = 0
-        for i, s in enumerate(self.systems):
-            if particle < offset + s.num_particles:
-                return i, particle - offset
-            offset += s.num_particles
-        raise ConfigError(f"particle index {particle} out of range for N={self.num_particles}")
+        if not 0 <= particle < len(self._owners):
+            raise ConfigError(f"particle index {particle} out of range for N={self.num_particles}")
+        return self._owners[particle]
 
     def copy(self) -> "BranchSystems":
         return BranchSystems([s.copy() for s in self.systems])
 
 
-TrajectoryState = Union[GridWaveFunction, BranchState, BranchSystems]
+TrajectoryState = Union[GridWaveFunction, BranchSystems]
 
 
 @dataclass
@@ -195,7 +201,7 @@ def apply_collapse_grid(
         raise ZeroProbabilityCollapseError(
             f"collapse at X={center} has norm {norm:.3e} (zero-probability collapse)"
         )
-    return GridWaveFunction(psi.spec, new_amps / norm, psi.cell_volume)
+    return GridWaveFunction(psi.spec, new_amps / norm)
 
 
 def branch_collapse_update(
@@ -235,10 +241,25 @@ def branch_collapse_update(
     return BranchState(state.labels, np.array([v - total for v in new_log]), state.anchors)
 
 
-def _sample_center_branch(
-    state: BranchState, particle: int, sigma: float, rng: np.random.Generator
+def sample_collapse_center(
+    state: TrajectoryState, particle: int, sigma: float, rng: np.random.Generator
 ) -> float:
-    weights = [math.exp(v) for v in state.log_weights.tolist()]
+    """Draw X with density ||L_{k,X} psi||^2.
+
+    Grid model: inverse CDF over the discretized density (the sample is a
+    grid cell center, exact with respect to the grid measure).  Branch
+    model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
+    particle's system.
+    """
+    if isinstance(state, GridWaveFunction):
+        density = collapse_center_density(state, particle, sigma)
+        cdf = np.cumsum(density) * state.spec.dx
+        u = rng.random() * cdf[-1]
+        idx = min(int(np.searchsorted(cdf, u)), density.size - 1)
+        return float(state.spec.points()[idx])
+    sys_idx, local = state.locate(particle)
+    system = state.systems[sys_idx]
+    weights = [math.exp(v) for v in system.log_weights.tolist()]
     u = rng.random() * sum(weights)
     idx = len(weights) - 1
     acc = 0.0
@@ -247,28 +268,7 @@ def _sample_center_branch(
         if u <= acc:
             idx = j
             break
-    return float(rng.normal(state.anchors[idx, particle], sigma * _INV_SQRT2))
-
-
-def sample_collapse_center(
-    state: TrajectoryState, particle: int, sigma: float, rng: np.random.Generator
-) -> float:
-    """Draw X with density ||L_{k,X} psi||^2.
-
-    Grid model: inverse CDF over the discretized density (the sample is a
-    grid cell center, exact with respect to the grid measure).  Branch
-    model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2).
-    """
-    if isinstance(state, GridWaveFunction):
-        density = collapse_center_density(state, particle, sigma)
-        cdf = np.cumsum(density) * state.spec.dx
-        u = rng.random() * cdf[-1]
-        idx = min(int(np.searchsorted(cdf, u)), density.size - 1)
-        return float(state.spec.points()[idx])
-    if isinstance(state, BranchSystems):
-        sys_idx, local = state.locate(particle)
-        return _sample_center_branch(state.systems[sys_idx], local, sigma, rng)
-    return _sample_center_branch(state, particle, sigma, rng)
+    return float(rng.normal(system.anchors[idx, local], sigma * _INV_SQRT2))
 
 
 def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -> GridWaveFunction:
@@ -289,22 +289,20 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
         shape = [1] * spec.num_particles
         shape[axis] = -1
         amps_k = amps_k * phase_1d.reshape(shape)
-    return GridWaveFunction(spec, np.fft.ifftn(amps_k), psi.cell_volume)
+    return GridWaveFunction(spec, np.fft.ifftn(amps_k))
 
 
 def _apply_collapse(
     state: TrajectoryState, particle: int, center: float, sigma: float
 ) -> TrajectoryState:
+    """The state after one collapse; a BranchSystems is updated in place."""
     if isinstance(state, GridWaveFunction):
         return apply_collapse_grid(state, particle, center, sigma)
-    if isinstance(state, BranchSystems):
-        sys_idx, local = state.locate(particle)
-        systems = list(state.systems)
-        systems[sys_idx] = branch_collapse_update(
-            systems[sys_idx], local, center, sigma, check_separation=False
-        )
-        return BranchSystems(systems)
-    return branch_collapse_update(state, particle, center, sigma, check_separation=False)
+    sys_idx, local = state.locate(particle)
+    state.systems[sys_idx] = branch_collapse_update(
+        state.systems[sys_idx], local, center, sigma, check_separation=False
+    )
+    return state
 
 
 def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
@@ -319,10 +317,15 @@ def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
 def _event_weights(state: TrajectoryState, particle: int) -> tuple:
     if isinstance(state, GridWaveFunction):
         return _grid_summary(state, particle)
-    if isinstance(state, BranchSystems):
-        sys_idx, _ = state.locate(particle)
-        state = state.systems[sys_idx]
-    return tuple(math.exp(v) for v in state.log_weights.tolist())
+    system = state.systems[state.locate(particle)[0]]
+    return tuple(math.exp(v) for v in system.log_weights.tolist())
+
+
+def _require_trajectory_state(state: object) -> None:
+    if not isinstance(state, (GridWaveFunction, BranchSystems)):
+        raise ConfigError(
+            f"trajectory state must be a GridWaveFunction or BranchSystems, not {type(state).__name__}"
+        )
 
 
 def run_trajectory(
@@ -336,8 +339,10 @@ def run_trajectory(
     particle selection, collapse-center sampling, collapse application and
     unitary evolution.  Every collapse is logged as a CollapseEvent.
     Deterministic given the RngStream.  Numerical failures abort the
-    trajectory with a diagnostic instead of silently continuing.
+    trajectory with a diagnostic instead of silently continuing.  The
+    caller's initial state is never modified.
     """
+    _require_trajectory_state(initial_state)
     if params.hamiltonian.kind != "zero" and not isinstance(initial_state, GridWaveFunction):
         raise ConfigError("free-particle evolution requires the grid model")
     rng = stream.generator()
@@ -345,9 +350,7 @@ def run_trajectory(
     n = num_particles_of(state)
     sigma = params.sigma
 
-    if isinstance(state, BranchState):
-        _warn_if_close(state, sigma)
-    elif isinstance(state, BranchSystems):
+    if isinstance(state, BranchSystems):
         for s in state.systems:
             _warn_if_close(s, sigma)
 
@@ -396,6 +399,7 @@ def replay_state_at(
     Collapse centers are logged exactly, so the replay reproduces the
     trajectory's state bit-for-bit without any random draws.
     """
+    _require_trajectory_state(initial_state)
     state = initial_state.copy()
     t_prev = 0.0
     for e in events:

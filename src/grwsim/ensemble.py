@@ -24,6 +24,7 @@ from .dynamics import (
     TrajectoryState,
     collapse_center_density,
     run_trajectory,
+    sample_collapse_center,
 )
 from .errors import ConfigError, InconclusiveHorizonError
 from .ontology import Flash, flashes_of
@@ -41,7 +42,6 @@ from .scenarios import (
     classify_grwm,
     scenario_plan,
 )
-from .state import BranchState
 
 Z_MAX = 4.0
 P_MIN = 1e-3
@@ -96,9 +96,7 @@ class TrajectoryStats:
     status: str
     diagnostic: str | None
     num_events: int
-    final_weights: tuple[tuple[float, ...], ...]
-    max_weights: tuple[float, ...]
-    winners: tuple[int, ...]
+    final_weights: tuple[tuple[float, ...], ...]  # per branch system; empty on the grid
     initial_verdict: str | None
     final_verdict: str | None
     flipped: bool | None
@@ -119,13 +117,10 @@ class EnsembleSummary:
     logged: list[TrajectoryRecord]
     logged_prehistory: list[list[Flash]]
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0 and all(r.passed for r in self.records)
 
-
-def _systems(state: TrajectoryState) -> list[TrajectoryState]:
-    return state.systems if isinstance(state, BranchSystems) else [state]
+def _systems(state: TrajectoryState) -> list:
+    """The state of each system: a grid wavefunction is one system."""
+    return [state] if isinstance(state, GridWaveFunction) else state.systems
 
 
 def _flashes_by_system(record: TrajectoryRecord, prehistory: list[Flash]) -> list[list[Flash]]:
@@ -164,7 +159,7 @@ def _verdict_at(
     else:
         w = config.window_length()
         window = [f for f in seen if f.time > t - w]
-    return classify_grwf(window, config.box, None, config.theta_f).verdict.value
+    return classify_grwf(window, config.box, config.theta_f).verdict.value
 
 
 def reduce_trajectory(
@@ -172,10 +167,9 @@ def reduce_trajectory(
 ) -> TrajectoryStats:
     config = scenario.config
     finals = _systems(record.final_state)
-    branches = [s for s in finals if isinstance(s, BranchState)]
-    final_weights = tuple(tuple(float(x) for x in s.weights) for s in branches)
-    max_weights = tuple(max(w) for w in final_weights)
-    winners = tuple(int(np.argmax(w)) for w in final_weights)
+    final_weights = ()
+    if isinstance(record.final_state, BranchSystems):
+        final_weights = tuple(tuple(float(x) for x in s.weights) for s in finals)
 
     initial_verdict = final_verdict = first_window_verdict = None
     flipped = None
@@ -214,8 +208,6 @@ def reduce_trajectory(
         diagnostic=record.diagnostic,
         num_events=record.num_events,
         final_weights=final_weights,
-        max_weights=max_weights,
-        winners=winners,
         initial_verdict=initial_verdict,
         final_verdict=final_verdict,
         flipped=flipped,
@@ -231,7 +223,6 @@ def run_ensemble(
     threads: int = 1,
     reference: dict | None = None,
     log_first: int = 0,
-    auto_extend: bool = True,
 ) -> EnsembleSummary:
     """Run n independent trajectories and compute the scenario's statistics.
 
@@ -246,7 +237,24 @@ def run_ensemble(
         raise ConfigError("an ensemble needs at least 2 trajectories")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    args = (n_trajectories, master_seed, threads, reference, log_first)
+    try:
+        return _run_ensemble(config, *args)
+    except InconclusiveHorizonError:
+        extended = replace(
+            config, params=replace(config.params, total_time=2.0 * config.params.total_time)
+        )
+        return _run_ensemble(extended, *args)
 
+
+def _run_ensemble(
+    config: ScenarioConfig,
+    n_trajectories: int,
+    master_seed: int,
+    threads: int,
+    reference: dict | None,
+    log_first: int,
+) -> EnsembleSummary:
     # Fresh preparations share one immutable scenario; collapsed pasts draw a
     # per-trajectory prehistory from a disjoint stream block.
     base_scenario = (
@@ -290,23 +298,7 @@ def run_ensemble(
         logged=logged,
         logged_prehistory=logged_pre,
     )
-    try:
-        _compute_plan_records(summary, scenario_plan(config), reference)
-    except InconclusiveHorizonError:
-        if not auto_extend:
-            raise
-        extended = replace(
-            config, params=replace(config.params, total_time=2.0 * config.params.total_time)
-        )
-        return run_ensemble(
-            extended,
-            n_trajectories,
-            master_seed,
-            threads=threads,
-            reference=reference,
-            log_first=log_first,
-            auto_extend=False,
-        )
+    _compute_plan_records(summary, scenario_plan(config), reference)
     return summary
 
 
@@ -430,7 +422,7 @@ def martingale_test(summary: EnsembleSummary) -> StatRecord:
 
 
 def _require_converged(summary: EnsembleSummary) -> None:
-    max_w = [w for t in summary.trajectories for w in t.max_weights]
+    max_w = [max(w) for t in summary.trajectories for w in t.final_weights]
     frac = float(np.mean([w > CONVERGENCE_WEIGHT for w in max_w]))
     if frac < 0.99:
         raise InconclusiveHorizonError(
@@ -441,7 +433,7 @@ def _require_converged(summary: EnsembleSummary) -> None:
 def selection_frequency_test(summary: EnsembleSummary) -> StatRecord:
     """Winner frequency vs the initial first-branch weight."""
     _require_converged(summary)
-    winners = [w for t in summary.trajectories for w in t.winners]
+    winners = [int(np.argmax(w)) for t in summary.trajectories for w in t.final_weights]
     n = len(winners)
     freq = float(np.mean([w == 0 for w in winners]))
     target = summary.config.c1_sq
@@ -563,10 +555,11 @@ def center_histogram_test(
         raise ConfigError("center_histogram_test needs n_samples >= 1000")
     density = collapse_center_density(psi, particle, sigma)
     dx = psi.spec.dx
-    cdf = np.cumsum(density) * dx
     rng = stream.generator()
-    u = rng.random(n_samples) * cdf[-1]
-    idx = np.minimum(np.searchsorted(cdf, u), density.size - 1)
+    centers = np.array(
+        [sample_collapse_center(psi, particle, sigma, rng) for _ in range(n_samples)]
+    )
+    idx = np.rint((centers - psi.spec.points()[0]) / dx).astype(int)
 
     # every grid cell maps to one bin (remainder cells join the last bin), so
     # the expected and empirical measures aggregate identically

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import BranchSystems, TrajectoryRecord
+from .dynamics import BranchSystems, TrajectoryRecord, num_particles_of
 from .errors import ConfigError, NumericsError
 from .state import BranchState, GridWaveFunction, Region, branch_weights, marginal_density
 
@@ -70,9 +70,8 @@ def _uniform_spacing(grid: np.ndarray) -> float:
 
 def _rasterize_branches(
     state: BranchState, masses: np.ndarray, grid: np.ndarray, dx: float, values: np.ndarray
-) -> float:
-    """Add each branch anchor as a single-cell spike; returns mass dropped off-grid."""
-    lost = 0.0
+) -> None:
+    """Add each branch anchor as a single-cell spike; off-grid anchors add nothing."""
     w = state.weights
     for i in range(state.num_branches):
         for k in range(state.num_particles):
@@ -80,13 +79,10 @@ def _rasterize_branches(
             idx = int(np.round((a - grid[0]) / dx))
             if 0 <= idx < grid.size and abs(a - grid[idx]) <= 0.5 * dx + 1e-12:
                 values[idx] += w[i] * masses[k] / dx
-            else:
-                lost += w[i] * masses[k]
-    return lost
 
 
 def matter_density(
-    state: GridWaveFunction | BranchState | BranchSystems,
+    state: GridWaveFunction | BranchSystems,
     masses: Sequence[float] | None = None,
     grid: np.ndarray | None = None,
     time: float = 0.0,
@@ -97,11 +93,7 @@ def matter_density(
     marginals (and their own grid).  Rejects a grid that captures less than
     1 - 1e-6 of the total mass.
     """
-    n = (
-        state.spec.num_particles
-        if isinstance(state, GridWaveFunction)
-        else state.num_particles
-    )
+    n = num_particles_of(state)
     m = equal_masses(n) if masses is None else np.asarray(masses, dtype=float)
     if m.size != n:
         raise ConfigError(f"got {m.size} masses for {n} particles")
@@ -122,9 +114,8 @@ def matter_density(
         grid = np.asarray(grid, dtype=float)
         dx = _uniform_spacing(grid)
         values = np.zeros_like(grid)
-        systems = state.systems if isinstance(state, BranchSystems) else [state]
         offset = 0
-        for s in systems:
+        for s in state.systems:
             _rasterize_branches(s, m[offset : offset + s.num_particles], grid, dx, values)
             offset += s.num_particles
 
@@ -146,10 +137,7 @@ def mass_fraction_in_region(field: MatterDensityField, region: Region) -> float:
 
 
 def flash_fraction_in_region(
-    flashes: Iterable[Flash],
-    region: Region,
-    window: tuple[float, float] | None = None,
-    particles: Iterable[int] | None = None,
+    flashes: Iterable[Flash], region: Region, window: tuple[float, float] | None = None
 ) -> tuple[float, int]:
     """(fraction of matching flashes inside the region, match count).
 
@@ -158,13 +146,10 @@ def flash_fraction_in_region(
     """
     if window is not None and not window[0] < window[1]:
         raise ConfigError(f"window needs t0 < t1, got {window}")
-    wanted = None if particles is None else set(particles)
     count = 0
     inside = 0
     for f in flashes:
         if window is not None and not (window[0] < f.time <= window[1]):
-            continue
-        if wanted is not None and f.particle not in wanted:
             continue
         count += 1
         if region.contains(f.position):
@@ -179,8 +164,6 @@ def default_window(num_particles: int, lambda_eff: float, expected_flashes: floa
     return expected_flashes / (num_particles * lambda_eff)
 
 
-def grw0_view(state: BranchState | BranchSystems):
-    """Branch weights only -- deliberately nothing spatial to point at."""
-    if isinstance(state, BranchSystems):
-        return [branch_weights(s) for s in state.systems]
-    return branch_weights(state)
+def grw0_view(state: BranchSystems) -> list[list[tuple[str, float]]]:
+    """Each system's branch weights -- deliberately nothing spatial to point at."""
+    return [branch_weights(s) for s in state.systems]

@@ -157,12 +157,11 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """A built scenario: initial state, any pre-run flash history, run plan."""
+    """A built scenario: initial state and any pre-run flash history."""
 
     config: ScenarioConfig
     initial_state: TrajectoryState
     prehistory: list[Flash]
-    plan: tuple[str, ...]
 
 
 def scenario_plan(config: ScenarioConfig) -> tuple[str, ...]:
@@ -171,7 +170,10 @@ def scenario_plan(config: ScenarioConfig) -> tuple[str, ...]:
     if config.backend == "branch":
         plan += ["martingale_final", "selection_frequency"]
         if config.kind is ScenarioKind.MARBLES and config.ontology is not Ontology.GRW0:
-            plan += ["census_inside_mean", "census_all_inside", "census_chi2"]
+            plan += ["census_inside_mean"]
+            # one marble: all-inside and the chi-square restate that mean
+            if config.n_marbles > 1:
+                plan += ["census_all_inside", "census_chi2"]
         # a verdict flip needs a definite initial verdict: matter density always
         # has one, flashes only when a collapsed past supplies a pre-window record
         if config.kind is ScenarioKind.TAIL and (
@@ -220,10 +222,12 @@ def _seed_prehistory(config: ScenarioConfig, rng: np.random.Generator) -> list[F
 
 
 def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = None) -> Scenario:
-    """Initial state(s) plus run plan for a scenario config.
+    """Initial state and prehistory for a scenario config.
 
-    CollapsedPast histories come with a pre-window flash record consistent
-    with the in-box branch; fresh preparations start with no flashes at all.
+    Branch scenarios start as a BranchSystems: cat and tail are one system,
+    marbles are n_marbles systems.  CollapsedPast histories come with a
+    pre-window flash record consistent with the in-box branch; fresh
+    preparations start with no flashes at all.
     """
     a_in, a_out = config.anchor_positions()
     weights = (config.c1_sq, 1.0 - config.c1_sq)
@@ -242,18 +246,19 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
             ],
         )
     else:
-        systems = [
-            BranchState.from_weights(config.labels, weights, [[a_in], [a_out]])
-            for _ in range(config.n_marbles)
-        ]
-        state = systems[0] if config.kind is not ScenarioKind.MARBLES else BranchSystems(systems)
+        state = BranchSystems(
+            [
+                BranchState.from_weights(config.labels, weights, [[a_in], [a_out]])
+                for _ in range(config.n_marbles)
+            ]
+        )
 
     prehistory: list[Flash] = []
     if config.history is History.COLLAPSED_PAST:
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2**48,)))
         prehistory = _seed_prehistory(config, rng)
-    return Scenario(config, state, prehistory, scenario_plan(config))
+    return Scenario(config, state, prehistory)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +272,9 @@ def classify_grwm(field: MatterDensityField, box: Region, theta_m: float = 0.5) 
     return Classification(verdict_from_fraction(frac, theta_m), frac, Ontology.GRWM)
 
 
-def classify_grwf(
-    flashes: Iterable[Flash],
-    box: Region,
-    window: tuple[float, float] | None = None,
-    theta_f: float = 0.99,
-    particles: Iterable[int] | None = None,
-) -> Classification:
-    """Verdict from the windowed flash fraction; no flashes means no fact."""
-    frac, count = flash_fraction_in_region(flashes, box, window, particles)
+def classify_grwf(flashes: Iterable[Flash], box: Region, theta_f: float = 0.99) -> Classification:
+    """Verdict from the fraction of the flashes in the box; no flashes means no fact."""
+    frac, count = flash_fraction_in_region(flashes, box)
     if count == 0:
         return Classification(Verdict.UNDEFINED, float("nan"), Ontology.GRWF)
     return Classification(verdict_from_fraction(frac, theta_f), frac, Ontology.GRWF)

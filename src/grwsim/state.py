@@ -66,10 +66,6 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.points_per_axis
 
-    @property
-    def total_cells(self) -> int:
-        return self.points_per_axis**self.num_particles
-
     def points(self) -> np.ndarray:
         """Cell-center coordinates of the 1-D axis (midpoint rule)."""
         return self.x_min + (np.arange(self.points_per_axis) + 0.5) * self.dx
@@ -81,10 +77,13 @@ class GridWaveFunction:
 
     spec: GridSpec
     amplitudes: np.ndarray
-    cell_volume: float
+
+    @property
+    def cell_volume(self) -> float:
+        return self.spec.dx**self.spec.num_particles
 
     def copy(self) -> "GridWaveFunction":
-        return GridWaveFunction(self.spec, self.amplitudes.copy(), self.cell_volume)
+        return GridWaveFunction(self.spec, self.amplitudes.copy())
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def normalize(psi: GridWaveFunction) -> GridWaveFunction:
     n2 = norm_squared(psi)
     if n2 <= 0.0:
         raise ConfigError("cannot normalize a zero wavefunction")
-    return GridWaveFunction(psi.spec, psi.amplitudes / np.sqrt(n2), psi.cell_volume)
+    return GridWaveFunction(psi.spec, psi.amplitudes / np.sqrt(n2))
 
 
 def make_grid_wavefunction(spec: GridSpec, packets: Sequence[Packet]) -> GridWaveFunction:
@@ -159,7 +158,7 @@ def make_grid_wavefunction(spec: GridSpec, packets: Sequence[Packet]) -> GridWav
         for f in factors[1:]:
             prod = np.multiply.outer(prod, f)
         amps += p.coefficient * prod
-    psi = GridWaveFunction(spec, amps, spec.dx**spec.num_particles)
+    psi = GridWaveFunction(spec, amps)
     return normalize(psi)
 
 

@@ -67,13 +67,6 @@ class TestRunCommand:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
 
-    def test_ontology_override(self, cat_cfg, tmp_path):
-        out = tmp_path / "results"
-        main(["run", "--config", str(cat_cfg), "--trajectories", "40",
-              "--out", str(out), "--ontology", "grw0"])
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["ontology"] == "grw0"
-
     def test_density_snapshots(self, tmp_path):
         cfg = tmp_path / "density.cfg"
         cfg.write_text(CAT_CFG + "density_times = 0.0, 20.0\n")
@@ -83,12 +76,6 @@ class TestRunCommand:
         density = (out / "density-t20.csv").read_text().splitlines()
         assert density[0] == "x,m"
         assert len(density) > 100
-
-    def test_env_threads_fallback(self, cat_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRWSIM_THREADS", "2")
-        out = tmp_path / "results"
-        assert main(["run", "--config", str(cat_cfg), "--trajectories", "40",
-                     "--out", str(out)]) == 0
 
     def test_grid_backend_run(self, tmp_path):
         cfg = tmp_path / "grid.cfg"

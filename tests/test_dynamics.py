@@ -27,6 +27,7 @@ from grwsim import (
     sample_waiting_time,
 )
 from grwsim.dynamics import BranchSystems, replay_state_at
+from grwsim.ensemble import _flashes_by_system
 
 
 def _rng(seed=0):
@@ -179,7 +180,7 @@ class TestBranchCollapseUpdate:
 
 class TestSampleCollapseCenter:
     def test_single_branch_variance(self):
-        state = BranchState.from_weights(("only",), (1.0,), [[0.0]])
+        state = BranchSystems([BranchState.from_weights(("only",), (1.0,), [[0.0]])])
         rng = _rng(11)
         draws = np.array(
             [sample_collapse_center(state, 0, 1.0, rng) for _ in range(1_000_000)]
@@ -187,7 +188,7 @@ class TestSampleCollapseCenter:
         assert abs(draws.var() - 0.5) < 0.01
 
     def test_mixture_fractions(self):
-        state = BranchState.from_weights(("a", "b"), (0.9, 0.1), [[-20.0], [20.0]])
+        state = BranchSystems([BranchState.from_weights(("a", "b"), (0.9, 0.1), [[-20.0], [20.0]])])
         rng = _rng(12)
         n = 100_000
         draws = np.array([sample_collapse_center(state, 0, 1.0, rng) for _ in range(n)])
@@ -247,8 +248,12 @@ class TestEvolveUnitary:
             evolve_unitary(two_packet_state, -1.0, Hamiltonian("zero"))
 
 
-def _branch_pair(c1=0.7):
+def _branch_state(c1=0.7):
     return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [[0.0], [30.0]])
+
+
+def _branch_pair(c1=0.7):
+    return BranchSystems([_branch_state(c1)])
 
 
 class TestRunTrajectory:
@@ -283,7 +288,7 @@ class TestRunTrajectory:
         converged = 0
         for i in range(n):
             rec = run_trajectory(_branch_pair(0.7), params, RngStream(200, i))
-            w = rec.final_state.weights
+            w = rec.final_state.systems[0].weights
             converged += max(w) > 0.99
             wins += int(np.argmax(w) == 0)
         assert converged / n >= 0.99
@@ -292,7 +297,7 @@ class TestRunTrajectory:
 
     def test_close_initial_branches_warn(self):
         # 2 sigma apart: the warning names the caller of run_trajectory
-        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [2.0]])
+        state = BranchSystems([BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [2.0]])])
         with pytest.warns(UserWarning, match="separation") as caught:
             run_trajectory(state, GrwParams(total_time=1.0), RngStream(0, 0))
         assert caught[0].filename == __file__
@@ -309,7 +314,7 @@ class TestRunTrajectory:
             run_trajectory(_branch_pair(), params, RngStream(0, 0))
 
     def test_marble_systems_independent(self):
-        systems = BranchSystems([_branch_pair(0.9) for _ in range(4)])
+        systems = BranchSystems([_branch_state(0.9) for _ in range(4)])
         params = GrwParams(total_time=30.0)
         rec = run_trajectory(systems, params, RngStream(91, 0))
         assert rec.num_particles == 4
@@ -323,7 +328,51 @@ class TestRunTrajectory:
         initial = _branch_pair(0.6)
         rec = run_trajectory(initial, params, RngStream(92, 0))
         replayed = replay_state_at(initial, params, rec.events, params.total_time)
-        assert np.allclose(replayed.log_weights, rec.final_state.log_weights)
+        assert np.allclose(
+            replayed.systems[0].log_weights, rec.final_state.systems[0].log_weights
+        )
+
+    def test_bare_branch_state_rejected(self):
+        params = GrwParams(total_time=5.0)
+        with pytest.raises(ConfigError, match="BranchSystems"):
+            run_trajectory(_branch_state(), params, RngStream(0, 0))
+        with pytest.raises(ConfigError, match="BranchSystems"):
+            replay_state_at(_branch_state(), params, [], 1.0)
+
+    def test_initial_state_left_unchanged(self):
+        # the engine updates its private copy in place, never the caller's state
+        params = GrwParams(total_time=20.0)
+        initial = BranchSystems([_branch_state(0.6), _branch_state(0.3)])
+        systems_before = list(initial.systems)
+        log_weights_before = [s.log_weights.copy() for s in initial.systems]
+        rec = run_trajectory(initial, params, RngStream(93, 0))
+        assert rec.num_events > 0
+        replay_state_at(initial, params, rec.events, params.total_time)
+        assert rec.initial_state is initial
+        assert rec.final_state is not initial
+        assert all(a is b for a, b in zip(initial.systems, systems_before))
+        for s, before in zip(initial.systems, log_weights_before):
+            assert np.array_equal(s.log_weights, before)
+
+    def test_mixed_particle_counts(self):
+        # one 2-particle system (particles 0, 1) and one 1-particle system (2)
+        pair = BranchState.from_weights(("a", "b"), (0.6, 0.4), [[0.0, 100.0], [30.0, 130.0]])
+        initial = BranchSystems([pair, _branch_state(0.8)])
+        assert [initial.locate(p) for p in range(3)] == [(0, 0), (0, 1), (1, 0)]
+        with pytest.raises(ConfigError):
+            initial.locate(3)
+        params = GrwParams(total_time=20.0)
+        rec = run_trajectory(initial, params, RngStream(94, 0))
+        assert rec.num_particles == 3
+        assert {e.particle for e in rec.events} == {0, 1, 2}
+        for e in rec.events:
+            assert len(e.pre_weights) == 2 and len(e.post_weights) == 2
+        replayed = replay_state_at(initial, params, rec.events, params.total_time)
+        for a, b in zip(replayed.systems, rec.final_state.systems):
+            assert np.array_equal(a.log_weights, b.log_weights)
+        groups = _flashes_by_system(rec, [])
+        assert [f.particle for f in groups[0]] == [e.particle for e in rec.events if e.particle < 2]
+        assert [f.particle for f in groups[1]] == [e.particle for e in rec.events if e.particle == 2]
 
 
 class TestOneStepMartingale:

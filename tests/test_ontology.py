@@ -35,8 +35,12 @@ def _grid(lo=-40.0, hi=50.0, n=2048):
     return lo + (np.arange(n) + 0.5) * step
 
 
-def _marble(c1=0.9, a_out=30.0):
+def _marble_state(c1=0.9, a_out=30.0):
     return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [[0.0], [a_out]])
+
+
+def _marble(c1=0.9, a_out=30.0):
+    return BranchSystems([_marble_state(c1, a_out)])
 
 
 class TestFlashes:
@@ -86,7 +90,7 @@ class TestMatterDensity:
         assert field.total_mass == pytest.approx(3.0, abs=1e-9)
 
     def test_equal_masses_default(self):
-        systems = BranchSystems([_marble(), _marble()])
+        systems = BranchSystems([_marble_state(), _marble_state()])
         field = matter_density(systems, grid=_grid())
         assert np.allclose(field.masses, equal_masses(2))
         assert field.total_mass == pytest.approx(1.0, abs=1e-9)
@@ -145,8 +149,10 @@ class TestFlashFraction:
         assert count == 1  # t0 excluded, t1 included
 
     def test_particle_filter(self):
+        # callers pass one particle's flashes, filtered beforehand
         flashes = [Flash(0.1, 0.0, 0), Flash(0.2, 0.0, 1), Flash(0.3, 0.0, 1)]
-        _, count = flash_fraction_in_region(flashes, Region(-1.0, 1.0), particles=[1])
+        own = [f for f in flashes if f.particle == 1]
+        _, count = flash_fraction_in_region(own, Region(-1.0, 1.0))
         assert count == 2
 
     def test_bad_window_rejected(self):
@@ -180,10 +186,10 @@ class TestFlashFraction:
 class TestGrw0View:
     def test_matches_branch_weights(self):
         state = _marble(0.8)
-        assert grw0_view(state) == branch_weights(state)
+        assert grw0_view(state) == [branch_weights(state.systems[0])]
 
     def test_systems_view(self):
-        systems = BranchSystems([_marble(0.8), _marble(0.8)])
+        systems = BranchSystems([_marble_state(0.8), _marble_state(0.8)])
         view = grw0_view(systems)
         assert len(view) == 2
         assert view[0] == branch_weights(systems.systems[0])

@@ -75,10 +75,12 @@ class TestScenarioConfig:
 
 class TestBuildScenario:
     def test_cat_weights(self):
+        # a cat is one branch system
         scenario = build_scenario(ScenarioConfig(kind=ScenarioKind.CAT, c1_sq=0.5))
-        assert isinstance(scenario.initial_state, BranchState)
-        assert np.allclose(scenario.initial_state.weights, (0.5, 0.5))
-        assert scenario.initial_state.labels == ("dead", "alive")
+        assert isinstance(scenario.initial_state, BranchSystems)
+        (state,) = scenario.initial_state.systems
+        assert np.allclose(state.weights, (0.5, 0.5))
+        assert state.labels == ("dead", "alive")
 
     def test_marbles_independent_states(self):
         config = ScenarioConfig(kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=5)
@@ -113,14 +115,20 @@ class TestBuildScenario:
         assert abs(norm_squared(scenario.initial_state) - 1.0) < 1e-10
 
     def test_plan_contents(self):
-        cat = build_scenario(ScenarioConfig(kind=ScenarioKind.CAT, ontology=Ontology.GRW0))
-        assert "martingale_final" in cat.plan and "census_inside_mean" not in cat.plan
-        marbles = build_scenario(
+        cat = scenario_plan(ScenarioConfig(kind=ScenarioKind.CAT, ontology=Ontology.GRW0))
+        assert "martingale_final" in cat and "census_inside_mean" not in cat
+        marbles = scenario_plan(
             ScenarioConfig(kind=ScenarioKind.MARBLES, n_marbles=2, ontology=Ontology.GRWM)
         )
-        assert "census_all_inside" in marbles.plan
-        tail = build_scenario(ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.99))
-        assert "resurrection_rate" in tail.plan
+        assert "census_all_inside" in marbles
+        tail = scenario_plan(ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.99))
+        assert "resurrection_rate" in tail
+        # Binomial(1, p): the all-inside frequency and the chi-square restate the mean
+        one = scenario_plan(
+            ScenarioConfig(kind=ScenarioKind.MARBLES, n_marbles=1, ontology=Ontology.GRWF)
+        )
+        assert "census_inside_mean" in one
+        assert "census_all_inside" not in one and "census_chi2" not in one
 
 
 class TestVerdictRule:
@@ -185,7 +193,7 @@ class TestClassifyGrwf:
         assert c.evidence == pytest.approx(0.5)
 
     def test_no_flashes_undefined(self):
-        c = classify_grwf([], Region(-1.0, 1.0), window=(0.0, 1.0), theta_f=0.99)
+        c = classify_grwf([], Region(-1.0, 1.0), theta_f=0.99)
         assert c.verdict == Verdict.UNDEFINED
         assert math.isnan(c.evidence)
 
@@ -198,7 +206,7 @@ class TestBranchBoxFraction:
         direct = branch_box_fraction(state, box)
         from grwsim.ontology import mass_fraction_in_region
 
-        field = matter_density(state, grid=density_grid(config))
+        field = matter_density(BranchSystems([state]), grid=density_grid(config))
         assert direct == pytest.approx(mass_fraction_in_region(field, box), abs=1e-12)
 
     def test_multi_particle_average(self):
@@ -208,7 +216,7 @@ class TestBranchBoxFraction:
 
 
 def _fabricated_record(w_path, times=None):
-    """Build a branch trajectory record with a prescribed w1 path."""
+    """Build a one-system branch trajectory record with a prescribed w1 path."""
     state0 = BranchState.from_weights(("in", "out"), (w_path[0], 1 - w_path[0]), [[0.0], [30.0]])
     events = []
     times = times or [float(i + 1) for i in range(len(w_path) - 1)]
@@ -224,13 +232,13 @@ def _fabricated_record(w_path, times=None):
         stream=RngStream(0, 0),
         num_particles=1,
         events=events,
-        initial_state=state0,
-        final_state=final,
+        initial_state=BranchSystems([state0]),
+        final_state=BranchSystems([final]),
     )
 
 
 def _reduce(record, config, prehistory=()):
-    scenario = Scenario(config, record.initial_state, list(prehistory), scenario_plan(config))
+    scenario = Scenario(config, record.initial_state, list(prehistory))
     return reduce_trajectory(record, scenario, 0)
 
 
@@ -349,4 +357,4 @@ def test_verdict_consistency_with_thresholds(fraction, theta):
 @settings(max_examples=30, deadline=None)
 def test_scenario_weights_echo_config(c1):
     scenario = build_scenario(ScenarioConfig(kind=ScenarioKind.CAT, c1_sq=c1))
-    assert scenario.initial_state.weights[0] == pytest.approx(c1, abs=1e-12)
+    assert scenario.initial_state.systems[0].weights[0] == pytest.approx(c1, abs=1e-12)

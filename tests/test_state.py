@@ -73,11 +73,7 @@ class TestMakeGridWavefunction:
             make_grid_wavefunction(spec512, [Packet((30.0,), 1.0, 1.0)])
 
     def test_scaling_is_quadratic(self, two_packet_state):
-        doubled = GridWaveFunction(
-            two_packet_state.spec,
-            2.0 * two_packet_state.amplitudes,
-            two_packet_state.cell_volume,
-        )
+        doubled = GridWaveFunction(two_packet_state.spec, 2.0 * two_packet_state.amplitudes)
         assert norm_squared(doubled) == pytest.approx(4.0, abs=1e-10)
 
 
