@@ -54,7 +54,7 @@ def main() -> None:
     print(f"prehistory flashes: {len(scenario.prehistory)} (all inside the box)")
     print(f"{'t':>6} {'w_dead':>10} {'flash frac in box':>18} {'matter frac in box':>19}")
     for t in np.linspace(0.0, config.params.total_time, 7):
-        state = replay_state_at(scenario.initial_state, config.params, record.events, t)
+        state = replay_state_at(scenario.initial_state, config.params, record.collapses, t)
         w_dead = float(state.systems[0].weights[0])
         frac, count = flash_fraction_in_region(flashes, box, window=(t - 10.0, t))
         m_frac = mass_fraction_in_region(matter_density(state, grid=grid), box)

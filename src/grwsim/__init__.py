@@ -8,6 +8,7 @@ tail / marble scenarios as seeded, statistically-checked ensembles.
 
 from .dynamics import (
     BranchSystems,
+    Collapse,
     CollapseEvent,
     GrwParams,
     Hamiltonian,

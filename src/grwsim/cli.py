@@ -68,7 +68,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         initial = record.initial_state
         grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
         for t in config.density_times:
-            state = replay_state_at(initial, config.params, record.events, t)
+            state = replay_state_at(initial, config.params, record.collapses, t)
             field = matter_density(state, grid=grid, time=t)
             write_density_csv(out / f"density-t{t:g}.csv", field)
 

@@ -15,6 +15,17 @@ branch weights are conserved event by event (the Born martingale).
 For point-anchored branches the same rule reduces to the closed form
 ``w_i' proportional to w_i * exp(-(a_ik - X)^2 / sigma^2)``, applied here in
 log space.
+
+A trajectory is recorded as three columns, one entry per collapse: the
+event times, the collapsed particles and the collapse centers (its
+flashes).  ``TrajectoryRecord.collapses`` reads them as one ``Collapse``
+per event, which is all ``replay_state_at`` needs.  Branch weights before
+and after each collapse are not stored; ``TrajectoryRecord.events``
+rebuilds them on demand by replaying the columns from the initial state.
+The per-event primitives ``sample_collapse_center`` and
+``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
+one ``BranchState``) and a particle of it; only the run loop and the
+replay map a global particle to its system.
 """
 
 from __future__ import annotations
@@ -22,7 +33,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from itertools import takewhile
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -90,7 +102,7 @@ class CollapseEvent:
 
     For branch models the weight fields hold the affected system's branch
     weights; for the grid model they hold (marginal mean, marginal std) of
-    the collapsed particle.
+    the collapsed particle.  Built on demand by TrajectoryRecord.events.
     """
 
     time: float
@@ -98,6 +110,14 @@ class CollapseEvent:
     center: float
     pre_weights: tuple
     post_weights: tuple
+
+
+class Collapse(NamedTuple):
+    """One collapse as a TrajectoryRecord stores it: one entry of each column."""
+
+    time: float
+    particle: int
+    center: float
 
 
 @dataclass
@@ -137,12 +157,14 @@ TrajectoryState = Union[GridWaveFunction, BranchSystems]
 
 @dataclass
 class TrajectoryRecord:
-    """Full event log of one run."""
+    """One run: its collapses as columns (time, particle, center) and its end states."""
 
     params: GrwParams
     stream: RngStream
     num_particles: int
-    events: list[CollapseEvent]
+    times: list[float]
+    particles: list[int]
+    centers: list[float]
     initial_state: TrajectoryState
     final_state: TrajectoryState
     status: str = "completed"  # "completed" | "aborted"
@@ -150,7 +172,26 @@ class TrajectoryRecord:
 
     @property
     def num_events(self) -> int:
-        return len(self.events)
+        return len(self.times)
+
+    @property
+    def collapses(self) -> list[Collapse]:
+        """The columns as one (time, particle, center) tuple per collapse."""
+        return list(map(Collapse, self.times, self.particles, self.centers))
+
+    @property
+    def events(self) -> list[CollapseEvent]:
+        """The CollapseEvent log, rebuilt by replaying the columns from the initial state.
+
+        The replay repeats the run's own arithmetic, so the weights are
+        bit-identical to the states the run passed through.
+        """
+        collapses = self.collapses
+        replay = _replay(self.initial_state.copy(), self.params, collapses)
+        return [
+            CollapseEvent(*c, _logged_summary(before, c.particle), _logged_summary(after, c.particle))
+            for c, (_, _, before, after) in zip(collapses, replay)
+        ]
 
 
 def num_particles_of(state: TrajectoryState) -> int:
@@ -221,7 +262,7 @@ def branch_collapse_update(
         raise ConfigError(
             f"particle index {particle} out of range for N={state.num_particles}"
         )
-    if not np.isfinite(center):
+    if not math.isfinite(center):
         raise NumericsError(f"collapse center {center} is not finite")
     if check_separation:
         _warn_if_close(state, sigma)
@@ -237,19 +278,19 @@ def branch_collapse_update(
         raise ZeroProbabilityCollapseError(
             "all branch posterior factors underflowed simultaneously"
         )
-    total = peak + math.log(sum(math.exp(v - peak) for v in new_log))
+    total = peak + math.log(sum([math.exp(v - peak) for v in new_log]))
     return BranchState(state.labels, np.array([v - total for v in new_log]), state.anchors)
 
 
 def sample_collapse_center(
-    state: TrajectoryState, particle: int, sigma: float, rng: np.random.Generator
+    state: GridWaveFunction | BranchState, particle: int, sigma: float, rng: np.random.Generator
 ) -> float:
-    """Draw X with density ||L_{k,X} psi||^2.
+    """Draw X with density ||L_{k,X} psi||^2 for one particle of one system.
 
     Grid model: inverse CDF over the discretized density (the sample is a
     grid cell center, exact with respect to the grid measure).  Branch
     model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
-    particle's system.
+    system's branches.
     """
     if isinstance(state, GridWaveFunction):
         density = collapse_center_density(state, particle, sigma)
@@ -257,9 +298,11 @@ def sample_collapse_center(
         u = rng.random() * cdf[-1]
         idx = min(int(np.searchsorted(cdf, u)), density.size - 1)
         return float(state.spec.points()[idx])
-    sys_idx, local = state.locate(particle)
-    system = state.systems[sys_idx]
-    weights = [math.exp(v) for v in system.log_weights.tolist()]
+    if not 0 <= particle < state.num_particles:
+        raise ConfigError(
+            f"particle index {particle} out of range for N={state.num_particles}"
+        )
+    weights = [math.exp(v) for v in state.log_weights.tolist()]
     u = rng.random() * sum(weights)
     idx = len(weights) - 1
     acc = 0.0
@@ -268,7 +311,7 @@ def sample_collapse_center(
         if u <= acc:
             idx = j
             break
-    return float(rng.normal(system.anchors[idx, local], sigma * _INV_SQRT2))
+    return float(rng.normal(state.anchors[idx, particle], sigma * _INV_SQRT2))
 
 
 def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -> GridWaveFunction:
@@ -292,19 +335,6 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
     return GridWaveFunction(spec, np.fft.ifftn(amps_k))
 
 
-def _apply_collapse(
-    state: TrajectoryState, particle: int, center: float, sigma: float
-) -> TrajectoryState:
-    """The state after one collapse; a BranchSystems is updated in place."""
-    if isinstance(state, GridWaveFunction):
-        return apply_collapse_grid(state, particle, center, sigma)
-    sys_idx, local = state.locate(particle)
-    state.systems[sys_idx] = branch_collapse_update(
-        state.systems[sys_idx], local, center, sigma, check_separation=False
-    )
-    return state
-
-
 def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
     marg = marginal_density(psi, particle)
     x = psi.spec.points()
@@ -314,11 +344,11 @@ def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def _event_weights(state: TrajectoryState, particle: int) -> tuple:
-    if isinstance(state, GridWaveFunction):
-        return _grid_summary(state, particle)
-    system = state.systems[state.locate(particle)[0]]
-    return tuple(math.exp(v) for v in system.log_weights.tolist())
+def _logged_summary(system: GridWaveFunction | BranchState, particle: int) -> tuple:
+    """A CollapseEvent weight field: the branch weights, or the particle's (mean, std) on the grid."""
+    if isinstance(system, GridWaveFunction):
+        return _grid_summary(system, particle)
+    return tuple([math.exp(v) for v in system.log_weights.tolist()])
 
 
 def _require_trajectory_state(state: object) -> None:
@@ -337,50 +367,65 @@ def run_trajectory(
 
     Interleaves exponential waiting times (rate N * lambda_eff), uniform
     particle selection, collapse-center sampling, collapse application and
-    unitary evolution.  Every collapse is logged as a CollapseEvent.
-    Deterministic given the RngStream.  Numerical failures abort the
-    trajectory with a diagnostic instead of silently continuing.  The
-    caller's initial state is never modified.
+    unitary evolution.  Every collapse is recorded as its time, particle
+    and center.  Deterministic given the RngStream.  Numerical failures
+    abort the trajectory with a diagnostic instead of silently continuing.
+    The caller's initial state is never modified.
     """
     _require_trajectory_state(initial_state)
-    if params.hamiltonian.kind != "zero" and not isinstance(initial_state, GridWaveFunction):
+    grid = isinstance(initial_state, GridWaveFunction)
+    if params.hamiltonian.kind != "zero" and not grid:
         raise ConfigError("free-particle evolution requires the grid model")
     rng = stream.generator()
     state: TrajectoryState = initial_state.copy()
     n = num_particles_of(state)
     sigma = params.sigma
 
-    if isinstance(state, BranchSystems):
+    if not grid:
         for s in state.systems:
             _warn_if_close(s, sigma)
 
-    events: list[CollapseEvent] = []
+    times: list[float] = []
+    particles: list[int] = []
+    centers: list[float] = []
     status, diagnostic = "completed", None
 
     t = 0.0
     while True:
         t_next = t + sample_waiting_time(n, params.lambda_eff, rng)
-        if isinstance(state, GridWaveFunction):
+        if grid:
             state = evolve_unitary(state, min(t_next, params.total_time) - t, params.hamiltonian)
         if t_next > params.total_time:
             break
-        particle = int(rng.integers(n))
-        center = sample_collapse_center(state, particle, sigma, rng)
-        pre = _event_weights(state, particle)
+        # integers(1) consumes no bits, so skipping it leaves the stream unchanged
+        particle = int(rng.integers(n)) if n > 1 else 0
         try:
-            state = _apply_collapse(state, particle, center, sigma)
+            if grid:
+                center = sample_collapse_center(state, particle, sigma, rng)
+                state = apply_collapse_grid(state, particle, center, sigma)
+            else:
+                sys_idx, local = state.locate(particle)
+                system = state.systems[sys_idx]
+                center = sample_collapse_center(system, local, sigma, rng)
+                state.systems[sys_idx] = branch_collapse_update(
+                    system, local, center, sigma, check_separation=False
+                )
         except NumericsError as exc:
             status = "aborted"
-            diagnostic = f"event {len(events)} at t={t_next:.6g}: {exc}"
+            diagnostic = f"event {len(times)} at t={t_next:.6g}: {exc}"
             break
-        events.append(CollapseEvent(t_next, particle, center, pre, _event_weights(state, particle)))
+        times.append(t_next)
+        particles.append(particle)
+        centers.append(center)
         t = t_next
 
     return TrajectoryRecord(
         params=params,
         stream=stream,
         num_particles=n,
-        events=events,
+        times=times,
+        particles=particles,
+        centers=centers,
         initial_state=initial_state,
         final_state=state,
         status=status,
@@ -388,10 +433,34 @@ def run_trajectory(
     )
 
 
+def _replay(
+    state: TrajectoryState, params: GrwParams, collapses: Iterable[tuple[float, int, float]]
+):
+    """Apply (time, particle, center) collapses in order to state, without random draws.
+
+    Yields (time, state, before, after) after each collapse, where before
+    and after are the collapsed system (one BranchState, or the whole
+    wave function on the grid) just before and just after it.  A
+    BranchSystems state is updated in place; pass a copy.
+    """
+    t_prev = 0.0
+    for t, particle, center in collapses:
+        if isinstance(state, GridWaveFunction):
+            before = evolve_unitary(state, t - t_prev, params.hamiltonian)
+            state = after = apply_collapse_grid(before, particle, center, params.sigma)
+        else:
+            sys_idx, local = state.locate(particle)
+            before = state.systems[sys_idx]
+            after = branch_collapse_update(before, local, center, params.sigma, check_separation=False)
+            state.systems[sys_idx] = after
+        t_prev = t
+        yield t, state, before, after
+
+
 def replay_state_at(
     initial_state: TrajectoryState,
     params: GrwParams,
-    events: Sequence[CollapseEvent],
+    events: Sequence[Collapse | CollapseEvent],
     t: float,
 ) -> TrajectoryState:
     """Reconstruct the state at time t from the initial state and an event log.
@@ -402,13 +471,9 @@ def replay_state_at(
     _require_trajectory_state(initial_state)
     state = initial_state.copy()
     t_prev = 0.0
-    for e in events:
-        if e.time > t:
-            break
-        if isinstance(state, GridWaveFunction):
-            state = evolve_unitary(state, e.time - t_prev, params.hamiltonian)
-        state = _apply_collapse(state, e.particle, e.center, params.sigma)
-        t_prev = e.time
+    upto_t = ((e.time, e.particle, e.center) for e in takewhile(lambda e: e.time <= t, events))
+    for t_prev, state, _, _ in _replay(state, params, upto_t):
+        pass
     if isinstance(state, GridWaveFunction):
         state = evolve_unitary(state, t - t_prev, params.hamiltonian)
     return state

@@ -41,6 +41,7 @@ from .scenarios import (
     classify_grwf,
     classify_grwm,
     scenario_plan,
+    seed_prehistory,
 )
 
 Z_MAX = 4.0
@@ -163,15 +164,24 @@ def _verdict_at(
 
 
 def reduce_trajectory(
-    record: TrajectoryRecord, scenario: Scenario, index: int
+    record: TrajectoryRecord,
+    scenario: Scenario,
+    index: int,
+    initial_verdict: str | None = None,
 ) -> TrajectoryStats:
+    """One trajectory's verdicts, census and final weights.
+
+    initial_verdict, when given, is the verdict at t = 0 read by the caller
+    (an ensemble's matter-density verdict of its shared initial state);
+    otherwise it is read here.
+    """
     config = scenario.config
     finals = _systems(record.final_state)
     final_weights = ()
     if isinstance(record.final_state, BranchSystems):
         final_weights = tuple(tuple(float(x) for x in s.weights) for s in finals)
 
-    initial_verdict = final_verdict = first_window_verdict = None
+    final_verdict = first_window_verdict = None
     flipped = None
     census = None
     if config.ontology is not Ontology.GRW0:
@@ -180,8 +190,9 @@ def reduce_trajectory(
             flashes = _flashes_by_system(record, scenario.prehistory)
         else:
             flashes = [[] for _ in finals]
-        initial = _systems(scenario.initial_state)[0]
-        initial_verdict = _verdict_at(config, initial, flashes[0], 0.0)
+        if initial_verdict is None:
+            initial = _systems(scenario.initial_state)[0]
+            initial_verdict = _verdict_at(config, initial, flashes[0], 0.0)
         final_verdict = _verdict_at(config, finals[0], flashes[0], horizon)
         definite = (Verdict.INSIDE.value, Verdict.OUTSIDE.value)
         if initial_verdict in definite and final_verdict in definite:
@@ -255,20 +266,26 @@ def _run_ensemble(
     reference: dict | None,
     log_first: int,
 ) -> EnsembleSummary:
-    # Fresh preparations share one immutable scenario; collapsed pasts draw a
-    # per-trajectory prehistory from a disjoint stream block.
-    base_scenario = (
-        build_scenario(config) if config.history is History.FRESH_PREPARATION else None
-    )
+    def prehistory_rng(i: int) -> np.random.Generator:
+        return RngStream(master_seed, _PREHISTORY_STREAM_OFFSET + i).generator()
+
+    # The initial state draws nothing, so every trajectory shares trajectory
+    # 0's; a collapsed past redraws only the prehistory, trajectory i on its
+    # own stream from a disjoint block.
+    first = build_scenario(config, prehistory_rng(0))
+    redraw = config.history is History.COLLAPSED_PAST
+    # matter density reads only that shared state, so one initial verdict
+    # serves every trajectory; flash verdicts read each prehistory
+    initial_verdict = None
+    if config.ontology is Ontology.GRWM:
+        initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], [], 0.0)
 
     def one(i: int) -> tuple[TrajectoryStats, TrajectoryRecord | None, list[Flash]]:
-        if base_scenario is not None:
-            scenario = base_scenario
-        else:
-            pre_rng = RngStream(master_seed, _PREHISTORY_STREAM_OFFSET + i).generator()
-            scenario = build_scenario(config, pre_rng)
+        scenario = first
+        if redraw and i > 0:
+            scenario = replace(first, prehistory=seed_prehistory(config, prehistory_rng(i)))
         record = run_trajectory(scenario.initial_state, config.params, RngStream(master_seed, i))
-        stats = reduce_trajectory(record, scenario, i)
+        stats = reduce_trajectory(record, scenario, i, initial_verdict)
         keep = record if i < log_first else None
         return stats, keep, scenario.prehistory if keep is not None else []
 

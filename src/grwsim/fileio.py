@@ -193,20 +193,20 @@ def write_summary_json(path: str | Path, summary: EnsembleSummary) -> None:
 
 def write_events_jsonl(path: str | Path, record: TrajectoryRecord) -> None:
     """One JSON object per collapse event: {t, particle, center, pre_weights, post_weights}."""
-    lines = []
-    for e in record.events:
-        lines.append(
-            json.dumps(
-                {
-                    "t": e.time,
-                    "particle": e.particle,
-                    "center": e.center,
-                    "pre_weights": list(e.pre_weights),
-                    "post_weights": list(e.post_weights),
-                },
-                separators=(",", ":"),
-            )
+    # the encoder json.dumps builds for these arguments, built once per file
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    lines = [
+        encoder.encode(
+            {
+                "t": e.time,
+                "particle": e.particle,
+                "center": e.center,
+                "pre_weights": list(e.pre_weights),
+                "post_weights": list(e.post_weights),
+            }
         )
+        for e in record.events
+    ]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

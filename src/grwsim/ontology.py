@@ -35,7 +35,10 @@ class Flash:
 
 def flashes_of(trajectory: TrajectoryRecord) -> list[Flash]:
     """One flash per collapse event, order-preserving, same time and center."""
-    return [Flash(e.time, e.center, e.particle) for e in trajectory.events]
+    return [
+        Flash(t, x, k)
+        for t, k, x in zip(trajectory.times, trajectory.particles, trajectory.centers)
+    ]
 
 
 @dataclass

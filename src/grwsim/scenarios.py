@@ -193,7 +193,7 @@ def scenario_plan(config: ScenarioConfig) -> tuple[str, ...]:
     return tuple(plan)
 
 
-def _seed_prehistory(config: ScenarioConfig, rng: np.random.Generator) -> list[Flash]:
+def seed_prehistory(config: ScenarioConfig, rng: np.random.Generator) -> list[Flash]:
     """Flashes before t=0, all consistent with the in-box branch.
 
     One Poisson batch per particle over the window preceding the start;
@@ -227,7 +227,8 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
     Branch scenarios start as a BranchSystems: cat and tail are one system,
     marbles are n_marbles systems.  CollapsedPast histories come with a
     pre-window flash record consistent with the in-box branch; fresh
-    preparations start with no flashes at all.
+    preparations start with no flashes at all.  The initial state draws
+    nothing from rng, so only the prehistory depends on it.
     """
     a_in, a_out = config.anchor_positions()
     weights = (config.c1_sq, 1.0 - config.c1_sq)
@@ -257,7 +258,7 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
     if config.history is History.COLLAPSED_PAST:
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2**48,)))
-        prehistory = _seed_prehistory(config, rng)
+        prehistory = seed_prehistory(config, rng)
     return Scenario(config, state, prehistory)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grwsim import (
     BranchState,
+    Ontology,
     ConfigError,
     GridSpec,
     GrwParams,
@@ -14,9 +15,12 @@ from grwsim import (
     NumericsError,
     Packet,
     RngStream,
+    ScenarioConfig,
+    ScenarioKind,
     ZeroProbabilityCollapseError,
     apply_collapse_grid,
     branch_collapse_update,
+    build_scenario,
     collapse_center_density,
     evolve_unitary,
     make_grid_wavefunction,
@@ -26,7 +30,7 @@ from grwsim import (
     sample_collapse_center,
     sample_waiting_time,
 )
-from grwsim.dynamics import BranchSystems, replay_state_at
+from grwsim.dynamics import BranchSystems, CollapseEvent, _grid_summary, replay_state_at
 from grwsim.ensemble import _flashes_by_system
 
 
@@ -180,7 +184,7 @@ class TestBranchCollapseUpdate:
 
 class TestSampleCollapseCenter:
     def test_single_branch_variance(self):
-        state = BranchSystems([BranchState.from_weights(("only",), (1.0,), [[0.0]])])
+        state = BranchState.from_weights(("only",), (1.0,), [[0.0]])
         rng = _rng(11)
         draws = np.array(
             [sample_collapse_center(state, 0, 1.0, rng) for _ in range(1_000_000)]
@@ -188,13 +192,19 @@ class TestSampleCollapseCenter:
         assert abs(draws.var() - 0.5) < 0.01
 
     def test_mixture_fractions(self):
-        state = BranchSystems([BranchState.from_weights(("a", "b"), (0.9, 0.1), [[-20.0], [20.0]])])
+        state = BranchState.from_weights(("a", "b"), (0.9, 0.1), [[-20.0], [20.0]])
         rng = _rng(12)
         n = 100_000
         draws = np.array([sample_collapse_center(state, 0, 1.0, rng) for _ in range(n)])
         frac = float(np.mean(draws < 0.0))
         se = math.sqrt(0.9 * 0.1 / n)
         assert abs(frac - 0.9) < 4.0 * se
+
+    def test_particle_out_of_range(self):
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [20.0]])
+        for particle in (-1, 1):
+            with pytest.raises(ConfigError):
+                sample_collapse_center(state, particle, 1.0, _rng(14))
 
     def test_grid_sampling_matches_density(self, two_packet_state, spec512):
         density = collapse_center_density(two_packet_state, 0, 1.0)
@@ -373,6 +383,98 @@ class TestRunTrajectory:
         groups = _flashes_by_system(rec, [])
         assert [f.particle for f in groups[0]] == [e.particle for e in rec.events if e.particle < 2]
         assert [f.particle for f in groups[1]] == [e.particle for e in rec.events if e.particle == 2]
+
+
+# The first 8 (time, particle, center) triples of RngStream(2024, 7), recorded
+# when every event still built its CollapseEvent in the run loop.  Exact
+# equality pins the order of every random draw.
+_GOLDEN_CAT = (
+    46,
+    [
+        (1.0799154356274545, 0, 28.84313307396251),
+        (1.3850797776412902, 0, 30.676531614301567),
+        (1.8936724371387397, 0, 29.405296165865398),
+        (2.284124988603267, 0, 30.228912731962406),
+        (2.3523490866571923, 0, 28.716677590985253),
+        (3.6050613490966477, 0, 30.468500864772317),
+        (8.838630032256528, 0, 28.963369441026007),
+        (9.647322724655293, 0, 28.968929539173278),
+    ],
+)
+_GOLDEN_MARBLES = (
+    54,
+    [
+        (0.35997181187581817, 0, 1.5662804753744883),
+        (0.41340703999101786, 2, -0.26237182543466575),
+        (0.5311783567969206, 1, 0.29312833981140024),
+        (0.930665276737074, 0, -0.22976524596583295),
+        (1.034334096985712, 2, 0.4685008647723171),
+        (2.778856991372338, 1, -1.0366305589739933),
+        (3.0484212221719265, 0, -0.5962808575782089),
+        (3.434639925874141, 0, 0.1286800093111311),
+    ],
+)
+
+
+class TestRandomStream:
+    @pytest.mark.parametrize(
+        "config,golden",
+        [
+            # criterion 4's cat: one particle, so no particle draw at all
+            (
+                ScenarioConfig(
+                    kind=ScenarioKind.CAT, c1_sq=0.7, ontology=Ontology.GRW0,
+                    params=GrwParams(total_time=50.0),
+                ),
+                _GOLDEN_CAT,
+            ),
+            (
+                ScenarioConfig(
+                    kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=3,
+                    params=GrwParams(total_time=20.0),
+                ),
+                _GOLDEN_MARBLES,
+            ),
+        ],
+        ids=["cat", "marbles3"],
+    )
+    def test_golden_triples(self, config, golden):
+        rec = run_trajectory(build_scenario(config).initial_state, config.params, RngStream(2024, 7))
+        count, triples = golden
+        assert rec.num_events == count
+        assert list(zip(rec.times, rec.particles, rec.centers))[:8] == triples
+
+
+def _stepwise_events(initial, params, rec, summary):
+    """The event log read off replay_state_at one event at a time."""
+    events = []
+    for k, (t, particle, center) in enumerate(zip(rec.times, rec.particles, rec.centers)):
+        log = [CollapseEvent(*c, (), ()) for c in zip(rec.times, rec.particles, rec.centers)]
+        before = replay_state_at(initial, params, log[:k], t)
+        after = replay_state_at(initial, params, log[: k + 1], t)
+        events.append(
+            CollapseEvent(t, particle, center, summary(before, particle), summary(after, particle))
+        )
+    return events
+
+
+class TestEventLog:
+    def test_branch_log_matches_stepwise_replay(self):
+        initial = BranchSystems([_branch_state(0.6), _branch_state(0.3), _branch_state(0.8)])
+        params = GrwParams(total_time=10.0)
+        rec = run_trajectory(initial, params, RngStream(95, 0))
+        assert rec.num_events > 10
+
+        def weights(state, particle):
+            return tuple(state.systems[state.locate(particle)[0]].weights.tolist())
+
+        assert rec.events == _stepwise_events(initial, params, rec, weights)
+
+    def test_grid_log_matches_stepwise_replay(self, two_packet_state):
+        params = GrwParams(total_time=4.0, hamiltonian=Hamiltonian("free", 5.0))
+        rec = run_trajectory(two_packet_state, params, RngStream(96, 0))
+        assert rec.num_events > 0
+        assert rec.events == _stepwise_events(two_packet_state, params, rec, _grid_summary)
 
 
 class TestOneStepMartingale:

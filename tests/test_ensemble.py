@@ -136,6 +136,31 @@ class TestRunEnsemble:
         summary = run_ensemble(config, 100, master_seed=94)
         assert all(t.initial_verdict == "inside" for t in summary.trajectories)
 
+    def test_grid_initial_density_read_once(self, monkeypatch):
+        # every trajectory starts from the one shared state, so its matter
+        # density is read once per ensemble; each final verdict reads its own
+        import grwsim.ontology
+
+        calls = []
+        original = grwsim.ontology.matter_density
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(grwsim.ontology, "matter_density", counting)
+        config = ScenarioConfig(
+            kind=ScenarioKind.TAIL,
+            c1_sq=0.99,
+            ontology=Ontology.GRWM,
+            backend="grid",
+            params=GrwParams(total_time=2.0),
+        )
+        n = 40
+        summary = run_ensemble(config, n, master_seed=99)
+        assert len(calls) == n + 1
+        assert all(t.initial_verdict == "inside" for t in summary.trajectories)
+
     def test_grwf_first_window_not_certain(self):
         # fresh preparation: Inside over the first window is only very probable
         config = ScenarioConfig(

@@ -48,6 +48,7 @@ class TestFlashes:
         rec = run_trajectory(_marble(), GrwParams(total_time=1e-9), RngStream(0, 0))
         assert rec.num_events == 0
         assert flashes_of(rec) == []
+        assert rec.events == []
 
     def test_bijection_with_events(self):
         rec = run_trajectory(_marble(), GrwParams(total_time=30.0), RngStream(3, 1))

@@ -25,7 +25,7 @@ from grwsim import (
     norm_squared,
     run_trajectory,
 )
-from grwsim.dynamics import BranchSystems, CollapseEvent, TrajectoryRecord
+from grwsim.dynamics import BranchSystems, TrajectoryRecord
 from grwsim.ensemble import reduce_trajectory
 from grwsim.ontology import MatterDensityField
 from grwsim.scenarios import (
@@ -216,14 +216,13 @@ class TestBranchBoxFraction:
 
 
 def _fabricated_record(w_path, times=None):
-    """Build a one-system branch trajectory record with a prescribed w1 path."""
+    """A one-system branch record that starts at w_path[0] and ends at w_path[-1].
+
+    One flash at the in-anchor per step; reduce_trajectory reads only the
+    flashes and the final state.
+    """
     state0 = BranchState.from_weights(("in", "out"), (w_path[0], 1 - w_path[0]), [[0.0], [30.0]])
-    events = []
     times = times or [float(i + 1) for i in range(len(w_path) - 1)]
-    for t, (w_pre, w_post) in zip(times, zip(w_path, w_path[1:])):
-        events.append(
-            CollapseEvent(t, 0, 0.0, (w_pre, 1 - w_pre), (w_post, 1 - w_post))
-        )
     final = BranchState.from_weights(
         ("in", "out"), (w_path[-1], 1 - w_path[-1]), [[0.0], [30.0]]
     )
@@ -231,7 +230,9 @@ def _fabricated_record(w_path, times=None):
         params=GrwParams(total_time=times[-1] + 1 if times else 1.0),
         stream=RngStream(0, 0),
         num_particles=1,
-        events=events,
+        times=list(times),
+        particles=[0] * len(times),
+        centers=[0.0] * len(times),
         initial_state=BranchSystems([state0]),
         final_state=BranchSystems([final]),
     )
@@ -275,18 +276,24 @@ class TestDetectResurrection:
         assert stats.flipped is None
 
 
-def _marble_record(final_w1, events=(), total_time=20.0):
-    """A fabricated marble record whose systems end with the given w1 weights."""
+def _marble_record(final_w1, flashes=(), total_time=20.0):
+    """A fabricated marble record whose systems end with the given w1 weights.
+
+    flashes are (time, particle, center) triples in time order.
+    """
     def systems(ws):
         return BranchSystems(
             [BranchState.from_weights(("in", "out"), (w, 1.0 - w), [[0.0], [30.0]]) for w in ws]
         )
 
+    times, particles, centers = (list(c) for c in zip(*flashes)) if flashes else ([], [], [])
     return TrajectoryRecord(
         params=GrwParams(total_time=total_time),
         stream=RngStream(0, 0),
         num_particles=len(final_w1),
-        events=list(events),
+        times=times,
+        particles=particles,
+        centers=centers,
         initial_state=systems([0.9] * len(final_w1)),
         final_state=systems(final_w1),
     )
@@ -310,13 +317,10 @@ class TestMarbleCensus:
         # particle 1 always out, particle 2 mixed, particle 3 never flashes.
         # A window pooled over particles would read (in, out, in) at the end.
         positions = {0: [0.0] * 4, 1: [30.0] * 4, 2: [30.0, 0.0, 30.0, 0.0]}
-        events = [
-            CollapseEvent(float(3 * j + p + 1), p, positions[p][j], (0.5, 0.5), (0.5, 0.5))
-            for j in range(4)
-            for p in range(3)
-        ]
-        events.sort(key=lambda e: e.time)
-        record = _marble_record([0.5] * 4, events, total_time=13.0)
+        flashes = sorted(
+            (float(3 * j + p + 1), p, positions[p][j]) for j in range(4) for p in range(3)
+        )
+        record = _marble_record([0.5] * 4, flashes, total_time=13.0)
         config = self._config(4, ontology=Ontology.GRWF, window_flashes=3)
         stats = _reduce(record, config)
         assert stats.census == (1, 1, 1, 1)  # (inside, outside, partial, undefined)
