@@ -13,7 +13,6 @@ inside, which is the whole point of counting them.
 """
 
 import argparse
-import math
 
 from grwsim import GrwParams, Ontology, ScenarioConfig, ScenarioKind, run_ensemble
 

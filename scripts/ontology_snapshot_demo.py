@@ -14,7 +14,6 @@ from grwsim import (
     GrwParams,
     History,
     Ontology,
-    Region,
     RngStream,
     ScenarioConfig,
     ScenarioKind,
@@ -46,7 +45,8 @@ def main() -> None:
     )
     scenario = build_scenario(config, np.random.default_rng(args.seed))
     record = run_trajectory(scenario.initial_state, config.params, RngStream(args.seed))
-    flashes = scenario.prehistory + flashes_of(record)
+    run_flashes = flashes_of(record)
+    flashes = scenario.prehistory + run_flashes
     box = config.box
     grid = density_grid(config)
 
@@ -54,7 +54,7 @@ def main() -> None:
     print(f"prehistory flashes: {len(scenario.prehistory)} (all inside the box)")
     print(f"{'t':>6} {'w_dead':>10} {'flash frac in box':>18} {'matter frac in box':>19}")
     for t in np.linspace(0.0, config.params.total_time, 7):
-        state = replay_state_at(scenario.initial_state, config.params, record.collapses, t)
+        state = replay_state_at(scenario.initial_state, config.params, run_flashes, t)
         w_dead = float(state.systems[0].weights[0])
         frac, count = flash_fraction_in_region(flashes, box, window=(t - 10.0, t))
         m_frac = mass_fraction_in_region(matter_density(state, grid=grid), box)

@@ -9,7 +9,6 @@ strictly positive, for every eps > 0.
 """
 
 import argparse
-import math
 
 from grwsim import GrwParams, Ontology, ScenarioConfig, ScenarioKind, run_ensemble
 

@@ -8,7 +8,6 @@ tail / marble scenarios as seeded, statistically-checked ensembles.
 
 from .dynamics import (
     BranchSystems,
-    Collapse,
     CollapseEvent,
     GrwParams,
     Hamiltonian,
@@ -42,7 +41,6 @@ from .errors import (
 from .ontology import (
     Flash,
     MatterDensityField,
-    equal_masses,
     flash_fraction_in_region,
     flashes_of,
     grw0_view,
@@ -57,7 +55,6 @@ from .oracles import (
     write_reference_values,
 )
 from .scenarios import (
-    Classification,
     History,
     Ontology,
     Scenario,

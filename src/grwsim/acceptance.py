@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import BranchSystems, GrwParams, RngStream, apply_collapse_grid, collapse_center_density, sample_collapse_center
 from .ensemble import center_histogram_test, run_ensemble
-from .errors import GrwError
+from .errors import ConfigError, GrwError
 from .ontology import mass_fraction_in_region, matter_density
 from .oracles import grid_branch_crosscheck, load_reference_values
 from .scenarios import History, Ontology, ScenarioConfig, ScenarioKind, density_grid
@@ -150,7 +150,7 @@ def criterion_7_center_tv(reference: dict | None = None):
         spec,
         [Packet((-6.0,), 1.0, math.sqrt(0.6)), Packet((6.0,), 1.5, math.sqrt(0.4))],
     )
-    r = center_histogram_test(psi, 0, 1.0, 100_000, RngStream(1007), bins=50)
+    r = center_histogram_test(psi, 0, 1.0, 100_000, RngStream(1007))
     ok = r.passed and r.estimate <= 0.02
     return ok, f"TV distance = {r.estimate:.4f} (<= 0.02, 50 bins, 10^5 samples)"
 
@@ -284,6 +284,15 @@ _CRITERIA: list[tuple[int, str, Callable, float]] = [
     (11, "fresh-preparation flash verdicts", criterion_11_grwf_fresh, 120.0),
     (12, "thread-count determinism", criterion_12_determinism, 60.0),
 ]
+
+
+def parse_criteria(text: str) -> list[int]:
+    """Criterion numbers from a comma-separated list such as "1,9"; anything else is a ConfigError."""
+    known = {str(number): number for number, _, _, _ in _CRITERIA}
+    tokens = {tok.strip() for tok in text.split(",")}
+    if not tokens <= known.keys():
+        raise ConfigError(f"--criteria {text!r}: valid criteria are 1-{len(_CRITERIA)}")
+    return sorted(known[tok] for tok in tokens)
 
 
 def run_criteria(

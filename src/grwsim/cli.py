@@ -68,8 +68,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         initial = record.initial_state
         grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
         for t in config.density_times:
-            state = replay_state_at(initial, config.params, record.collapses, t)
-            field = matter_density(state, grid=grid, time=t)
+            state = replay_state_at(initial, config.params, flashes_of(record), t)
+            field = matter_density(state, grid=grid)
             write_density_csv(out / f"density-t{t:g}.csv", field)
 
     if summary.failures:
@@ -91,12 +91,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .acceptance import run_criteria
+    from .acceptance import parse_criteria, run_criteria
 
+    wanted = parse_criteria(args.criteria) if args.criteria else None
     reference = load_reference_values(args.reference)
-    wanted = None
-    if args.criteria:
-        wanted = sorted({int(tok) for tok in args.criteria.split(",")})
     results = run_criteria(numbers=wanted, reference=reference)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

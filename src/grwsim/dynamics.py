@@ -17,11 +17,11 @@ For point-anchored branches the same rule reduces to the closed form
 log space.
 
 A trajectory is recorded as three columns, one entry per collapse: the
-event times, the collapsed particles and the collapse centers (its
-flashes).  ``TrajectoryRecord.collapses`` reads them as one ``Collapse``
-per event, which is all ``replay_state_at`` needs.  Branch weights before
-and after each collapse are not stored; ``TrajectoryRecord.events``
-rebuilds them on demand by replaying the columns from the initial state.
+event times, the collapsed particles and the collapse centers.  Read row by
+row they are its flashes (``Flash``, via ``ontology.flashes_of``), which is
+all ``replay_state_at`` needs.  Branch weights before and after each
+collapse are not stored; ``TrajectoryRecord.events`` rebuilds them on
+demand by replaying the columns from the initial state.
 The per-event primitives ``sample_collapse_center`` and
 ``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
 one ``BranchState``) and a particle of it; only the run loop and the
@@ -34,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -97,6 +97,15 @@ class RngStream:
 
 
 @dataclass(frozen=True)
+class Flash:
+    """One collapse event in space-time: a trajectory's (time, center, particle)."""
+
+    time: float
+    center: float
+    particle: int
+
+
+@dataclass(frozen=True)
 class CollapseEvent:
     """One collapse: when, which particle, where, and the weight change.
 
@@ -110,14 +119,6 @@ class CollapseEvent:
     center: float
     pre_weights: tuple
     post_weights: tuple
-
-
-class Collapse(NamedTuple):
-    """One collapse as a TrajectoryRecord stores it: one entry of each column."""
-
-    time: float
-    particle: int
-    center: float
 
 
 @dataclass
@@ -160,8 +161,6 @@ class TrajectoryRecord:
     """One run: its collapses as columns (time, particle, center) and its end states."""
 
     params: GrwParams
-    stream: RngStream
-    num_particles: int
     times: list[float]
     particles: list[int]
     centers: list[float]
@@ -175,29 +174,18 @@ class TrajectoryRecord:
         return len(self.times)
 
     @property
-    def collapses(self) -> list[Collapse]:
-        """The columns as one (time, particle, center) tuple per collapse."""
-        return list(map(Collapse, self.times, self.particles, self.centers))
-
-    @property
     def events(self) -> list[CollapseEvent]:
         """The CollapseEvent log, rebuilt by replaying the columns from the initial state.
 
         The replay repeats the run's own arithmetic, so the weights are
         bit-identical to the states the run passed through.
         """
-        collapses = self.collapses
+        collapses = list(zip(self.times, self.particles, self.centers))
         replay = _replay(self.initial_state.copy(), self.params, collapses)
         return [
-            CollapseEvent(*c, _logged_summary(before, c.particle), _logged_summary(after, c.particle))
-            for c, (_, _, before, after) in zip(collapses, replay)
+            CollapseEvent(t, k, x, _logged_summary(before, k), _logged_summary(after, k))
+            for (t, k, x), (_, _, before, after) in zip(collapses, replay)
         ]
-
-
-def num_particles_of(state: TrajectoryState) -> int:
-    if isinstance(state, GridWaveFunction):
-        return state.spec.num_particles
-    return state.num_particles
 
 
 def sample_waiting_time(num_particles: int, lambda_eff: float, rng: np.random.Generator) -> float:
@@ -378,7 +366,7 @@ def run_trajectory(
         raise ConfigError("free-particle evolution requires the grid model")
     rng = stream.generator()
     state: TrajectoryState = initial_state.copy()
-    n = num_particles_of(state)
+    n = state.num_particles
     sigma = params.sigma
 
     if not grid:
@@ -421,8 +409,6 @@ def run_trajectory(
 
     return TrajectoryRecord(
         params=params,
-        stream=stream,
-        num_particles=n,
         times=times,
         particles=particles,
         centers=centers,
@@ -460,11 +446,12 @@ def _replay(
 def replay_state_at(
     initial_state: TrajectoryState,
     params: GrwParams,
-    events: Sequence[Collapse | CollapseEvent],
+    events: Sequence[Flash | CollapseEvent],
     t: float,
 ) -> TrajectoryState:
-    """Reconstruct the state at time t from the initial state and an event log.
+    """Reconstruct the state at time t from the initial state and its collapses.
 
+    Reads the time, particle and center of each Flash or CollapseEvent.
     Collapse centers are logged exactly, so the replay reproduces the
     trajectory's state bit-for-bit without any random draws.
     """

@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy import stats as sps
 
+from . import ontology
 from .dynamics import (
     BranchSystems,
+    Flash,
     GridWaveFunction,
     RngStream,
     TrajectoryRecord,
@@ -27,9 +30,9 @@ from .dynamics import (
     sample_collapse_center,
 )
 from .errors import ConfigError, InconclusiveHorizonError
-from .ontology import Flash, flashes_of
 from .oracles import find_flash_reference, load_reference_values
 from .scenarios import (
+    PREHISTORY_STREAM_OFFSET,
     History,
     Ontology,
     Scenario,
@@ -40,16 +43,12 @@ from .scenarios import (
     classify_branch_grwm,
     classify_grwf,
     classify_grwm,
-    scenario_plan,
     seed_prehistory,
 )
 
 Z_MAX = 4.0
 P_MIN = 1e-3
 CONVERGENCE_WEIGHT = 0.99
-
-# prehistory generators live on a disjoint block of stream ids
-_PREHISTORY_STREAM_OFFSET = 2**48
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,22 @@ class StatRecord:
     p_value: float | None = None
 
 
-def z_record(
-    name: str, estimate: float, se: float, target: float, provenance: str, z_max: float = Z_MAX
-) -> StatRecord:
+def z_record(name: str, estimate: float, se: float, target: float, provenance: str) -> StatRecord:
     if se == 0.0:
         z = 0.0 if estimate == target else math.inf
     else:
         z = (estimate - target) / se
-    return StatRecord(name, estimate, se, target, z, abs(z) <= z_max, provenance)
+    return StatRecord(name, estimate, se, target, z, abs(z) <= Z_MAX, provenance)
 
 
-def gof_record(name: str, p_value: float, provenance: str, p_min: float = P_MIN) -> StatRecord:
+def gof_record(name: str, p_value: float, provenance: str) -> StatRecord:
     return StatRecord(
         name,
         estimate=p_value,
         se=float("nan"),
-        target=p_min,
+        target=P_MIN,
         z=float("nan"),
-        passed=p_value >= p_min,
+        passed=p_value >= P_MIN,
         provenance=provenance,
         p_value=p_value,
     )
@@ -130,9 +127,9 @@ def _flashes_by_system(record: TrajectoryRecord, prehistory: list[Flash]) -> lis
     if isinstance(state, BranchSystems):
         owner = [state.locate(p)[0] for p in range(state.num_particles)]
     else:
-        owner = [0] * record.num_particles
+        owner = [0] * state.num_particles
     groups: list[list[Flash]] = [[] for _ in _systems(state)]
-    for f in prehistory + flashes_of(record):
+    for f in prehistory + ontology.flashes_of(record):
         groups[owner[f.particle]].append(f)
     return groups
 
@@ -148,19 +145,17 @@ def _verdict_at(
     """
     if config.ontology is Ontology.GRWM:
         if isinstance(state, GridWaveFunction):
-            from .ontology import matter_density
-
-            c = classify_grwm(matter_density(state), config.box, config.theta_m)
+            verdict = classify_grwm(ontology.matter_density(state), config.box, config.theta_m)
         else:
-            c = classify_branch_grwm(state, config.box, config.theta_m)
-        return c.verdict.value
+            verdict = classify_branch_grwm(state, config.box, config.theta_m)
+        return verdict.value
     seen = [f for f in flashes if f.time <= t]
     if config.window_flashes is not None:
         window = seen[-config.window_flashes :]
     else:
         w = config.window_length()
         window = [f for f in seen if f.time > t - w]
-    return classify_grwf(window, config.box, config.theta_f).verdict.value
+    return classify_grwf(window, config.box, config.theta_f).value
 
 
 def reduce_trajectory(
@@ -267,7 +262,7 @@ def _run_ensemble(
     log_first: int,
 ) -> EnsembleSummary:
     def prehistory_rng(i: int) -> np.random.Generator:
-        return RngStream(master_seed, _PREHISTORY_STREAM_OFFSET + i).generator()
+        return RngStream(master_seed, PREHISTORY_STREAM_OFFSET + i).generator()
 
     # The initial state draws nothing, so every trajectory shares trajectory
     # 0's; a collapsed past redraws only the prehistory, trajectory i on its
@@ -303,60 +298,53 @@ def _run_ensemble(
         f"trajectory {t.index}: {t.diagnostic}" for t in trajectories if t.diagnostic
     ]
 
+    counts = np.array([t.num_events for t in trajectories])
     summary = EnsembleSummary(
         config=config,
         n_trajectories=n_trajectories,
         master_seed=master_seed,
         trajectories=trajectories,
         records=[],
-        histograms={},
+        histograms={"event_count": np.bincount(counts).tolist()},
         failures=failures,
         diagnostics=diagnostics,
         logged=logged,
         logged_prehistory=logged_pre,
     )
-    _compute_plan_records(summary, scenario_plan(config), reference)
+    for test in scenario_plan(config, reference):
+        record = test(summary)
+        if record is not None:
+            summary.records.append(record)
     return summary
 
 
-def _compute_plan_records(
-    summary: EnsembleSummary, plan: Sequence[str], reference: dict | None
-) -> None:
-    config = summary.config
-    counts = np.array([t.num_events for t in summary.trajectories])
-    summary.histograms["event_count"] = np.bincount(counts).tolist()
-
-    for name in plan:
-        if name == "event_count":
-            summary.records.append(event_count_test(summary))
-        elif name == "poisson_chi2":
-            summary.records.append(poisson_flash_test(summary))
-        elif name == "martingale_final":
-            summary.records.append(martingale_test(summary))
-        elif name == "selection_frequency":
-            summary.records.append(selection_frequency_test(summary))
-        elif name == "census_inside_mean":
-            summary.records.append(census_mean_test(summary))
-        elif name == "census_all_inside":
-            summary.records.append(census_all_inside_test(summary))
-        elif name == "census_chi2":
-            summary.records.append(census_chi2_test(summary))
-            inside = [t.census[0] for t in summary.trajectories if t.census is not None]
-            summary.histograms["inside_count"] = np.bincount(
-                inside, minlength=config.n_marbles + 1
-            ).tolist()
-        elif name == "resurrection_rate":
-            summary.records.append(resurrection_rate_test(summary))
-        elif name == "grwf_inside_rate":
-            record = grwf_inside_rate_test(summary, reference)
-            if record is not None:
-                summary.records.append(record)
-            else:
-                summary.diagnostics.append(
-                    "grwf_inside_rate: no matching flash-sequence reference entry; omitted"
-                )
-        else:
-            raise ConfigError(f"unknown plan statistic {name!r}")
+def scenario_plan(config: ScenarioConfig, reference: dict | None = None) -> list[Callable]:
+    """The statistic tests a scenario reports, in order; each maps the summary to a StatRecord or None."""
+    plan = [event_count_test, poisson_flash_test]
+    if config.backend == "branch":
+        plan += [martingale_test, selection_frequency_test]
+        if config.kind is ScenarioKind.MARBLES and config.ontology is not Ontology.GRW0:
+            plan += [census_mean_test]
+            # one marble: all-inside and the chi-square restate that mean
+            if config.n_marbles > 1:
+                plan += [census_all_inside_test, census_chi2_test]
+        # a verdict flip needs a definite initial verdict: matter density always
+        # has one, flashes only when a collapsed past supplies a pre-window record
+        if config.kind is ScenarioKind.TAIL and (
+            config.ontology is Ontology.GRWM
+            or (
+                config.ontology is Ontology.GRWF
+                and config.history is History.COLLAPSED_PAST
+            )
+        ):
+            plan += [resurrection_rate_test]
+        if (
+            config.ontology is Ontology.GRWF
+            and config.history is History.FRESH_PREPARATION
+            and config.window_flashes is not None
+        ):
+            plan += [partial(grwf_inside_rate_test, reference=reference)]
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +482,14 @@ def census_all_inside_test(summary: EnsembleSummary) -> StatRecord:
 
 
 def census_chi2_test(summary: EnsembleSummary) -> StatRecord:
+    """Chi-square of the inside counts vs Binomial(n_marbles, c1_sq); kept as histogram "inside_count"."""
     config = summary.config
     inside = np.array([t.census[0] for t in summary.trajectories if t.census is not None])
     n, p = config.n_marbles, config.c1_sq
     pmf = sps.binom.pmf(np.arange(n + 1), n, p)
-    observed = np.bincount(inside, minlength=n + 1).astype(float)
-    p_val, bins = _merged_chi2(pmf * inside.size, observed, 2, "census_chi2_test")
+    observed = np.bincount(inside, minlength=n + 1)
+    p_val, bins = _merged_chi2(pmf * inside.size, observed.astype(float), 2, "census_chi2_test")
+    summary.histograms["inside_count"] = observed.tolist()
     return gof_record("census_chi2_p", p_val, f"chi-square vs Binomial({n}, {p:g}), {bins} bins")
 
 
@@ -525,7 +515,7 @@ def resurrection_rate_test(summary: EnsembleSummary) -> StatRecord:
 def grwf_inside_rate_test(
     summary: EnsembleSummary, reference: dict | None
 ) -> StatRecord | None:
-    """First-window Inside frequency vs the flash-sequence oracle value."""
+    """First-window Inside frequency vs the flash-sequence oracle; None, with a diagnostic, if no entry matches."""
     config = summary.config
     if reference is None:
         reference = load_reference_values()
@@ -540,6 +530,9 @@ def grwf_inside_rate_test(
         config.theta_f,
     )
     if entry is None:
+        summary.diagnostics.append(
+            "grwf_inside_rate: no matching flash-sequence reference entry; omitted"
+        )
         return None
     verdicts = [t.first_window_verdict for t in summary.trajectories]
     n = len(verdicts)
@@ -561,13 +554,13 @@ def center_histogram_test(
     sigma: float,
     n_samples: int,
     stream: RngStream,
-    bins: int = 50,
 ) -> StatRecord:
     """Total-variation distance between sampled centers and the analytic density.
 
-    The tolerance scales as 0.9 * sqrt(bins / n_samples); repeated-seed
-    calibration puts the observed TV a factor ~2 below that.
+    The tolerance scales as 0.9 * sqrt(bins / n_samples) over 50 bins;
+    repeated-seed calibration puts the observed TV a factor ~2 below that.
     """
+    bins = 50
     if n_samples < 1000:
         raise ConfigError("center_histogram_test needs n_samples >= 1000")
     density = collapse_center_density(psi, particle, sigma)

@@ -213,7 +213,7 @@ def write_events_jsonl(path: str | Path, record: TrajectoryRecord) -> None:
 def write_flashes_csv(path: str | Path, flashes: Iterable[Flash]) -> None:
     lines = ["time,position,particle"]
     for f in flashes:
-        lines.append(f"{_fmt(f.time)},{_fmt(f.position)},{f.particle}")
+        lines.append(f"{_fmt(f.time)},{_fmt(f.center)},{f.particle}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

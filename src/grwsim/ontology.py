@@ -12,25 +12,15 @@ Three views of the same collapse process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .dynamics import BranchSystems, TrajectoryRecord, num_particles_of
+from .dynamics import BranchSystems, Flash, TrajectoryRecord
 from .errors import ConfigError, NumericsError
 from .state import BranchState, GridWaveFunction, Region, branch_weights, marginal_density
 
-MASS_TOL = 1e-9
 COVERAGE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Flash:
-    """One collapse event in space-time."""
-
-    time: float
-    position: float
-    particle: int
 
 
 def flashes_of(trajectory: TrajectoryRecord) -> list[Flash]:
@@ -48,17 +38,10 @@ class MatterDensityField:
     grid: np.ndarray  # cell centers
     values: np.ndarray  # mass per length, >= 0
     dx: float
-    time: float
-    masses: np.ndarray
 
     @property
     def total_mass(self) -> float:
         return float(self.values.sum() * self.dx)
-
-
-def equal_masses(num_particles: int) -> np.ndarray:
-    """Default mass assignment: equal shares of a unit total."""
-    return np.full(num_particles, 1.0 / num_particles)
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:
@@ -72,7 +55,7 @@ def _uniform_spacing(grid: np.ndarray) -> float:
 
 
 def _rasterize_branches(
-    state: BranchState, masses: np.ndarray, grid: np.ndarray, dx: float, values: np.ndarray
+    state: BranchState, mass: float, grid: np.ndarray, dx: float, values: np.ndarray
 ) -> None:
     """Add each branch anchor as a single-cell spike; off-grid anchors add nothing."""
     w = state.weights
@@ -81,27 +64,21 @@ def _rasterize_branches(
             a = state.anchors[i, k]
             idx = int(np.round((a - grid[0]) / dx))
             if 0 <= idx < grid.size and abs(a - grid[idx]) <= 0.5 * dx + 1e-12:
-                values[idx] += w[i] * masses[k] / dx
+                values[idx] += w[i] * mass / dx
 
 
 def matter_density(
-    state: GridWaveFunction | BranchSystems,
-    masses: Sequence[float] | None = None,
-    grid: np.ndarray | None = None,
-    time: float = 0.0,
+    state: GridWaveFunction | BranchSystems, grid: np.ndarray | None = None
 ) -> MatterDensityField:
     """Mass-weighted density: m(x) = sum_k m_k * (position density of particle k).
 
+    The particles carry equal shares m_k = 1 / N of a unit total mass.
     Branch anchors rasterize as single-cell spikes; grid states use their own
     marginals (and their own grid).  Rejects a grid that captures less than
     1 - 1e-6 of the total mass.
     """
-    n = num_particles_of(state)
-    m = equal_masses(n) if masses is None else np.asarray(masses, dtype=float)
-    if m.size != n:
-        raise ConfigError(f"got {m.size} masses for {n} particles")
-    if np.any(m <= 0):
-        raise ConfigError("masses must be positive")
+    n = state.num_particles
+    mass = 1.0 / n
 
     if isinstance(state, GridWaveFunction):
         if grid is not None and not np.array_equal(grid, state.spec.points()):
@@ -110,23 +87,19 @@ def matter_density(
         dx = state.spec.dx
         values = np.zeros_like(grid)
         for k in range(n):
-            values += m[k] * marginal_density(state, k)
+            values += mass * marginal_density(state, k)
     else:
         if grid is None:
             raise ConfigError("branch states need an explicit density grid")
         grid = np.asarray(grid, dtype=float)
         dx = _uniform_spacing(grid)
         values = np.zeros_like(grid)
-        offset = 0
         for s in state.systems:
-            _rasterize_branches(s, m[offset : offset + s.num_particles], grid, dx, values)
-            offset += s.num_particles
+            _rasterize_branches(s, mass, grid, dx, values)
 
-    field = MatterDensityField(grid=grid, values=values, dx=dx, time=time, masses=m)
-    if field.total_mass < (1.0 - COVERAGE_TOL) * m.sum():
-        raise NumericsError(
-            f"density grid covers only {field.total_mass:.9g} of total mass {m.sum():.9g}"
-        )
+    field = MatterDensityField(grid=grid, values=values, dx=dx)
+    if field.total_mass < 1.0 - COVERAGE_TOL:
+        raise NumericsError(f"density grid covers only {field.total_mass:.9g} of the unit total mass")
     return field
 
 
@@ -155,16 +128,16 @@ def flash_fraction_in_region(
         if window is not None and not (window[0] < f.time <= window[1]):
             continue
         count += 1
-        if region.contains(f.position):
+        if region.contains(f.center):
             inside += 1
     if count == 0:
         return float("nan"), 0
     return inside / count, count
 
 
-def default_window(num_particles: int, lambda_eff: float, expected_flashes: float = 100.0) -> float:
-    """Window length holding the given expected number of flashes."""
-    return expected_flashes / (num_particles * lambda_eff)
+def default_window(num_particles: int, lambda_eff: float) -> float:
+    """Window length holding 100 expected flashes."""
+    return 100.0 / (num_particles * lambda_eff)
 
 
 def grw0_view(state: BranchSystems) -> list[list[tuple[str, float]]]:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .dynamics import BranchSystems, GrwParams, TrajectoryState
+from .dynamics import BranchSystems, GrwParams, RngStream, TrajectoryState
 from .errors import ConfigError
 from .ontology import (
     Flash,
@@ -56,13 +56,6 @@ class Verdict(str, Enum):
     OUTSIDE = "outside"
     PARTIAL = "partial"
     UNDEFINED = "undefined"
-
-
-@dataclass(frozen=True)
-class Classification:
-    verdict: Verdict
-    evidence: float  # the fraction the verdict rests on; nan when undefined
-    ontology: Ontology
 
 
 def verdict_from_fraction(fraction: float, theta: float) -> Verdict:
@@ -124,6 +117,8 @@ class ScenarioConfig:
             raise ConfigError("window must be positive")
         if self.window_flashes is not None and self.window_flashes < 1:
             raise ConfigError("window_flashes must be >= 1")
+        if not all(0.0 <= t <= self.params.total_time for t in self.density_times):
+            raise ConfigError(f"density_times must lie in [0, total_time = {self.params.total_time:g}]")
 
     @property
     def labels(self) -> tuple[str, str]:
@@ -164,33 +159,8 @@ class Scenario:
     prehistory: list[Flash]
 
 
-def scenario_plan(config: ScenarioConfig) -> tuple[str, ...]:
-    """Which ensemble statistics a scenario reports by default."""
-    plan = ["event_count", "poisson_chi2"]
-    if config.backend == "branch":
-        plan += ["martingale_final", "selection_frequency"]
-        if config.kind is ScenarioKind.MARBLES and config.ontology is not Ontology.GRW0:
-            plan += ["census_inside_mean"]
-            # one marble: all-inside and the chi-square restate that mean
-            if config.n_marbles > 1:
-                plan += ["census_all_inside", "census_chi2"]
-        # a verdict flip needs a definite initial verdict: matter density always
-        # has one, flashes only when a collapsed past supplies a pre-window record
-        if config.kind is ScenarioKind.TAIL and (
-            config.ontology is Ontology.GRWM
-            or (
-                config.ontology is Ontology.GRWF
-                and config.history is History.COLLAPSED_PAST
-            )
-        ):
-            plan += ["resurrection_rate"]
-        if (
-            config.ontology is Ontology.GRWF
-            and config.history is History.FRESH_PREPARATION
-            and config.window_flashes is not None
-        ):
-            plan += ["grwf_inside_rate"]
-    return tuple(plan)
+# prehistory generators live on a disjoint block of stream ids
+PREHISTORY_STREAM_OFFSET = 2**48
 
 
 def seed_prehistory(config: ScenarioConfig, rng: np.random.Generator) -> list[Flash]:
@@ -257,7 +227,7 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
     prehistory: list[Flash] = []
     if config.history is History.COLLAPSED_PAST:
         if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2**48,)))
+            rng = RngStream(0, PREHISTORY_STREAM_OFFSET).generator()
         prehistory = seed_prehistory(config, rng)
     return Scenario(config, state, prehistory)
 
@@ -265,41 +235,35 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
 # ---------------------------------------------------------------------------
 # classification
 
-def classify_grwm(field: MatterDensityField, box: Region, theta_m: float = 0.5) -> Classification:
+def classify_grwm(field: MatterDensityField, box: Region, theta_m: float = 0.5) -> Verdict:
     """Verdict from the fraction of matter inside the box."""
     if field.total_mass <= 0.0:
-        return Classification(Verdict.UNDEFINED, float("nan"), Ontology.GRWM)
-    frac = mass_fraction_in_region(field, box)
-    return Classification(verdict_from_fraction(frac, theta_m), frac, Ontology.GRWM)
+        return Verdict.UNDEFINED
+    return verdict_from_fraction(mass_fraction_in_region(field, box), theta_m)
 
 
-def classify_grwf(flashes: Iterable[Flash], box: Region, theta_f: float = 0.99) -> Classification:
-    """Verdict from the fraction of the flashes in the box; no flashes means no fact."""
-    frac, count = flash_fraction_in_region(flashes, box)
-    if count == 0:
-        return Classification(Verdict.UNDEFINED, float("nan"), Ontology.GRWF)
-    return Classification(verdict_from_fraction(frac, theta_f), frac, Ontology.GRWF)
+def classify_grwf(flashes: Iterable[Flash], box: Region, theta_f: float = 0.99) -> Verdict:
+    """Verdict from the fraction of the flashes in the box; no flashes (nan) means no fact."""
+    return verdict_from_fraction(flash_fraction_in_region(flashes, box)[0], theta_f)
 
 
-def branch_box_fraction(state: BranchState, box: Region, masses: Sequence[float] | None = None) -> float:
+def branch_box_fraction(state: BranchState, box: Region) -> float:
     """Mass fraction in the box for point anchors, without rasterizing.
 
     Equals mass_fraction_in_region over a covering grid: each branch puts
-    weight w_i on its anchors, mass-averaged over particles.
+    weight w_i on its anchors, averaged over the equal-mass particles.
     """
-    m = np.full(state.num_particles, 1.0 / state.num_particles) if masses is None else np.asarray(masses, float)
-    m = m / m.sum()
     inside = (state.anchors >= box.lower) & (state.anchors <= box.upper)
-    return float(np.sum(state.weights[:, None] * inside * m[None, :]))
+    return float(np.sum(state.weights[:, None] * inside) / state.num_particles)
 
 
-def classify_branch_grwm(state: BranchState, box: Region, theta_m: float = 0.5) -> Classification:
-    frac = branch_box_fraction(state, box)
-    return Classification(verdict_from_fraction(frac, theta_m), frac, Ontology.GRWM)
+def classify_branch_grwm(state: BranchState, box: Region, theta_m: float = 0.5) -> Verdict:
+    return verdict_from_fraction(branch_box_fraction(state, box), theta_m)
 
 
-def density_grid(config: ScenarioConfig, points: int = 2048) -> np.ndarray:
-    """Uniform cell-center grid covering box and anchors with 5-sigma margins."""
+def density_grid(config: ScenarioConfig) -> np.ndarray:
+    """Uniform 2048-cell center grid covering box and anchors with 5-sigma margins."""
+    points = 2048
     a_in, a_out = config.anchor_positions()
     sigma = config.params.sigma
     lo = min(config.box.lower, a_in, a_out) - 5.0 * sigma

@@ -30,7 +30,6 @@ from .errors import ConfigError
 MAX_GRID_CELLS = 2**24
 MAX_GRID_PARTICLES = 3
 
-NORM_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -77,6 +76,10 @@ class GridWaveFunction:
 
     spec: GridSpec
     amplitudes: np.ndarray
+
+    @property
+    def num_particles(self) -> int:
+        return self.spec.num_particles
 
     @property
     def cell_volume(self) -> float:

@@ -113,6 +113,16 @@ class TestConfigErrors:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("times", ["-1", "0, 20.5"])
+    def test_density_time_outside_run_rejected(self, tmp_path, capsys, times):
+        # the grid backend used to fail at t = -1 only after writing its logs
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"kind = cat\nbackend = grid\ntotal_time = 20.0\ndensity_times = {times}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--trajectories", "4", "--out", str(out)]) == 2
+        assert "density_times" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, cat_cfg, tmp_path, monkeypatch):
         import grwsim.cli as cli
         from grwsim.errors import NumericsError
@@ -153,6 +163,15 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "criterion  1 [PASS]" in out
         assert "criterion  9 [PASS]" in out
+
+    @pytest.mark.parametrize("criteria", ["13", "0,1", "1,x", "1,,9"])
+    def test_check_rejects_unknown_criteria(self, capsys, criteria):
+        # an unknown number used to run nothing and exit 0; a non-integer
+        # died with a traceback and exit code 1
+        assert main(["check", "--criteria", criteria]) == 2
+        captured = capsys.readouterr()
+        assert "valid criteria are 1-12" in captured.err
+        assert "criterion" not in captured.out
 
     def test_report_summarizes_run(self, cat_cfg, tmp_path, capsys):
         out = tmp_path / "results"

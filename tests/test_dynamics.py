@@ -23,6 +23,7 @@ from grwsim import (
     build_scenario,
     collapse_center_density,
     evolve_unitary,
+    flashes_of,
     make_grid_wavefunction,
     marginal_density,
     norm_squared,
@@ -327,7 +328,7 @@ class TestRunTrajectory:
         systems = BranchSystems([_branch_state(0.9) for _ in range(4)])
         params = GrwParams(total_time=30.0)
         rec = run_trajectory(systems, params, RngStream(91, 0))
-        assert rec.num_particles == 4
+        assert rec.final_state.num_particles == 4
         particles = {e.particle for e in rec.events}
         assert particles <= {0, 1, 2, 3}
         for s in rec.final_state.systems:
@@ -341,6 +342,9 @@ class TestRunTrajectory:
         assert np.allclose(
             replayed.systems[0].log_weights, rec.final_state.systems[0].log_weights
         )
+        # the flashes carry the same (time, particle, center) triples
+        from_flashes = replay_state_at(initial, params, flashes_of(rec), params.total_time)
+        assert np.array_equal(from_flashes.systems[0].log_weights, replayed.systems[0].log_weights)
 
     def test_bare_branch_state_rejected(self):
         params = GrwParams(total_time=5.0)
@@ -373,7 +377,7 @@ class TestRunTrajectory:
             initial.locate(3)
         params = GrwParams(total_time=20.0)
         rec = run_trajectory(initial, params, RngStream(94, 0))
-        assert rec.num_particles == 3
+        assert rec.final_state.num_particles == 3
         assert {e.particle for e in rec.events} == {0, 1, 2}
         for e in rec.events:
             assert len(e.pre_weights) == 2 and len(e.post_weights) == 2

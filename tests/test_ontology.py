@@ -16,7 +16,6 @@ from grwsim import (
     Region,
     RngStream,
     branch_weights,
-    equal_masses,
     flash_fraction_in_region,
     flashes_of,
     grw0_view,
@@ -55,7 +54,7 @@ class TestFlashes:
         fl = flashes_of(rec)
         assert len(fl) == rec.num_events
         for f, e in zip(fl, rec.events):
-            assert f.time == e.time and f.position == e.center and f.particle == e.particle
+            assert f.time == e.time and f.center == e.center and f.particle == e.particle
 
     def test_poisson_concentration(self):
         # Poisson(100) concentrates: |count - 100| <= 40 in at least 95 of 100 seeds
@@ -71,7 +70,7 @@ class TestMatterDensity:
     def test_single_particle_equals_marginal(self):
         spec = GridSpec(-25.6, 25.6, 512, 1)
         psi = make_grid_wavefunction(spec, [Packet((0.0,), 1.0, 1.0)])
-        field = matter_density(psi, masses=[1.0])
+        field = matter_density(psi)
         assert np.allclose(field.values, marginal_density(psi, 0), atol=1e-14)
         assert field.total_mass == pytest.approx(1.0, abs=1e-9)
 
@@ -87,23 +86,24 @@ class TestMatterDensity:
     def test_mass_additivity_two_particles(self):
         spec = GridSpec(-25.6, 25.6, 256, 2)
         psi = make_grid_wavefunction(spec, [Packet((-5.0, 5.0), 1.0, 1.0)])
-        field = matter_density(psi, masses=[1.0, 2.0])
-        assert field.total_mass == pytest.approx(3.0, abs=1e-9)
+        field = matter_density(psi)
+        # a total mass of 1, split equally between the two particles
+        assert field.total_mass == pytest.approx(1.0, abs=1e-9)
+        halves = 0.5 * (marginal_density(psi, 0) + marginal_density(psi, 1))
+        assert np.allclose(field.values, halves, atol=1e-14)
 
     def test_equal_masses_default(self):
-        systems = BranchSystems([_marble_state(), _marble_state()])
+        # each of the two particles carries half of the unit total mass
+        systems = BranchSystems([_marble_state(0.9), _marble_state(0.6, a_out=40.0)])
         field = matter_density(systems, grid=_grid())
-        assert np.allclose(field.masses, equal_masses(2))
+        assert mass_fraction_in_region(field, Region(29.0, 31.0)) == pytest.approx(0.5 * 0.1)
+        assert mass_fraction_in_region(field, Region(39.0, 41.0)) == pytest.approx(0.5 * 0.4)
         assert field.total_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_uncovered_grid_rejected(self):
         narrow = _grid(lo=-5.0, hi=5.0, n=128)  # misses the out-anchor at 30
         with pytest.raises(NumericsError):
             matter_density(_marble(), grid=narrow)
-
-    def test_nonpositive_masses_rejected(self):
-        with pytest.raises(ConfigError):
-            matter_density(_marble(), masses=[0.0], grid=_grid())
 
 
 class TestMassFraction:
@@ -199,7 +199,6 @@ class TestGrw0View:
 def test_default_window_expected_flashes():
     assert default_window(1, 1.0) == pytest.approx(100.0)
     assert default_window(5, 2.0) == pytest.approx(10.0)
-    assert default_window(1, 1.0, expected_flashes=7.0) == pytest.approx(7.0)
 
 
 @given(

@@ -26,13 +26,20 @@ from grwsim import (
     run_trajectory,
 )
 from grwsim.dynamics import BranchSystems, TrajectoryRecord
-from grwsim.ensemble import reduce_trajectory
-from grwsim.ontology import MatterDensityField
+from grwsim.ensemble import (
+    census_all_inside_test,
+    census_chi2_test,
+    census_mean_test,
+    martingale_test,
+    reduce_trajectory,
+    resurrection_rate_test,
+    scenario_plan,
+)
+from grwsim.ontology import MatterDensityField, flash_fraction_in_region, mass_fraction_in_region
 from grwsim.scenarios import (
     Scenario,
     branch_box_fraction,
     density_grid,
-    scenario_plan,
     verdict_from_fraction,
 )
 
@@ -51,6 +58,8 @@ class TestScenarioConfig:
             dict(kind=ScenarioKind.MARBLES, n_marbles=2, backend="grid"),
             dict(backend="quantum"),
             dict(window=-1.0),
+            dict(density_times=(-1.0,)),  # before the start
+            dict(density_times=(0.0, 10.5)),  # past the default 10-unit horizon
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -102,7 +111,7 @@ class TestBuildScenario:
         assert len(scenario.prehistory) > 0
         for f in scenario.prehistory:
             assert f.time < 0.0
-            assert config.box.contains(f.position)
+            assert config.box.contains(f.center)
 
     def test_fresh_preparation_no_prehistory(self):
         scenario = build_scenario(ScenarioConfig(history=History.FRESH_PREPARATION))
@@ -112,23 +121,24 @@ class TestBuildScenario:
         config = ScenarioConfig(kind=ScenarioKind.CAT, backend="grid", grid_points=1024)
         scenario = build_scenario(config)
         assert isinstance(scenario.initial_state, GridWaveFunction)
+        assert scenario.initial_state.num_particles == 1
         assert abs(norm_squared(scenario.initial_state) - 1.0) < 1e-10
 
     def test_plan_contents(self):
         cat = scenario_plan(ScenarioConfig(kind=ScenarioKind.CAT, ontology=Ontology.GRW0))
-        assert "martingale_final" in cat and "census_inside_mean" not in cat
+        assert martingale_test in cat and census_mean_test not in cat
         marbles = scenario_plan(
             ScenarioConfig(kind=ScenarioKind.MARBLES, n_marbles=2, ontology=Ontology.GRWM)
         )
-        assert "census_all_inside" in marbles
+        assert census_all_inside_test in marbles
         tail = scenario_plan(ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.99))
-        assert "resurrection_rate" in tail
+        assert resurrection_rate_test in tail
         # Binomial(1, p): the all-inside frequency and the chi-square restate the mean
         one = scenario_plan(
             ScenarioConfig(kind=ScenarioKind.MARBLES, n_marbles=1, ontology=Ontology.GRWF)
         )
-        assert "census_inside_mean" in one
-        assert "census_all_inside" not in one and "census_chi2" not in one
+        assert census_mean_test in one
+        assert census_all_inside_test not in one and census_chi2_test not in one
 
 
 class TestVerdictRule:
@@ -155,47 +165,38 @@ class TestClassifyGrwm:
         values = np.zeros(21)
         values[0] = fraction
         values[20] = 1.0 - fraction
-        return MatterDensityField(grid=grid, values=values, dx=1.0, time=0.0, masses=np.array([1.0]))
+        return MatterDensityField(grid=grid, values=values, dx=1.0)
 
     def test_majority_inside(self):
         # a 10% tail outside still reads as Inside under the majority rule
-        c = classify_grwm(self._field(0.9), Region(-1.0, 1.0), theta_m=0.5)
-        assert c.verdict == Verdict.INSIDE
-        assert c.evidence == pytest.approx(0.9)
-        assert c.ontology is Ontology.GRWM
+        field = self._field(0.9)
+        assert classify_grwm(field, Region(-1.0, 1.0), theta_m=0.5) == Verdict.INSIDE
+        assert mass_fraction_in_region(field, Region(-1.0, 1.0)) == pytest.approx(0.9)
 
     def test_exact_half_partial(self):
-        c = classify_grwm(self._field(0.5), Region(-1.0, 1.0), theta_m=0.5)
-        assert c.verdict == Verdict.PARTIAL
+        assert classify_grwm(self._field(0.5), Region(-1.0, 1.0), theta_m=0.5) == Verdict.PARTIAL
 
     def test_complement_outside(self):
-        c = classify_grwm(self._field(0.02), Region(-1.0, 1.0), theta_m=0.5)
-        assert c.verdict == Verdict.OUTSIDE
+        assert classify_grwm(self._field(0.02), Region(-1.0, 1.0), theta_m=0.5) == Verdict.OUTSIDE
 
     def test_zero_mass_undefined(self):
-        field = MatterDensityField(
-            grid=np.linspace(0, 1, 3), values=np.zeros(3), dx=0.5, time=0.0,
-            masses=np.array([1.0]),
-        )
-        assert classify_grwm(field, Region(0.0, 1.0)).verdict == Verdict.UNDEFINED
+        field = MatterDensityField(grid=np.linspace(0, 1, 3), values=np.zeros(3), dx=0.5)
+        assert classify_grwm(field, Region(0.0, 1.0)) == Verdict.UNDEFINED
 
 
 class TestClassifyGrwf:
     def test_all_inside(self):
         flashes = [Flash(0.01 * i, 0.0, 0) for i in range(1, 101)]
-        c = classify_grwf(flashes, Region(-1.0, 1.0), theta_f=0.99)
-        assert c.verdict == Verdict.INSIDE
+        assert classify_grwf(flashes, Region(-1.0, 1.0), theta_f=0.99) == Verdict.INSIDE
 
     def test_half_half_partial(self):
         flashes = [Flash(0.01 * i, 0.0 if i % 2 else 9.0, 0) for i in range(1, 101)]
-        c = classify_grwf(flashes, Region(-1.0, 1.0), theta_f=0.99)
-        assert c.verdict == Verdict.PARTIAL
-        assert c.evidence == pytest.approx(0.5)
+        assert classify_grwf(flashes, Region(-1.0, 1.0), theta_f=0.99) == Verdict.PARTIAL
+        assert flash_fraction_in_region(flashes, Region(-1.0, 1.0))[0] == pytest.approx(0.5)
 
     def test_no_flashes_undefined(self):
-        c = classify_grwf([], Region(-1.0, 1.0), theta_f=0.99)
-        assert c.verdict == Verdict.UNDEFINED
-        assert math.isnan(c.evidence)
+        assert classify_grwf([], Region(-1.0, 1.0), theta_f=0.99) == Verdict.UNDEFINED
+        assert math.isnan(flash_fraction_in_region([], Region(-1.0, 1.0))[0])
 
 
 class TestBranchBoxFraction:
@@ -204,8 +205,6 @@ class TestBranchBoxFraction:
         config = ScenarioConfig(kind=ScenarioKind.MARBLES, c1_sq=0.73)
         box = Region(-10.0, 10.0)
         direct = branch_box_fraction(state, box)
-        from grwsim.ontology import mass_fraction_in_region
-
         field = matter_density(BranchSystems([state]), grid=density_grid(config))
         assert direct == pytest.approx(mass_fraction_in_region(field, box), abs=1e-12)
 
@@ -228,8 +227,6 @@ def _fabricated_record(w_path, times=None):
     )
     return TrajectoryRecord(
         params=GrwParams(total_time=times[-1] + 1 if times else 1.0),
-        stream=RngStream(0, 0),
-        num_particles=1,
         times=list(times),
         particles=[0] * len(times),
         centers=[0.0] * len(times),
@@ -289,8 +286,6 @@ def _marble_record(final_w1, flashes=(), total_time=20.0):
     times, particles, centers = (list(c) for c in zip(*flashes)) if flashes else ([], [], [])
     return TrajectoryRecord(
         params=GrwParams(total_time=total_time),
-        stream=RngStream(0, 0),
-        num_particles=len(final_w1),
         times=times,
         particles=particles,
         centers=centers,
