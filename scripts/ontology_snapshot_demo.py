@@ -18,13 +18,13 @@ from grwsim import (
     ScenarioConfig,
     ScenarioKind,
     build_scenario,
+    flash_fraction_in_region,
     flashes_of,
     mass_fraction_in_region,
     matter_density,
     replay_state_at,
     run_trajectory,
 )
-from grwsim.ontology import flash_fraction_in_region
 from grwsim.scenarios import density_grid
 
 
@@ -56,7 +56,7 @@ def main() -> None:
     for t in np.linspace(0.0, config.params.total_time, 7):
         state = replay_state_at(scenario.initial_state, config.params, run_flashes, t)
         w_dead = float(state.systems[0].weights[0])
-        frac, count = flash_fraction_in_region(flashes, box, window=(t - 10.0, t))
+        frac, count = flash_fraction_in_region(config.flash_window(flashes, t), box)
         m_frac = mass_fraction_in_region(matter_density(state, grid=grid), box)
         flash_txt = f"{frac:.3f} ({count:3d} fl)" if count else "   no flashes"
         print(f"{t:>6.1f} {w_dead:>10.3e} {flash_txt:>18} {m_frac:>19.6f}")

@@ -52,7 +52,6 @@ from .oracles import (
     grid_branch_crosscheck,
     load_reference_values,
     one_step_posterior_oracle,
-    write_reference_values,
 )
 from .scenarios import (
     History,

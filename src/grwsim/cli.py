@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 statistical failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .dynamics import replay_state_at
 from .ensemble import run_ensemble
 from .errors import ConfigError, GrwError, InconclusiveHorizonError, NumericsError
 from .fileio import (
+    atomic_write_text,
     parse_scenario_file,
     read_summary_json,
     write_density_csv,
@@ -29,7 +31,7 @@ from .fileio import (
     write_summary_json,
 )
 from .ontology import flashes_of, matter_density
-from .oracles import load_reference_values, write_reference_values
+from .oracles import compute_reference_values, load_reference_values
 from .scenarios import density_grid
 from .state import GridWaveFunction
 
@@ -84,7 +86,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    data = write_reference_values(args.out, seed=args.seed, n_sequences=args.sequences)
+    data = compute_reference_values(seed=args.seed, n_sequences=args.sequences)
+    atomic_write_text(args.out, json.dumps(data, indent=1) + "\n")
     n = len(data["flash_sequence"]) + len(data["one_step"])
     print(f"wrote {args.out}: {n} reference entries (seed {args.seed})")
     return EXIT_OK

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
-from .state import BranchState, GridWaveFunction, marginal_density
+from .state import BranchState, GridWaveFunction, marginal_density, norm_squared
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,8 +60,8 @@ class Hamiltonian:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "free"):
             raise ConfigError(f"unknown hamiltonian kind {self.kind!r}")
-        if self.mass <= 0:
-            raise ConfigError("particle mass must be positive")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ConfigError(f"particle mass must be positive and finite, got {self.mass}")
 
 
 ZERO_HAMILTONIAN = Hamiltonian("zero")
@@ -77,12 +77,10 @@ class GrwParams:
     hamiltonian: Hamiltonian = ZERO_HAMILTONIAN
 
     def __post_init__(self) -> None:
-        if self.lambda_eff <= 0:
-            raise ConfigError("lambda_eff must be positive")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if self.total_time <= 0:
-            raise ConfigError("total_time must be positive")
+        for name in ("lambda_eff", "sigma", "total_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def apply_collapse_grid(
     shape = [1] * n
     shape[particle] = -1
     new_amps = psi.amplitudes * g.reshape(shape)
-    norm = np.sqrt(np.sum(np.abs(new_amps) ** 2) * psi.cell_volume)
+    norm = math.sqrt(norm_squared(GridWaveFunction(psi.spec, new_amps)))
     if norm <= UNDERFLOW_FLOOR:
         raise ZeroProbabilityCollapseError(
             f"collapse at X={center} has norm {norm:.3e} (zero-probability collapse)"

@@ -105,7 +105,6 @@ class TrajectoryStats:
 @dataclass
 class EnsembleSummary:
     config: ScenarioConfig
-    n_trajectories: int
     master_seed: int
     trajectories: list[TrajectoryStats]
     records: list[StatRecord]
@@ -139,9 +138,8 @@ def _verdict_at(
 ) -> str:
     """One system's verdict at time t, read off the configured ontology.
 
-    Matter density reads the system's state at t.  Flashes read the window
-    ending at t: the last window_flashes flashes up to t, or else the flashes
-    in the half-open interval (t - w, t].
+    Matter density reads the system's state at t; flashes read
+    config.flash_window(flashes, t).
     """
     if config.ontology is Ontology.GRWM:
         if isinstance(state, GridWaveFunction):
@@ -149,13 +147,7 @@ def _verdict_at(
         else:
             verdict = classify_branch_grwm(state, config.box, config.theta_m)
         return verdict.value
-    seen = [f for f in flashes if f.time <= t]
-    if config.window_flashes is not None:
-        window = seen[-config.window_flashes :]
-    else:
-        w = config.window_length()
-        window = [f for f in seen if f.time > t - w]
-    return classify_grwf(window, config.box, config.theta_f).value
+    return classify_grwf(config.flash_window(flashes, t), config.box, config.theta_f).value
 
 
 def reduce_trajectory(
@@ -301,7 +293,6 @@ def _run_ensemble(
     counts = np.array([t.num_events for t in trajectories])
     summary = EnsembleSummary(
         config=config,
-        n_trajectories=n_trajectories,
         master_seed=master_seed,
         trajectories=trajectories,
         records=[],

@@ -1,8 +1,10 @@
 """Config parsing and stable output formats.
 
-Scenario configs are flat ``key = value`` text; every key maps one-to-one
-onto a ScenarioConfig or GrwParams field and unknown keys are hard errors
-with line numbers (typos must not become silent defaults).
+Scenario configs are flat ``key = value`` text; ``#`` or ``;`` starts a
+comment.  Every key maps one-to-one onto a field of ScenarioConfig,
+GrwParams, Hamiltonian or the box, and unknown keys are hard errors with
+line numbers (typos must not become silent defaults).  Keys a file leaves
+out take those classes' own defaults.
 
 Outputs: collapse events as JSON Lines, flashes and matter-density
 snapshots as flat CSV, ensemble summaries as a six-column CSV plus a richer
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -22,7 +26,6 @@ from .ensemble import EnsembleSummary, StatRecord
 from .errors import ConfigError
 from .ontology import Flash, MatterDensityField
 from .scenarios import History, Ontology, ScenarioConfig, ScenarioKind
-from .state import Region
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:
@@ -66,8 +69,8 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse flat key=value scenario text into a validated ScenarioConfig."""
     values: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        line = re.split("[#;]", raw_line, maxsplit=1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
@@ -84,17 +87,15 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
                 f"{source}:{lineno}: bad value for {key!r}: {raw_value.strip()!r} ({exc})"
             ) from exc
 
-    ham_kind = values.pop("hamiltonian", "zero")
-    if ham_kind not in ("zero", "free"):
-        raise ConfigError(f"{source}: hamiltonian must be 'zero' or 'free', got {ham_kind!r}")
-    hamiltonian = Hamiltonian(str(ham_kind), float(values.pop("mass", 1.0)))
+    def take(**keys: str) -> dict[str, object]:
+        # field name -> value, for the fields whose config key the file sets
+        return {field: values.pop(key) for field, key in keys.items() if key in values}
+
     params = GrwParams(
-        lambda_eff=float(values.pop("lambda_eff", 1.0)),
-        sigma=float(values.pop("sigma", 1.0)),
-        total_time=float(values.pop("total_time", 10.0)),
-        hamiltonian=hamiltonian,
+        hamiltonian=Hamiltonian(**take(kind="hamiltonian", mass="mass")),
+        **take(lambda_eff="lambda_eff", sigma="sigma", total_time="total_time"),
     )
-    box = Region(float(values.pop("box_lower", -10.0)), float(values.pop("box_upper", 10.0)))
+    box = replace(ScenarioConfig.box, **take(lower="box_lower", upper="box_upper"))
     return ScenarioConfig(params=params, box=box, **values)  # type: ignore[arg-type]
 
 
@@ -169,7 +170,7 @@ def _jsonable(x: float | None):
 def write_summary_json(path: str | Path, summary: EnsembleSummary) -> None:
     payload = {
         "config": config_to_dict(summary.config),
-        "n_trajectories": summary.n_trajectories,
+        "n_trajectories": len(summary.trajectories),
         "master_seed": summary.master_seed,
         "failures": summary.failures,
         "diagnostics": summary.diagnostics,

@@ -112,21 +112,15 @@ def mass_fraction_in_region(field: MatterDensityField, region: Region) -> float:
     return float(field.values[inside].sum() * field.dx / total)
 
 
-def flash_fraction_in_region(
-    flashes: Iterable[Flash], region: Region, window: tuple[float, float] | None = None
-) -> tuple[float, int]:
-    """(fraction of matching flashes inside the region, match count).
+def flash_fraction_in_region(flashes: Iterable[Flash], region: Region) -> tuple[float, int]:
+    """(fraction of the flashes inside the region, flash count).
 
-    The window is half-open: t0 < time <= t1.  An empty match set returns
-    (nan, 0) so callers can tell "no facts" apart from "all outside".
+    No flashes return (nan, 0) so callers can tell "no facts" apart from
+    "all outside".  ScenarioConfig.flash_window picks a time's flashes.
     """
-    if window is not None and not window[0] < window[1]:
-        raise ConfigError(f"window needs t0 < t1, got {window}")
     count = 0
     inside = 0
     for f in flashes:
-        if window is not None and not (window[0] < f.time <= window[1]):
-            continue
         count += 1
         if region.contains(f.center):
             inside += 1

@@ -5,8 +5,8 @@ quadrature, a standalone vectorized sampler, no shared numerical kernels
 with the trajectory engine.  The test suite and the acceptance criteria
 compare engine output against these references.
 
-``write_reference_values`` emits a JSON file (shipped with the package under
-``data/reference_values.json``, regenerable via ``grwsim oracle``) holding
+``compute_reference_values`` builds the JSON file ``grwsim oracle`` writes
+(shipped with the package under ``data/reference_values.json``), holding
 the Monte Carlo flash-sequence verdict probabilities and the quadrature
 cross-checks the suite consumes.
 """
@@ -332,17 +332,6 @@ def compute_reference_values(seed: int = 20260810, n_sequences: int = 1_000_000)
             "compliant": crosscheck.compliant,
         },
     }
-
-
-def write_reference_values(
-    path: str | Path, seed: int = 20260810, n_sequences: int = 1_000_000
-) -> dict:
-    data = compute_reference_values(seed=seed, n_sequences=n_sequences)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=1) + "\n")
-    tmp.replace(path)
-    return data
 
 
 def load_reference_values(path: str | Path | None = None) -> dict:

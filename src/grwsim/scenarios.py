@@ -113,8 +113,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend == "grid" and self.n_marbles > 1:
             raise ConfigError("the grid backend supports a single system; marbles need branch")
-        if self.window is not None and self.window <= 0:
-            raise ConfigError("window must be positive")
+        for name in ("window", "packet_width"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.window_flashes is not None and self.window_flashes < 1:
             raise ConfigError("window_flashes must be >= 1")
         if not all(0.0 <= t <= self.params.total_time for t in self.density_times):
@@ -140,14 +142,26 @@ class ScenarioConfig:
             a_out = self.box.upper + 20.0 * sigma
         if not self.box.contains(a_in):
             raise ConfigError(f"inside anchor {a_in} is not inside the box")
-        if self.box.contains(a_out):
-            raise ConfigError(f"outside anchor {a_out} lies inside the box")
+        if self.box.contains(a_out) or not math.isfinite(a_out):
+            raise ConfigError(f"outside anchor {a_out} must be finite and outside the box")
         return float(a_in), float(a_out)
 
     def window_length(self) -> float:
         if self.window is not None:
             return self.window
         return default_window(self.num_particles, self.params.lambda_eff)
+
+    def flash_window(self, flashes: Iterable[Flash], t: float) -> list[Flash]:
+        """The time-ordered flashes that fix the facts at time t.
+
+        The last window_flashes flashes up to t, or else the flashes in the
+        half-open interval (t - window, t].
+        """
+        seen = [f for f in flashes if f.time <= t]
+        if self.window_flashes is not None:
+            return seen[-self.window_flashes :]
+        w = self.window_length()
+        return [f for f in seen if f.time > t - w]
 
 
 @dataclass
@@ -235,14 +249,14 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
 # ---------------------------------------------------------------------------
 # classification
 
-def classify_grwm(field: MatterDensityField, box: Region, theta_m: float = 0.5) -> Verdict:
+def classify_grwm(field: MatterDensityField, box: Region, theta_m: float) -> Verdict:
     """Verdict from the fraction of matter inside the box."""
     if field.total_mass <= 0.0:
         return Verdict.UNDEFINED
     return verdict_from_fraction(mass_fraction_in_region(field, box), theta_m)
 
 
-def classify_grwf(flashes: Iterable[Flash], box: Region, theta_f: float = 0.99) -> Verdict:
+def classify_grwf(flashes: Iterable[Flash], box: Region, theta_f: float) -> Verdict:
     """Verdict from the fraction of the flashes in the box; no flashes (nan) means no fact."""
     return verdict_from_fraction(flash_fraction_in_region(flashes, box)[0], theta_f)
 
@@ -257,16 +271,14 @@ def branch_box_fraction(state: BranchState, box: Region) -> float:
     return float(np.sum(state.weights[:, None] * inside) / state.num_particles)
 
 
-def classify_branch_grwm(state: BranchState, box: Region, theta_m: float = 0.5) -> Verdict:
+def classify_branch_grwm(state: BranchState, box: Region, theta_m: float) -> Verdict:
     return verdict_from_fraction(branch_box_fraction(state, box), theta_m)
 
 
 def density_grid(config: ScenarioConfig) -> np.ndarray:
     """Uniform 2048-cell center grid covering box and anchors with 5-sigma margins."""
-    points = 2048
     a_in, a_out = config.anchor_positions()
     sigma = config.params.sigma
     lo = min(config.box.lower, a_in, a_out) - 5.0 * sigma
     hi = max(config.box.upper, a_in, a_out) + 5.0 * sigma
-    step = (hi - lo) / points
-    return lo + (np.arange(points) + 0.5) * step
+    return GridSpec(lo, hi, 2048).points()

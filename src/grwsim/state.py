@@ -18,6 +18,7 @@ length, 1/lambda_eff the unit of time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +44,8 @@ class GridSpec:
     num_particles: int = 1
 
     def __post_init__(self) -> None:
-        if not self.x_min < self.x_max:
-            raise ConfigError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        if not (math.isfinite(self.x_min) and self.x_min < self.x_max and math.isfinite(self.x_max)):
+            raise ConfigError(f"grid needs finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.points_per_axis < 2:
             raise ConfigError("points_per_axis must be >= 2")
         if self.num_particles < 1:
@@ -106,12 +107,8 @@ class Region:
     upper: float
 
     def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ConfigError(f"region needs lower < upper, got [{self.lower}, {self.upper}]")
-
-    @property
-    def length(self) -> float:
-        return self.upper - self.lower
+        if not (math.isfinite(self.lower) and self.lower < self.upper and math.isfinite(self.upper)):
+            raise ConfigError(f"region needs finite lower < upper, got [{self.lower}, {self.upper}]")
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper

@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from grwsim import History, Ontology, ScenarioKind
 from grwsim.cli import main
+from grwsim.fileio import parse_scenario_text
 
 CAT_CFG = """\
 # two-branch superposition watched through the matter density
@@ -123,6 +127,37 @@ class TestConfigErrors:
         assert "density_times" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "total_time = inf",  # the run loop would never end
+            "total_time = nan",
+            "lambda_eff = inf",
+            "lambda_eff = nan",
+            "sigma = inf",
+            "mass = nan",  # nan amplitudes would pass every statistic
+            "packet_width = nan",
+            "window = nan",
+            "outside_anchor = nan",
+            "outside_anchor = inf",
+            "box_upper = inf",
+            "x_max = inf",
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"kind = cat\nbackend = grid\nhamiltonian = free\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--trajectories", "4", "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_hamiltonian_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("kind = cat\nhamiltonian = quantum\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown hamiltonian kind 'quantum'" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, cat_cfg, tmp_path, monkeypatch):
         import grwsim.cli as cli
         from grwsim.errors import NumericsError
@@ -184,3 +219,15 @@ class TestOtherCommands:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
+
+
+def test_readme_config_example_parses():
+    # the README's annotated example puts a comment after every value
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```\n(# cat\.cfg\n.*?)```", readme, re.DOTALL).group(1)
+    config = parse_scenario_text(block, source="README")
+    assert (config.kind, config.ontology, config.history) == (
+        ScenarioKind.TAIL, Ontology.GRWM, History.COLLAPSED_PAST
+    )
+    assert config.window_flashes == 100
+    assert config.density_times == (0.0, 20.0)

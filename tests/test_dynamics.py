@@ -39,6 +39,27 @@ def _rng(seed=0):
     return RngStream(seed).generator()
 
 
+class TestProcessParams:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lambda_eff=math.inf),  # no run with an infinite or nan rate or horizon ends
+            dict(lambda_eff=math.nan),
+            dict(sigma=math.inf),
+            dict(total_time=math.inf),
+            dict(total_time=math.nan),
+        ],
+    )
+    def test_invalid_params_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            GrwParams(**kwargs)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(ConfigError):
+            Hamiltonian("free", mass)
+
+
 class TestWaitingTimes:
     def test_mean_single_particle(self):
         rng = _rng(1)

@@ -258,7 +258,6 @@ class TestPoissonFlashTest:
 
         counts_summary = ens.EnsembleSummary(
             config=config,
-            n_trajectories=50,
             master_seed=0,
             trajectories=[
                 ens.TrajectoryStats(

@@ -1,8 +1,8 @@
 """Every name a module or script imports is used in it.
 
 Package modules re-export through ``__init__.py``, which is exempt; every
-other file under ``src/grwsim`` and ``scripts`` must use each imported name
-at least once outside its import statement.
+other file under ``src/grwsim``, ``scripts`` and ``tests`` must use each
+imported name at least once outside its import statement.
 """
 
 import ast
@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     p
-    for p in [*(ROOT / "src" / "grwsim").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for folder in (ROOT / "src" / "grwsim", ROOT / "scripts", ROOT / "tests")
+    for p in folder.glob("*.py")
     if p.name != "__init__.py"
 )
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from grwsim import (
     BranchState,
-    ConfigError,
     Flash,
     GridSpec,
     GrwParams,
@@ -15,6 +14,7 @@ from grwsim import (
     Packet,
     Region,
     RngStream,
+    ScenarioConfig,
     branch_weights,
     flash_fraction_in_region,
     flashes_of,
@@ -141,13 +141,19 @@ class TestFlashFraction:
 
     def test_empty_window_undefined(self):
         flashes = [Flash(5.0, 0.0, 0)]
-        frac, count = flash_fraction_in_region(flashes, Region(-1.0, 1.0), window=(0.0, 1.0))
-        assert count == 0 and math.isnan(frac)
+        for config in (ScenarioConfig(window=1.0), ScenarioConfig(window_flashes=3)):
+            window = config.flash_window(flashes, 1.0)
+            frac, count = flash_fraction_in_region(window, Region(-1.0, 1.0))
+            assert count == 0 and math.isnan(frac)
 
     def test_window_is_half_open(self):
         flashes = [Flash(1.0, 0.0, 0), Flash(2.0, 0.0, 0)]
-        _, count = flash_fraction_in_region(flashes, Region(-1.0, 1.0), window=(1.0, 2.0))
-        assert count == 1  # t0 excluded, t1 included
+        # (t - window, t]: the flash at t - window is out, the flash at t is in
+        assert ScenarioConfig(window=1.0).flash_window(flashes, 2.0) == flashes[1:]
+        flashes = [Flash(float(i), 0.0, 0) for i in range(1, 6)]
+        by_count = ScenarioConfig(window_flashes=3)
+        assert by_count.flash_window(flashes, 4.0) == flashes[1:4]  # the flash at t counts
+        assert by_count.flash_window(flashes, 2.5) == flashes[:2]  # fewer than 3 so far
 
     def test_particle_filter(self):
         # callers pass one particle's flashes, filtered beforehand
@@ -155,10 +161,6 @@ class TestFlashFraction:
         own = [f for f in flashes if f.particle == 1]
         _, count = flash_fraction_in_region(own, Region(-1.0, 1.0))
         assert count == 2
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ConfigError):
-            flash_fraction_in_region([], Region(-1.0, 1.0), window=(2.0, 1.0))
 
     def test_engine_window_fraction_matches_oracle(self):
         # frequency of >99%-inside windows vs the packaged flash-sequence oracle
@@ -203,18 +205,24 @@ def test_default_window_expected_flashes():
 
 @given(
     n_flashes=st.integers(min_value=0, max_value=40),
-    t0=st.floats(min_value=0.0, max_value=5.0),
+    t=st.floats(min_value=0.0, max_value=12.0),
+    width=st.floats(min_value=0.1, max_value=5.0),
     widen=st.floats(min_value=0.0, max_value=5.0),
+    k=st.integers(min_value=1, max_value=20),
+    more=st.integers(min_value=0, max_value=20),
 )
 @settings(max_examples=60, deadline=None)
-def test_window_monotonicity(n_flashes, t0, widen):
+def test_window_monotonicity(n_flashes, t, width, widen, k, more):
     rng = np.random.default_rng(n_flashes * 1000 + 17)
-    flashes = [
-        Flash(float(rng.uniform(0.0, 10.0)), float(rng.normal()), 0)
-        for _ in range(n_flashes)
-    ]
-    box = Region(-1.0, 1.0)
-    t1 = t0 + 1.0
-    _, small = flash_fraction_in_region(flashes, box, window=(t0, t1))
-    _, large = flash_fraction_in_region(flashes, box, window=(t0 - widen, t1 + widen))
-    assert large >= small
+    flashes = sorted(
+        (Flash(float(rng.uniform(0.0, 10.0)), float(rng.normal()), 0) for _ in range(n_flashes)),
+        key=lambda f: f.time,
+    )
+    small = ScenarioConfig(window=width).flash_window(flashes, t)
+    large = ScenarioConfig(window=width + widen).flash_window(flashes, t)
+    assert set(small) <= set(large)
+    # a count window holds the last k flashes up to t, or all of them if fewer
+    seen = [f for f in flashes if f.time <= t]
+    last_k = ScenarioConfig(window_flashes=k).flash_window(flashes, t)
+    assert last_k == seen[len(seen) - min(k, len(seen)) :]
+    assert last_k == ScenarioConfig(window_flashes=k + more).flash_window(flashes, t)[-k:]

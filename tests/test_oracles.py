@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from grwsim import ConfigError, Region
+from grwsim.cli import main
 from grwsim.oracles import (
     VerdictProbabilities,
+    compute_reference_values,
     find_flash_reference,
     flash_sequence_probability,
     grid_branch_crosscheck,
     load_reference_values,
     one_step_posterior_oracle,
-    write_reference_values,
 )
 
 BOX = Region(-10.0, 10.0)
@@ -148,9 +149,9 @@ class TestReferenceFile:
 
     def test_write_and_reload_roundtrip(self, tmp_path):
         path = tmp_path / "ref.json"
-        written = write_reference_values(path, seed=99, n_sequences=4000)
+        assert main(["oracle", "--out", str(path), "--seed", "99", "--sequences", "4000"]) == 0
         loaded = load_reference_values(path)
-        assert loaded == written
+        assert loaded == compute_reference_values(seed=99, n_sequences=4000)
         assert loaded["seed"] == 99
 
     def test_unsupported_format_rejected(self, tmp_path):

@@ -60,6 +60,10 @@ class TestScenarioConfig:
             dict(window=-1.0),
             dict(density_times=(-1.0,)),  # before the start
             dict(density_times=(0.0, 10.5)),  # past the default 10-unit horizon
+            dict(window=math.nan),  # would reach numpy's Poisson draw
+            dict(window=math.inf),
+            dict(packet_width=math.nan),  # would fill the grid with nan amplitudes
+            dict(packet_width=-0.5),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -73,9 +77,10 @@ class TestScenarioConfig:
         assert a_out == pytest.approx(30.0)  # box.upper + 20 sigma
 
     def test_anchor_sanity_enforced(self):
-        config = ScenarioConfig(inside_anchor=50.0)
-        with pytest.raises(ConfigError):
-            config.anchor_positions()
+        # nan and inf are never inside the box, so the box test alone lets them through
+        for anchor in (dict(inside_anchor=50.0), dict(outside_anchor=math.nan), dict(outside_anchor=math.inf)):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**anchor).anchor_positions()
 
     def test_window_default(self):
         config = ScenarioConfig(kind=ScenarioKind.MARBLES, n_marbles=4)
@@ -181,7 +186,7 @@ class TestClassifyGrwm:
 
     def test_zero_mass_undefined(self):
         field = MatterDensityField(grid=np.linspace(0, 1, 3), values=np.zeros(3), dx=0.5)
-        assert classify_grwm(field, Region(0.0, 1.0)) == Verdict.UNDEFINED
+        assert classify_grwm(field, Region(0.0, 1.0), theta_m=0.5) == Verdict.UNDEFINED
 
 
 class TestClassifyGrwf:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,8 @@ class TestGridSpec:
             dict(x_min=0.0, x_max=1.0, points_per_axis=16, num_particles=0),
             dict(x_min=0.0, x_max=1.0, points_per_axis=16, num_particles=4),
             dict(x_min=0.0, x_max=1.0, points_per_axis=4096, num_particles=3),
+            dict(x_min=-math.inf, x_max=1.0, points_per_axis=16, num_particles=1),
+            dict(x_min=0.0, x_max=math.inf, points_per_axis=16, num_particles=1),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -180,11 +184,12 @@ class TestRegion:
         box = Region(-1.0, 2.0)
         assert box.contains(-1.0) and box.contains(2.0) and box.contains(0.0)
         assert not box.contains(-1.0001) and not box.contains(2.0001)
-        assert box.length == pytest.approx(3.0)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ConfigError):
-            Region(1.0, 1.0)
+        bounds = [(1.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)]
+        for lower, upper in bounds:
+            with pytest.raises(ConfigError):
+                Region(lower, upper)
 
 
 @given(
