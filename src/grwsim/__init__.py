@@ -47,12 +47,7 @@ from .ontology import (
     mass_fraction_in_region,
     matter_density,
 )
-from .oracles import (
-    flash_sequence_probability,
-    grid_branch_crosscheck,
-    load_reference_values,
-    one_step_posterior_oracle,
-)
+from .oracles import grid_branch_crosscheck, one_step_posterior_oracle
 from .scenarios import (
     History,
     Ontology,

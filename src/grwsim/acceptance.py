@@ -8,7 +8,9 @@ callers.
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import math
 import tempfile
 import time
@@ -22,7 +24,7 @@ from .dynamics import BranchSystems, GrwParams, RngStream, apply_collapse_grid, 
 from .ensemble import center_histogram_test, run_ensemble
 from .errors import ConfigError, GrwError
 from .ontology import mass_fraction_in_region, matter_density
-from .oracles import grid_branch_crosscheck, load_reference_values
+from .oracles import grid_branch_crosscheck
 from .scenarios import History, Ontology, ScenarioConfig, ScenarioKind, density_grid
 from .state import BranchState, GridSpec, Packet, Region, make_grid_wavefunction, norm_squared
 
@@ -48,7 +50,7 @@ def _random_state(rng: np.random.Generator, spec: GridSpec):
     return make_grid_wavefunction(spec, packets)
 
 
-def criterion_1_completeness(reference: dict | None = None):
+def criterion_1_completeness():
     spec = GridSpec(-25.6, 25.6, 512, 1)
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -59,7 +61,7 @@ def criterion_1_completeness(reference: dict | None = None):
     return worst < 1e-6, f"max |integral - 1| = {worst:.3e} (< 1e-6) over 20 random states"
 
 
-def criterion_2_norm_preservation(reference: dict | None = None):
+def criterion_2_norm_preservation():
     spec = GridSpec(-25.6, 25.6, 512, 1)
     rng_states = np.random.default_rng(102)
     stream_rng = RngStream(102, 1).generator()
@@ -81,7 +83,7 @@ def _record(summary, name):
     raise GrwError(f"summary is missing the {name!r} record")
 
 
-def criterion_3_martingale(reference: dict | None = None):
+def criterion_3_martingale():
     config = ScenarioConfig(
         kind=ScenarioKind.CAT,
         c1_sq=0.7,
@@ -95,7 +97,7 @@ def criterion_3_martingale(reference: dict | None = None):
     )
 
 
-def criterion_4_selection(reference: dict | None = None):
+def criterion_4_selection():
     config = ScenarioConfig(
         kind=ScenarioKind.CAT,
         c1_sq=0.7,
@@ -109,7 +111,7 @@ def criterion_4_selection(reference: dict | None = None):
     )
 
 
-def criterion_5_census(reference: dict | None = None):
+def criterion_5_census():
     config = ScenarioConfig(
         kind=ScenarioKind.MARBLES,
         c1_sq=0.9,
@@ -127,7 +129,7 @@ def criterion_5_census(reference: dict | None = None):
     )
 
 
-def criterion_6_poisson(reference: dict | None = None):
+def criterion_6_poisson():
     config = ScenarioConfig(
         kind=ScenarioKind.CAT,
         c1_sq=0.5,
@@ -144,7 +146,7 @@ def criterion_6_poisson(reference: dict | None = None):
     )
 
 
-def criterion_7_center_tv(reference: dict | None = None):
+def criterion_7_center_tv():
     spec = GridSpec(-25.6, 25.6, 512, 1)
     psi = make_grid_wavefunction(
         spec,
@@ -155,13 +157,13 @@ def criterion_7_center_tv(reference: dict | None = None):
     return ok, f"TV distance = {r.estimate:.4f} (<= 0.02, 50 bins, 10^5 samples)"
 
 
-def criterion_8_crosscheck(reference: dict | None = None):
+def criterion_8_crosscheck():
     result = grid_branch_crosscheck(n_cases=100, seed=1008)
     ok = result.compliant and result.max_discrepancy < 1e-6
     return ok, f"max posterior discrepancy = {result.max_discrepancy:.3e} (< 1e-6, 100 cases)"
 
 
-def criterion_9_tail_fact(reference: dict | None = None):
+def criterion_9_tail_fact():
     box = Region(-10.0, 10.0)
     c2 = 0.1
     # branch model
@@ -188,7 +190,7 @@ def criterion_9_tail_fact(reference: dict | None = None):
     )
 
 
-def criterion_10_resurrection(reference: dict | None = None):
+def criterion_10_resurrection():
     config = ScenarioConfig(
         kind=ScenarioKind.TAIL,
         c1_sq=0.99,
@@ -202,7 +204,7 @@ def criterion_10_resurrection(reference: dict | None = None):
     )
 
 
-def criterion_11_grwf_fresh(reference: dict | None = None):
+def criterion_11_grwf_fresh():
     config = ScenarioConfig(
         kind=ScenarioKind.MARBLES,
         c1_sq=0.99,
@@ -212,12 +214,10 @@ def criterion_11_grwf_fresh(reference: dict | None = None):
         window_flashes=100,
         params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=200.0),
     )
-    if reference is None:
-        reference = load_reference_values()
-    summary = run_ensemble(config, 10_000, master_seed=1011, reference=reference)
+    summary = run_ensemble(config, 10_000, master_seed=1011)
     r = _record(summary, "grwf_inside_rate")
     return r.passed, (
-        f"Inside frequency = {r.estimate:.5f} vs oracle p* = {r.target:.5f}, "
+        f"Inside frequency = {r.estimate:.5f} vs exact p* = {r.target:.5f}, "
         f"|z| = {abs(r.z):.2f} (<= 4)"
     )
 
@@ -234,7 +234,7 @@ total_time = 10.0
 """
 
 
-def criterion_12_determinism(reference: dict | None = None):
+def criterion_12_determinism():
     from .cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -244,17 +244,19 @@ def criterion_12_determinism(reference: dict | None = None):
         outs = []
         for label, n_threads in (("a", 1), ("b", 4)):
             out = tmp_path / label
-            code = cli_main(
-                [
-                    "run",
-                    "--config", str(cfg),
-                    "--seed", "7",
-                    "--trajectories", "60",
-                    "--threads", str(n_threads),
-                    "--out", str(out),
-                    "--log-trajectories", "3",
-                ]
-            )
+            # the inner runs' "wrote ..." lines are not criterion output
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(
+                    [
+                        "run",
+                        "--config", str(cfg),
+                        "--seed", "7",
+                        "--trajectories", "60",
+                        "--threads", str(n_threads),
+                        "--out", str(out),
+                        "--log-trajectories", "3",
+                    ]
+                )
             if code != 0:
                 return False, f"run exited with {code}"
             outs.append(out)
@@ -295,9 +297,7 @@ def parse_criteria(text: str) -> list[int]:
     return sorted(known[tok] for tok in tokens)
 
 
-def run_criteria(
-    numbers: list[int] | None = None, reference: dict | None = None
-) -> list[CriterionResult]:
+def run_criteria(numbers: list[int] | None = None) -> list[CriterionResult]:
     """Run the selected criteria (all by default) and collect results."""
     results = []
     for number, name, fn, budget in _CRITERIA:
@@ -305,7 +305,7 @@ def run_criteria(
             continue
         start = time.perf_counter()
         try:
-            passed, detail = fn(reference=reference)
+            passed, detail = fn()
         except GrwError as exc:
             passed, detail = False, f"error: {exc}"
         elapsed = time.perf_counter() - start

@@ -2,8 +2,7 @@
 
 Subcommands:
   run     execute a scenario config and emit logs + statistics
-  oracle  regenerate the reference-values file
-  check   run the acceptance suite against reference values
+  check   run the acceptance suite
   report  summarize a results directory
 
 Exit codes: 0 success, 1 statistical failure, 2 usage/config error,
@@ -13,7 +12,6 @@ Exit codes: 0 success, 1 statistical failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +19,6 @@ from .dynamics import replay_state_at
 from .ensemble import run_ensemble
 from .errors import ConfigError, GrwError, InconclusiveHorizonError, NumericsError
 from .fileio import (
-    atomic_write_text,
     parse_scenario_file,
     read_summary_json,
     write_density_csv,
@@ -31,7 +28,6 @@ from .fileio import (
     write_summary_json,
 )
 from .ontology import flashes_of, matter_density
-from .oracles import compute_reference_values, load_reference_values
 from .scenarios import density_grid
 from .state import GridWaveFunction
 
@@ -85,20 +81,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    data = compute_reference_values(seed=args.seed, n_sequences=args.sequences)
-    atomic_write_text(args.out, json.dumps(data, indent=1) + "\n")
-    n = len(data["flash_sequence"]) + len(data["one_step"])
-    print(f"wrote {args.out}: {n} reference entries (seed {args.seed})")
-    return EXIT_OK
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     from .acceptance import parse_criteria, run_criteria
 
     wanted = parse_criteria(args.criteria) if args.criteria else None
-    reference = load_reference_values(args.reference)
-    results = run_criteria(numbers=wanted, reference=reference)
+    results = run_criteria(numbers=wanted)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number:2d} [{status}] {r.name}: {r.detail} ({r.elapsed:.1f}s)")
@@ -152,14 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_oracle = sub.add_parser("oracle", help="regenerate reference values")
-    p_oracle.add_argument("--out", default="reference_values.json")
-    p_oracle.add_argument("--seed", type=int, default=20260810)
-    p_oracle.add_argument("--sequences", type=int, default=1_000_000)
-    p_oracle.set_defaults(func=cmd_oracle)
-
     p_check = sub.add_parser("check", help="run the acceptance suite")
-    p_check.add_argument("--reference", default=None, help="reference file (default: packaged)")
     p_check.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     p_check.set_defaults(func=cmd_check)
 

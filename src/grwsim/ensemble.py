@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,6 @@ from .dynamics import (
     sample_collapse_center,
 )
 from .errors import ConfigError, InconclusiveHorizonError
-from .oracles import find_flash_reference, load_reference_values
 from .scenarios import (
     PREHISTORY_STREAM_OFFSET,
     History,
@@ -219,7 +217,6 @@ def run_ensemble(
     n_trajectories: int,
     master_seed: int,
     threads: int = 1,
-    reference: dict | None = None,
     log_first: int = 0,
 ) -> EnsembleSummary:
     """Run n independent trajectories and compute the scenario's statistics.
@@ -235,7 +232,7 @@ def run_ensemble(
         raise ConfigError("an ensemble needs at least 2 trajectories")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    args = (n_trajectories, master_seed, threads, reference, log_first)
+    args = (n_trajectories, master_seed, threads, log_first)
     try:
         return _run_ensemble(config, *args)
     except InconclusiveHorizonError:
@@ -250,7 +247,6 @@ def _run_ensemble(
     n_trajectories: int,
     master_seed: int,
     threads: int,
-    reference: dict | None,
     log_first: int,
 ) -> EnsembleSummary:
     def prehistory_rng(i: int) -> np.random.Generator:
@@ -302,15 +298,13 @@ def _run_ensemble(
         logged=logged,
         logged_prehistory=logged_pre,
     )
-    for test in scenario_plan(config, reference):
-        record = test(summary)
-        if record is not None:
-            summary.records.append(record)
+    for test in scenario_plan(config):
+        summary.records.append(test(summary))
     return summary
 
 
-def scenario_plan(config: ScenarioConfig, reference: dict | None = None) -> list[Callable]:
-    """The statistic tests a scenario reports, in order; each maps the summary to a StatRecord or None."""
+def scenario_plan(config: ScenarioConfig) -> list[Callable]:
+    """The statistic tests a scenario reports, in order; each maps the summary to a StatRecord."""
     plan = [event_count_test, poisson_flash_test]
     if config.backend == "branch":
         plan += [martingale_test, selection_frequency_test]
@@ -334,7 +328,7 @@ def scenario_plan(config: ScenarioConfig, reference: dict | None = None) -> list
             and config.history is History.FRESH_PREPARATION
             and config.window_flashes is not None
         ):
-            plan += [partial(grwf_inside_rate_test, reference=reference)]
+            plan += [grwf_inside_rate_test]
     return plan
 
 
@@ -503,39 +497,63 @@ def resurrection_rate_test(summary: EnsembleSummary) -> StatRecord:
     )
 
 
-def grwf_inside_rate_test(
-    summary: EnsembleSummary, reference: dict | None
-) -> StatRecord | None:
-    """First-window Inside frequency vs the flash-sequence oracle; None, with a diagnostic, if no entry matches."""
+def inside_count_threshold(m: np.ndarray, theta: float) -> np.ndarray:
+    """The fewest inside flashes c with c / m >= theta, per window size m >= 1.
+
+    With theta in (0.5, 1] that is the Inside rule of verdict_from_fraction;
+    the two corrections undo a rounding of theta * m across an integer.
+    """
+    c = np.ceil(theta * m)
+    c += c / m < theta
+    c -= (c - 1) / m >= theta
+    return c
+
+
+def first_window_inside_probability(config: ScenarioConfig) -> float:
+    """Exact probability that a fresh branch run's first count window reads Inside.
+
+    With point anchors and H = 0 the flashes of a fresh branch system are an
+    exchangeable mixture: branch i is picked once with weight w_i, then the
+    centers are iid Normal(a_i, sigma^2 / 2) (the GRWf flash POVM, Tumulka
+    2006).  System 0 is one particle, so its first window holds
+    m = min(k, N) flashes with N ~ Poisson(lambda_eff * T), and given branch
+    i its inside count is Binomial(m, q_i) with q_i the box probability of
+    that normal.  m = 0 is Undefined.
+    """
+    k = config.window_flashes
+    mu = config.params.lambda_eff * config.params.total_time
+    # flash counts beyond the 1e-16 Poisson tail change p* by less than that
+    top = min(k, int(sps.poisson.isf(1e-16, mu)) + 1)
+    m = np.arange(1, top + 1)
+    p_m = sps.poisson.pmf(m, mu)
+    if top == k:
+        p_m[-1] = sps.poisson.sf(k - 1, mu)  # every N >= k fills the window
+    c = inside_count_threshold(m, config.theta_f)
+    scale = config.params.sigma / math.sqrt(2.0)
+    p_star = 0.0
+    for w, a in zip((config.c1_sq, 1.0 - config.c1_sq), config.anchor_positions()):
+        q = sps.norm.cdf(config.box.upper, a, scale) - sps.norm.cdf(config.box.lower, a, scale)
+        p_star += w * float(np.sum(p_m * sps.binom.sf(c - 1, m, q)))
+    return p_star
+
+
+def grwf_inside_rate_test(summary: EnsembleSummary) -> StatRecord:
+    """First-window Inside frequency vs the exact law at the summary's horizon.
+
+    The horizon is read from summary.config, which the horizon doubling may
+    have extended.
+    """
     config = summary.config
-    if reference is None:
-        reference = load_reference_values()
-    a_in, a_out = config.anchor_positions()
-    entry = find_flash_reference(
-        reference,
-        (config.c1_sq, 1.0 - config.c1_sq),
-        (a_in, a_out),
-        config.params.sigma,
-        config.window_flashes or 0,
-        config.box,
-        config.theta_f,
-    )
-    if entry is None:
-        summary.diagnostics.append(
-            "grwf_inside_rate: no matching flash-sequence reference entry; omitted"
-        )
-        return None
+    p_star = first_window_inside_probability(config)
     verdicts = [t.first_window_verdict for t in summary.trajectories]
     n = len(verdicts)
     freq = float(np.mean([v == Verdict.INSIDE.value for v in verdicts]))
-    p_star = float(entry["p_inside"])
-    se = math.sqrt(max(p_star * (1.0 - p_star), 1e-12) / n + float(entry["se_inside"]) ** 2)
     return z_record(
         "grwf_inside_rate",
         freq,
-        se,
+        math.sqrt(p_star * (1.0 - p_star) / n),
         p_star,
-        f"flash-sequence oracle (k={entry['k']}, {entry['n_sequences']} sequences)",
+        f"exact first-window law: branch mixture of Binomial(min(k={config.window_flashes}, N), q_i)",
     )
 
 

@@ -1,23 +1,16 @@
 """Independent brute-force reference computations.
 
 Everything in here is deliberately slow and simple: direct adaptive
-quadrature, a standalone vectorized sampler, no shared numerical kernels
+quadrature, an oracle-local center sampler, no shared numerical kernels
 with the trajectory engine.  The test suite and the acceptance criteria
-compare engine output against these references.
-
-``compute_reference_values`` builds the JSON file ``grwsim oracle`` writes
-(shipped with the package under ``data/reference_values.json``), holding
-the Monte Carlo flash-sequence verdict probabilities and the quadrature
-cross-checks the suite consumes.
+compare engine output against these references; the engine modules never
+import them.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from importlib.resources import files as package_files
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +18,9 @@ from scipy.integrate import quad
 
 from .dynamics import apply_collapse_grid, branch_collapse_update
 from .errors import ConfigError, NumericsError
-from .state import BranchState, GridSpec, Packet, Region, make_grid_wavefunction, marginal_density
+from .state import BranchState, GridSpec, Packet, make_grid_wavefunction, marginal_density
 
 MAX_ORACLE_BRANCHES = 8
-MAX_SEQUENCE_FLASHES = 1000
 QUAD_TOL = 1e-10
 
 
@@ -186,185 +178,3 @@ def grid_branch_crosscheck(
         compliant=compliant,
         separations=tuple(seps),
     )
-
-
-@dataclass(frozen=True)
-class VerdictProbabilities:
-    """Monte Carlo verdict distribution over fixed-length flash sequences."""
-
-    p_inside: float
-    p_outside: float
-    p_partial: float
-    p_undefined: float
-    se_inside: float
-    n_sequences: int
-
-
-def flash_sequence_probability(
-    weights: Sequence[float],
-    sigma: float,
-    anchors: Sequence[float],
-    k: int,
-    box: Region,
-    theta_f: float = 0.99,
-    n_sequences: int = 1_000_000,
-    seed: int = 0,
-    chunk: int = 200_000,
-) -> VerdictProbabilities:
-    """Verdict probabilities after exactly k flashes of a fresh branch state.
-
-    Vectorized reference sampler, written independently of the trajectory
-    engine: repeatedly draw a center from the current Gaussian mixture,
-    count whether it falls in the box, and update the branch weights with
-    the squared-Gaussian posterior factors.  The verdict applies the flash
-    threshold rule to the inside fraction of the k flashes.
-    """
-    if k > MAX_SEQUENCE_FLASHES:
-        raise ConfigError(f"k={k} exceeds the {MAX_SEQUENCE_FLASHES}-flash cap")
-    w0 = np.asarray(weights, dtype=float)
-    a = np.asarray(anchors, dtype=float)
-    if k == 0:
-        return VerdictProbabilities(0.0, 0.0, 0.0, 1.0, 0.0, n_sequences)
-
-    rng = np.random.default_rng(seed)
-    n_inside_verdict = 0
-    n_outside_verdict = 0
-    n_partial = 0
-    done = 0
-    scale = sigma / np.sqrt(2.0)
-    while done < n_sequences:
-        m = min(chunk, n_sequences - done)
-        with np.errstate(divide="ignore"):  # zero weights start at -inf, intended
-            log_w = np.tile(np.log(w0), (m, 1))
-        inside_counts = np.zeros(m, dtype=np.int64)
-        for _ in range(k):
-            w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            picks = (rng.random(m)[:, None] > np.cumsum(w, axis=1)).sum(axis=1)
-            picks = np.minimum(picks, a.size - 1)
-            centers = rng.normal(a[picks], scale)
-            inside_counts += (centers >= box.lower) & (centers <= box.upper)
-            log_w += -((a[None, :] - centers[:, None]) ** 2) / sigma**2
-            log_w -= log_w.max(axis=1, keepdims=True)
-            del w
-        frac = inside_counts / k
-        is_inside = (frac >= theta_f) & (frac > 1.0 - theta_f)
-        is_outside = (frac <= 1.0 - theta_f) & (frac < theta_f)
-        n_inside_verdict += int(is_inside.sum())
-        n_outside_verdict += int(is_outside.sum())
-        n_partial += int((~is_inside & ~is_outside).sum())
-        done += m
-
-    p_in = n_inside_verdict / n_sequences
-    return VerdictProbabilities(
-        p_inside=p_in,
-        p_outside=n_outside_verdict / n_sequences,
-        p_partial=n_partial / n_sequences,
-        p_undefined=0.0,
-        se_inside=float(np.sqrt(max(p_in * (1.0 - p_in), 1e-12) / n_sequences)),
-        n_sequences=n_sequences,
-    )
-
-
-# ---------------------------------------------------------------------------
-# reference-values file
-
-REFERENCE_FORMAT = 1
-_DEFAULT_FLASH_CASES = (
-    {"weights": (0.99, 0.01), "anchors": (0.0, 30.0), "sigma": 1.0, "box": (-10.0, 10.0),
-     "k": 100, "theta_f": 0.99},
-    {"weights": (0.9, 0.1), "anchors": (0.0, 30.0), "sigma": 1.0, "box": (-10.0, 10.0),
-     "k": 100, "theta_f": 0.99},
-)
-_DEFAULT_ONE_STEP_CASES = (
-    {"weights": (0.7, 0.3), "anchors": (0.0, 10.0), "sigma": 1.0},
-    {"weights": (0.5, 0.5), "anchors": (0.0, 10.0), "sigma": 1.0},
-    {"weights": (0.2, 0.3, 0.5), "anchors": (-12.0, 0.0, 15.0), "sigma": 1.0},
-)
-
-
-def compute_reference_values(seed: int = 20260810, n_sequences: int = 1_000_000) -> dict:
-    """Regenerate every reference entry the test suite consumes."""
-    flash_entries = []
-    for case in _DEFAULT_FLASH_CASES:
-        probs = flash_sequence_probability(
-            case["weights"],
-            case["sigma"],
-            case["anchors"],
-            case["k"],
-            Region(*case["box"]),
-            theta_f=case["theta_f"],
-            n_sequences=n_sequences,
-            seed=seed,
-        )
-        flash_entries.append(
-            {
-                **{k: list(v) if isinstance(v, tuple) else v for k, v in case.items()},
-                "n_sequences": probs.n_sequences,
-                "p_inside": probs.p_inside,
-                "p_outside": probs.p_outside,
-                "p_partial": probs.p_partial,
-                "p_undefined": probs.p_undefined,
-                "se_inside": probs.se_inside,
-            }
-        )
-    one_step_entries = []
-    for case in _DEFAULT_ONE_STEP_CASES:
-        result = one_step_posterior_oracle(case["weights"], case["anchors"], case["sigma"])
-        one_step_entries.append(
-            {
-                **{k: list(v) if isinstance(v, tuple) else v for k, v in case.items()},
-                "expected_posterior": list(result.expected_posterior),
-                "density_integral": result.density_integral,
-                "density_mean": result.density_mean,
-                "density_variance": result.density_variance,
-            }
-        )
-    crosscheck = grid_branch_crosscheck(n_cases=100, seed=seed)
-    return {
-        "format": REFERENCE_FORMAT,
-        "seed": seed,
-        "flash_sequence": flash_entries,
-        "one_step": one_step_entries,
-        "crosscheck": {
-            "n_cases": crosscheck.n_cases,
-            "max_discrepancy": crosscheck.max_discrepancy,
-            "compliant": crosscheck.compliant,
-        },
-    }
-
-
-def load_reference_values(path: str | Path | None = None) -> dict:
-    """Load a reference file; None loads the packaged default."""
-    if path is None:
-        resource = package_files("grwsim").joinpath("data/reference_values.json")
-        text = resource.read_text()
-    else:
-        text = Path(path).read_text()
-    data = json.loads(text)
-    if data.get("format") != REFERENCE_FORMAT:
-        raise ConfigError(f"unsupported reference file format: {data.get('format')!r}")
-    return data
-
-
-def find_flash_reference(
-    data: dict,
-    weights: Sequence[float],
-    anchors: Sequence[float],
-    sigma: float,
-    k: int,
-    box: Region,
-    theta_f: float,
-) -> dict | None:
-    """Locate the flash-sequence entry matching a scenario, if any."""
-    for entry in data.get("flash_sequence", []):
-        if (
-            entry["k"] == k
-            and np.isclose(entry["sigma"], sigma)
-            and np.isclose(entry["theta_f"], theta_f)
-            and np.allclose(entry["weights"], list(weights))
-            and np.allclose(entry["anchors"], list(anchors))
-            and np.allclose(entry["box"], [box.lower, box.upper])
-        ):
-            return entry
-    return None

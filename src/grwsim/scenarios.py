@@ -33,6 +33,10 @@ from .ontology import (
 )
 from .state import BranchState, GridSpec, Packet, Region, make_grid_wavefunction
 
+# cap on the expected collapse count N * lambda_eff * T of one trajectory;
+# the run loop has no other bound, and its event columns grow with the count
+MAX_EXPECTED_EVENTS = 10**6
+
 
 class ScenarioKind(str, Enum):
     CAT = "cat"
@@ -121,6 +125,12 @@ class ScenarioConfig:
             raise ConfigError("window_flashes must be >= 1")
         if not all(0.0 <= t <= self.params.total_time for t in self.density_times):
             raise ConfigError(f"density_times must lie in [0, total_time = {self.params.total_time:g}]")
+        expected = self.num_particles * self.params.lambda_eff * self.params.total_time
+        if expected > MAX_EXPECTED_EVENTS:
+            raise ConfigError(
+                f"a trajectory expects n_marbles * lambda_eff * total_time = {expected:g} "
+                f"collapses, above the budget of {MAX_EXPECTED_EVENTS:g}"
+            )
 
     @property
     def labels(self) -> tuple[str, str]:

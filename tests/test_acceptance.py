@@ -8,9 +8,6 @@ tolerances and runtime budgets live in grwsim.acceptance.
 import pytest
 
 from grwsim.acceptance import _CRITERIA, run_criteria
-from grwsim.oracles import load_reference_values
-
-REFERENCE = load_reference_values()
 
 
 @pytest.mark.parametrize(
@@ -19,7 +16,7 @@ REFERENCE = load_reference_values()
     ids=[f"criterion_{num:02d}_{name.replace(' ', '_')}" for num, name, _, _ in _CRITERIA],
 )
 def test_acceptance_criterion(number, name):
-    result = run_criteria(numbers=[number], reference=REFERENCE)[0]
+    result = run_criteria(numbers=[number])[0]
     status = "PASS" if result.passed else "FAIL"
     print(
         f"ACCEPTANCE {result.number:2d} [{status}] {result.name}: {result.detail} "

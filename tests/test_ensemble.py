@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from grwsim import (
@@ -15,13 +16,16 @@ from grwsim import (
     run_ensemble,
 )
 from grwsim.ensemble import (
+    first_window_inside_probability,
     gof_record,
     grwf_inside_rate_test,
+    inside_count_threshold,
     poisson_flash_test,
     resurrection_rate_test,
     z_record,
 )
 from grwsim.fileio import write_summary_csv, write_summary_json
+from grwsim.scenarios import Verdict, verdict_from_fraction
 
 
 def _cat_config(c1=0.7, total_time=20.0, **kwargs):
@@ -212,9 +216,42 @@ class TestRunEnsemble:
             params=GrwParams(total_time=200.0),
         )
         summary = run_ensemble(config, 1000, master_seed=97)
-        rec = grwf_inside_rate_test(summary, None)  # packaged reference
-        assert rec is not None
+        rec = grwf_inside_rate_test(summary)
+        # 30-sigma anchors: the first flash settles the branch, so p* = 0.99
+        assert rec.target == pytest.approx(0.99, abs=1e-12)
+        assert rec.se == pytest.approx(math.sqrt(0.99 * 0.01 / 1000))
         assert rec.passed, f"estimate {rec.estimate} vs {rec.target} (z={rec.z})"
+
+    def test_grwf_inside_rate_unfilled_windows(self):
+        # 10-flash windows at lambda * T = 8 stay short in 72% of runs, and an
+        # inside anchor 0.7 center widths from the box edge makes Partial common
+        config = ScenarioConfig(
+            kind=ScenarioKind.MARBLES,
+            c1_sq=0.8,
+            n_marbles=1,
+            ontology=Ontology.GRWF,
+            history=History.FRESH_PREPARATION,
+            window_flashes=10,
+            theta_f=0.7,
+            inside_anchor=9.5,
+            outside_anchor=30.0,
+            params=GrwParams(total_time=8.0),
+        )
+        summary = run_ensemble(config, 4000, master_seed=98)
+        rec = next(r for r in summary.records if r.name == "grwf_inside_rate")
+        assert summary.config.params.total_time == 8.0  # no horizon doubling
+        assert rec.target == first_window_inside_probability(config)
+        partial = sum(t.first_window_verdict == "partial" for t in summary.trajectories)
+        assert partial > 0.15 * len(summary.trajectories)
+        assert rec.passed, f"estimate {rec.estimate} vs {rec.target} (z={rec.z})"
+
+
+@pytest.mark.parametrize("theta", [0.51, 0.7, 0.99, 1.0])
+def test_inside_count_threshold_matches_verdict_rule(theta):
+    m = np.arange(1, 1001)
+    for size, c in zip(m.tolist(), inside_count_threshold(m, theta).tolist()):
+        assert verdict_from_fraction(c / size, theta) is Verdict.INSIDE
+        assert verdict_from_fraction((c - 1) / size, theta) is not Verdict.INSIDE
 
 
 class TestRecords:

@@ -1,8 +1,11 @@
-"""Every name a module or script imports is used in it.
+"""Every name a module or script imports is used in it, and the engine never imports the oracles.
 
 Package modules re-export through ``__init__.py``, which is exempt; every
 other file under ``src/grwsim``, ``scripts`` and ``tests`` must use each
-imported name at least once outside its import statement.
+imported name at least once outside its import statement.  The reference
+computations in ``oracles.py`` are what engine output is checked against,
+so only the acceptance criteria and the package's re-exports import them:
+a statistic's target never comes from the code it checks.
 """
 
 import ast
@@ -17,6 +20,23 @@ FILES = sorted(
     for p in folder.glob("*.py")
     if p.name != "__init__.py"
 )
+
+
+ORACLE_USERS = {"__init__.py", "acceptance.py"}
+ENGINE = sorted(p for p in (ROOT / "src" / "grwsim").glob("*.py") if p.name not in ORACLE_USERS)
+
+
+def imports_oracles(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[-1] == "oracles" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "oracles":
+                return True
+            if any(alias.name == "oracles" for alias in node.names):
+                return True
+    return False
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +61,20 @@ def test_detector_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_oracle_import_detector():
+    for source in (
+        "from .oracles import x",
+        "from grwsim.oracles import x",
+        "from . import oracles",
+        "import grwsim.oracles",
+        "def f():\n    from .oracles import x\n",
+    ):
+        assert imports_oracles(source), source
+    assert not imports_oracles("from .ontology import flashes_of\nimport json\n")
+
+
+@pytest.mark.parametrize("path", ENGINE, ids=[p.name for p in ENGINE])
+def test_engine_never_imports_oracles(path):
+    assert not imports_oracles(path.read_text())

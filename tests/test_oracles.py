@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from grwsim import ConfigError, Region
-from grwsim.cli import main
-from grwsim.oracles import (
-    VerdictProbabilities,
-    compute_reference_values,
-    find_flash_reference,
-    flash_sequence_probability,
-    grid_branch_crosscheck,
-    load_reference_values,
-    one_step_posterior_oracle,
-)
+from flash_mc import VerdictProbabilities, flash_sequence_probability
+from grwsim import ConfigError, GrwParams, History, Ontology, Region, ScenarioConfig, ScenarioKind
+from grwsim.ensemble import first_window_inside_probability
+from grwsim.oracles import grid_branch_crosscheck, one_step_posterior_oracle
 
 BOX = Region(-10.0, 10.0)
 
@@ -115,47 +108,32 @@ class TestFlashSequence:
         assert a == b
 
 
-class TestReferenceFile:
-    def test_packaged_reference_loads(self):
-        data = load_reference_values()
-        assert data["format"] == 1
-        assert len(data["flash_sequence"]) >= 1
-        assert len(data["one_step"]) >= 1
-        assert data["crosscheck"]["max_discrepancy"] < 1e-6
-
-    def test_packaged_flash_entries_precise(self):
-        # the acceptance comparison needs oracle SE below 5e-4
-        data = load_reference_values()
-        for entry in data["flash_sequence"]:
-            assert entry["se_inside"] <= 5e-4
-            assert entry["n_sequences"] >= 1_000_000
-
-    def test_packaged_one_step_entries_conserve_weights(self):
-        data = load_reference_values()
-        for entry in data["one_step"]:
-            assert np.allclose(entry["expected_posterior"], entry["weights"], atol=1e-8)
-            assert abs(entry["density_integral"] - 1.0) < 1e-10
-
-    def test_find_flash_reference(self):
-        data = load_reference_values()
-        hit = find_flash_reference(
-            data, (0.99, 0.01), (0.0, 30.0), 1.0, 100, BOX, 0.99
+class TestExactFirstWindowLaw:
+    # cases where Partial verdicts take 15-36%; T = 200 fills every window
+    @pytest.mark.parametrize(
+        "c1_sq,anchors,k,theta_f",
+        [
+            (0.8, (8.8, 11.0), 5, 0.99),
+            (0.6, (9.0, 11.0), 10, 0.9),
+            (0.4, (9.6, 10.6), 8, 0.75),
+        ],
+    )
+    def test_matches_flash_sequence_sampler(self, c1_sq, anchors, k, theta_f):
+        config = ScenarioConfig(
+            kind=ScenarioKind.MARBLES,
+            c1_sq=c1_sq,
+            ontology=Ontology.GRWF,
+            history=History.FRESH_PREPARATION,
+            window_flashes=k,
+            theta_f=theta_f,
+            inside_anchor=anchors[0],
+            outside_anchor=anchors[1],
+            params=GrwParams(total_time=200.0),
         )
-        assert hit is not None
-        miss = find_flash_reference(
-            data, (0.42, 0.58), (0.0, 30.0), 1.0, 100, BOX, 0.99
+        exact = first_window_inside_probability(config)
+        mc = flash_sequence_probability(
+            (c1_sq, 1.0 - c1_sq), 1.0, anchors, k, BOX, theta_f=theta_f,
+            n_sequences=200_000, seed=31,
         )
-        assert miss is None
-
-    def test_write_and_reload_roundtrip(self, tmp_path):
-        path = tmp_path / "ref.json"
-        assert main(["oracle", "--out", str(path), "--seed", "99", "--sequences", "4000"]) == 0
-        loaded = load_reference_values(path)
-        assert loaded == compute_reference_values(seed=99, n_sequences=4000)
-        assert loaded["seed"] == 99
-
-    def test_unsupported_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": 999}')
-        with pytest.raises(ConfigError):
-            load_reference_values(path)
+        assert 0.15 <= mc.p_partial <= 0.36
+        assert abs(mc.p_inside - exact) < 4.0 * mc.se_inside

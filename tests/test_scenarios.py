@@ -64,6 +64,7 @@ class TestScenarioConfig:
             dict(window=math.inf),
             dict(packet_width=math.nan),  # would fill the grid with nan amplitudes
             dict(packet_width=-0.5),
+            dict(params=GrwParams(lambda_eff=1e9)),  # 10^10 expected collapses
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
