@@ -37,6 +37,8 @@ from itertools import takewhile
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy.fft import fftfreq, fftn, ifftn
+from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
 from .state import BranchState, GridWaveFunction, marginal_density, norm_squared
@@ -91,7 +93,7 @@ class RngStream:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
+        return default_rng(SeedSequence(self.seed, spawn_key=(self.stream,)))
 
 
 @dataclass(frozen=True)
@@ -311,14 +313,14 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
     if dt == 0 or hamiltonian.kind == "zero":
         return psi
     spec = psi.spec
-    k = 2.0 * np.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.dx)
+    k = 2.0 * np.pi * fftfreq(spec.points_per_axis, d=spec.dx)
     phase_1d = np.exp(-1j * k**2 * dt / (2.0 * hamiltonian.mass))
-    amps_k = np.fft.fftn(psi.amplitudes)
+    amps_k = fftn(psi.amplitudes)
     for axis in range(spec.num_particles):
         shape = [1] * spec.num_particles
         shape[axis] = -1
         amps_k = amps_k * phase_1d.reshape(shape)
-    return GridWaveFunction(spec, np.fft.ifftn(amps_k))
+    return GridWaveFunction(spec, ifftn(amps_k))
 
 
 def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:

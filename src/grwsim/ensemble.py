@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from . import ontology
 from .dynamics import (
@@ -47,6 +46,9 @@ from .scenarios import (
 Z_MAX = 4.0
 P_MIN = 1e-3
 CONVERGENCE_WEIGHT = 0.99
+# the pool starts min(threads, n_trajectories) OS threads; the engine holds
+# the GIL, so more workers than this buy nothing and could exhaust the host
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -230,8 +232,8 @@ def run_ensemble(
     """
     if n_trajectories < 2:
         raise ConfigError("an ensemble needs at least 2 trajectories")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
     args = (n_trajectories, master_seed, threads, log_first)
     try:
         return _run_ensemble(config, *args)
@@ -378,7 +380,97 @@ def _merged_chi2(
             "increase the horizon or the ensemble size"
         )
     stat = float(np.sum((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins)))
-    return float(sps.chi2.sf(stat, len(exp_bins) - 1)), len(exp_bins)
+    return _chi2_sf(stat, len(exp_bins) - 1), len(exp_bins)
+
+
+# ---------------------------------------------------------------------------
+# distribution functions of the targets, from math.lgamma / math.erfc
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log(k!) for each nonnegative integer in k."""
+    return np.array([math.lgamma(j + 1.0) for j in np.ravel(k).tolist()]).reshape(np.shape(k))
+
+
+def _sum_exp(log_terms: np.ndarray) -> float:
+    """sum(exp(log_terms)), scaled by the largest term so no term underflows first."""
+    if log_terms.size == 0:
+        return 0.0
+    top = float(np.max(log_terms))
+    return math.exp(top + math.log(float(np.sum(np.exp(log_terms - top)))))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(chi-square with df degrees of freedom > x), for integer df >= 1.
+
+    The finite series of the upper incomplete gamma function, with y = x / 2:
+    e^-y sum_{j < df/2} y^j / j! for even df, and
+    erfc(sqrt y) + e^-y sum_{j < (df-1)/2} y^(j+1/2) / Gamma(j + 3/2) for odd df.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    j = np.arange(df // 2)
+    if df % 2 == 0:
+        return _sum_exp(j * math.log(y) - y - _log_factorial(j))
+    log_gamma = np.array([math.lgamma(i + 1.5) for i in j.tolist()])
+    return math.erfc(math.sqrt(y)) + _sum_exp((j + 0.5) * math.log(y) - y - log_gamma)
+
+
+def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    """P(N = k) for N ~ Poisson(mu), mu > 0, at each count in k."""
+    return np.exp(k * math.log(mu) - mu - _log_factorial(k))
+
+
+def _poisson_tails(mu: float) -> np.ndarray:
+    """P(N >= k) for N ~ Poisson(mu) and k = 0..K.
+
+    K lies 40 standard deviations (plus 50) above mu, where the tail is
+    below 1e-130 for any mu.  A tail below 1/2 sums the counts up to 2K
+    from the smallest term up; a larger one is 1 minus the counts below k,
+    so neither side cancels.
+    """
+    size = int(mu + 40.0 * math.sqrt(mu) + 50.0) + 1
+    pmf = _poisson_pmf(np.arange(2 * size), mu)
+    upper = np.cumsum(pmf[::-1])[::-1]
+    below = np.concatenate(([0.0], np.cumsum(pmf)[:-1]))
+    return np.where(upper < 0.5, upper, 1.0 - below)[:size]
+
+
+def _poisson_isf(q: float, mu: float) -> int:
+    """The smallest count k with P(N > k) <= q, for N ~ Poisson(mu).
+
+    Decided as scipy.stats.poisson.isf decides it, by the CDF at k against
+    1 - q in floating point, so histogram bins cut here match SciPy's.
+    """
+    return int(np.argmax(1.0 - _poisson_tails(mu)[1:] >= 1.0 - q))
+
+
+def _binom_pmf(j: np.ndarray, n: int, p: float, log_fact: np.ndarray) -> np.ndarray:
+    """P(X = j) for X ~ Binomial(n, p), 0 < p < 1, at each count 0 <= j <= n.
+
+    log_fact[i] is log(i!) for i = 0..n (at least).
+    """
+    log_comb = log_fact[n] - log_fact[j] - log_fact[n - j]
+    return np.exp(log_comb + j * math.log(p) + (n - j) * math.log1p(-p))
+
+
+def _binom_tail(c: int, n: int, p: float, log_fact: np.ndarray) -> float:
+    """P(X >= c) for X ~ Binomial(n, p); log_fact as for _binom_pmf.
+
+    Counts more than 40 standard deviations (plus 50) below the mean, or
+    above both the mean and c, are left out: their share of the tail is
+    below 1e-300.
+    """
+    if p in (0.0, 1.0):
+        return float(c <= n * p)  # X = n * p for certain
+    reach = 40.0 * math.sqrt(n * p * (1.0 - p)) + 50.0
+    lo = max(c, 0, int(n * p - reach))
+    hi = min(n, int(max(c, n * p) + reach))
+    return float(np.sum(_binom_pmf(np.arange(lo, hi + 1), n, p, log_fact)))
+
+
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
@@ -388,8 +480,8 @@ def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
     counts = np.array([t.num_events for t in summary.trajectories])
     n = counts.size
 
-    upper = int(sps.poisson.isf(1e-12, mu)) + 1
-    pmf = sps.poisson.pmf(np.arange(upper), mu)
+    upper = _poisson_isf(1e-12, mu) + 1
+    pmf = _poisson_pmf(np.arange(upper), mu)
     pmf = np.append(pmf, 1.0 - pmf.sum())  # tail bin
     observed = np.bincount(np.minimum(counts, upper), minlength=upper + 1)
     p, bins = _merged_chi2(pmf * n, observed, 3, "poisson_flash_test")
@@ -471,7 +563,8 @@ def census_chi2_test(summary: EnsembleSummary) -> StatRecord:
     config = summary.config
     inside = np.array([t.census[0] for t in summary.trajectories if t.census is not None])
     n, p = config.n_marbles, config.c1_sq
-    pmf = sps.binom.pmf(np.arange(n + 1), n, p)
+    counts = np.arange(n + 1)
+    pmf = _binom_pmf(counts, n, p, _log_factorial(counts))
     observed = np.bincount(inside, minlength=n + 1)
     p_val, bins = _merged_chi2(pmf * inside.size, observed.astype(float), 2, "census_chi2_test")
     summary.histograms["inside_count"] = observed.tolist()
@@ -522,18 +615,22 @@ def first_window_inside_probability(config: ScenarioConfig) -> float:
     """
     k = config.window_flashes
     mu = config.params.lambda_eff * config.params.total_time
-    # flash counts beyond the 1e-16 Poisson tail change p* by less than that
-    top = min(k, int(sps.poisson.isf(1e-16, mu)) + 1)
+    # counts above top, the first with P(N >= top) <= 1e-16, change p* by
+    # less than that
+    tails = _poisson_tails(mu)
+    top = min(k, int(np.argmax(tails <= 1e-16)))
     m = np.arange(1, top + 1)
-    p_m = sps.poisson.pmf(m, mu)
+    p_m = _poisson_pmf(m, mu)
     if top == k:
-        p_m[-1] = sps.poisson.sf(k - 1, mu)  # every N >= k fills the window
-    c = inside_count_threshold(m, config.theta_f)
+        p_m[-1] = tails[k]  # every N >= k fills the window
+    c = inside_count_threshold(m, config.theta_f).astype(int)
+    log_fact = _log_factorial(np.arange(top + 1))
     scale = config.params.sigma / math.sqrt(2.0)
     p_star = 0.0
     for w, a in zip((config.c1_sq, 1.0 - config.c1_sq), config.anchor_positions()):
-        q = sps.norm.cdf(config.box.upper, a, scale) - sps.norm.cdf(config.box.lower, a, scale)
-        p_star += w * float(np.sum(p_m * sps.binom.sf(c - 1, m, q)))
+        q = _normal_cdf((config.box.upper - a) / scale) - _normal_cdf((config.box.lower - a) / scale)
+        inside = np.array([_binom_tail(ci, mi, q, log_fact) for ci, mi in zip(c, m)])
+        p_star += w * float(np.sum(p_m * inside))
     return p_star
 
 

@@ -4,7 +4,9 @@ Everything in here is deliberately slow and simple: direct adaptive
 quadrature, an oracle-local center sampler, no shared numerical kernels
 with the trajectory engine.  The test suite and the acceptance criteria
 compare engine output against these references; the engine modules never
-import them.
+import them.  SciPy's ``quad`` is imported inside
+``one_step_posterior_oracle``, the one function that integrates, so
+importing ``grwsim`` (and ``grwsim run``) loads no SciPy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import apply_collapse_grid, branch_collapse_update
 from .errors import ConfigError, NumericsError
@@ -52,6 +53,8 @@ def one_step_posterior_oracle(
     +/- 20 sigma padding of the anchor span; the truncated tails are far
     below the 1e-10 tolerance.
     """
+    from scipy.integrate import quad
+
     w = np.asarray(weights, dtype=float)
     a = np.asarray(anchors, dtype=float)
     if w.size != a.size:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError
 
@@ -178,8 +177,26 @@ def marginal_density(psi: GridWaveFunction, particle: int) -> np.ndarray:
     return density
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-D real array, with scipy.special.logsumexp's arithmetic.
+
+    The maxima are split out of the shifted sum and counted:
+    log1p(s / m) + log(m) + max, so the result is bit-identical to SciPy's.
+    A non-finite result falls back to log(sum(exp(a))), as SciPy's does.
+    """
+    a_max = np.max(a, keepdims=True)
+    ties = a == a_max
+    m = np.sum(ties, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return out[0]
+
+
 def _normalized_log_weights(log_w: np.ndarray) -> np.ndarray:
-    total = logsumexp(log_w)
+    total = _logsumexp(log_w)
     if not np.isfinite(total):
         raise ConfigError("branch weights sum to zero")
     return log_w - total

@@ -162,6 +162,14 @@ class TestConfigErrors:
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_thread_count_above_cap_rejected(self, cat_cfg, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cat_cfg), "--trajectories", "4",
+                "--threads", "65", "--out", str(out)]
+        assert main(argv) == 2
+        assert "threads must be in 1..64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_hamiltonian_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = cat\nhamiltonian = quantum\n")

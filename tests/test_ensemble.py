@@ -81,6 +81,20 @@ class TestRunEnsemble:
         with pytest.raises(InconclusiveHorizonError):
             run_ensemble(_cat_config(total_time=1.0), 50, master_seed=61)
 
+    def test_thread_count_capped(self, monkeypatch):
+        # --threads 100000 --trajectories 100000 used to ask the pool for
+        # 10^5 OS threads; the cap is checked before any pool exists
+        import grwsim.ensemble as ens
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(ens, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ConfigError, match=f"threads must be in 1..{ens.MAX_THREADS}, got 65"):
+            run_ensemble(_cat_config(), 4, master_seed=0, threads=ens.MAX_THREADS + 1)
+        with pytest.raises(ConfigError, match="threads must be in 1..64, got 0"):
+            run_ensemble(_cat_config(), 4, master_seed=0, threads=0)
+
     def test_aborted_trajectories_fail_ensemble(self, monkeypatch):
         import grwsim.ensemble as ens
 

@@ -6,9 +6,15 @@ imported name at least once outside its import statement.  The reference
 computations in ``oracles.py`` are what engine output is checked against,
 so only the acceptance criteria and the package's re-exports import them:
 a statistic's target never comes from the code it checks.
+
+``grwsim run`` needs only numpy: SciPy serves ``grwsim check`` and the
+tests, so a run in a fresh interpreter must load no ``scipy`` module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +84,48 @@ def test_oracle_import_detector():
 @pytest.mark.parametrize("path", ENGINE, ids=[p.name for p in ENGINE])
 def test_engine_never_imports_oracles(path):
     assert not imports_oracles(path.read_text())
+
+
+# a cat, a 2-marble fresh GRWf count window (census chi-square and exact
+# first-window law) and a free grid tail: every statistic a run computes
+_RUN_CONFIGS = {
+    "cat": "kind = cat\nc1_sq = 0.7\nontology = grwm\ntotal_time = 20\n",
+    "marbles": (
+        "kind = marbles\nn_marbles = 2\nc1_sq = 0.7\nontology = grwf\n"
+        "history = fresh_preparation\nwindow_flashes = 10\ntotal_time = 20\n"
+    ),
+    "grid": (
+        "kind = tail\nc1_sq = 0.99\nontology = grwm\nbackend = grid\ngrid_points = 512\n"
+        "x_min = -30\nx_max = 50\nhamiltonian = free\nmass = 5\ntotal_time = 5\n"
+        "density_times = 0, 5\n"
+    ),
+}
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+from pathlib import Path
+
+import grwsim.cli
+
+tmp = Path(sys.argv[1])
+for cfg in sorted(tmp.glob("*.cfg")):
+    argv = ["run", "--config", str(cfg), "--seed", "5", "--trajectories", "100",
+            "--log-trajectories", "2", "--out", str(tmp / cfg.stem)]
+    assert grwsim.cli.main(argv) == 0, cfg.stem
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_run_loads_no_scipy(tmp_path):
+    for name, text in _RUN_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = (tmp_path / "marbles" / "summary.csv").read_text()
+    assert "census_chi2_p" in summary and "grwf_inside_rate" in summary

@@ -17,6 +17,7 @@ from grwsim import (
     marginal_density,
     norm_squared,
 )
+from grwsim.state import _logsumexp, _normalized_log_weights
 
 
 class TestGridSpec:
@@ -221,3 +222,29 @@ def test_constructed_states_are_normalized(c1, width, center):
         ],
     )
     assert abs(norm_squared(psi) - 1.0) < 1e-10
+
+
+# ties, -inf entries and magnitudes far apart are where the arithmetic of a
+# log-sum-exp can differ; the copy must match SciPy bit for bit on them
+_LOG_WEIGHTS = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e3, max_value=50.0),
+        st.sampled_from([0.0, -1.0, -745.0, -math.inf]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(values=_LOG_WEIGHTS)
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_matches_scipy_bitwise(values):
+    from scipy.special import logsumexp
+
+    a = np.array(values)
+    assert np.float64(_logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
+def test_all_zero_log_weights_rejected():
+    with pytest.raises(ConfigError, match="branch weights sum to zero"):
+        _normalized_log_weights(np.array([-math.inf, -math.inf]))
