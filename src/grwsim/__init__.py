@@ -34,7 +34,6 @@ from .ensemble import (
 from .errors import (
     ConfigError,
     GrwError,
-    InconclusiveHorizonError,
     NumericsError,
     ZeroProbabilityCollapseError,
 )

@@ -5,8 +5,8 @@ Subcommands:
   check   run the acceptance suite
   report  summarize a results directory
 
-Exit codes: 0 success, 1 statistical failure, 2 usage/config error,
-3 numerical error.
+Exit codes: 0 success, 1 a failed statistic, 2 usage/config error (a
+horizon too short for a limit statistic included), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dynamics import replay_state_at
 from .ensemble import run_ensemble
-from .errors import ConfigError, GrwError, InconclusiveHorizonError, NumericsError
+from .errors import ConfigError, GrwError, NumericsError
 from .fileio import (
     parse_scenario_file,
     read_summary_json,
@@ -160,9 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except InconclusiveHorizonError as exc:
-        print(f"statistical failure: {exc}", file=sys.stderr)
-        return EXIT_STAT_FAIL
     except GrwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

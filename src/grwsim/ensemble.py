@@ -27,8 +27,9 @@ from .dynamics import (
     run_trajectory,
     sample_collapse_center,
 )
-from .errors import ConfigError, InconclusiveHorizonError
+from .errors import ConfigError
 from .scenarios import (
+    MAX_EXPECTED_EVENTS,
     PREHISTORY_STREAM_OFFSET,
     History,
     Ontology,
@@ -46,6 +47,8 @@ from .scenarios import (
 Z_MAX = 4.0
 P_MIN = 1e-3
 CONVERGENCE_WEIGHT = 0.99
+# the largest share of unconverged systems, or of flip windows reaching the prehistory
+MAX_UNCONVERGED = 0.01
 # the pool starts min(threads, n_trajectories) OS threads; the engine holds
 # the GIL, so more workers than this buy nothing and could exhaust the host
 MAX_THREADS = 64
@@ -226,31 +229,18 @@ def run_ensemble(
     Deterministic given the master seed irrespective of thread count:
     trajectory i always runs on RngStream(master_seed, i) (its prehistory on
     a disjoint stream block) and aggregation folds in index order.  Any
-    aborted trajectory is counted and fails the ensemble.  If a limit
-    statistic is inconclusive the horizon is doubled once and the ensemble
-    rerun.
+    aborted trajectory is counted and fails the ensemble.  A horizon too
+    short for the planned limit statistics is rejected before anything runs.
     """
     if n_trajectories < 2:
         raise ConfigError("an ensemble needs at least 2 trajectories")
     if not 1 <= threads <= MAX_THREADS:
         raise ConfigError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
-    args = (n_trajectories, master_seed, threads, log_first)
-    try:
-        return _run_ensemble(config, *args)
-    except InconclusiveHorizonError:
-        extended = replace(
-            config, params=replace(config.params, total_time=2.0 * config.params.total_time)
-        )
-        return _run_ensemble(extended, *args)
+    if master_seed < 0:
+        raise ConfigError(f"the master seed must be >= 0, got {master_seed}")
+    plan = scenario_plan(config)
+    _check_horizon(config, plan)
 
-
-def _run_ensemble(
-    config: ScenarioConfig,
-    n_trajectories: int,
-    master_seed: int,
-    threads: int,
-    log_first: int,
-) -> EnsembleSummary:
     def prehistory_rng(i: int) -> np.random.Generator:
         return RngStream(master_seed, PREHISTORY_STREAM_OFFSET + i).generator()
 
@@ -300,7 +290,7 @@ def _run_ensemble(
         logged=logged,
         logged_prehistory=logged_pre,
     )
-    for test in scenario_plan(config):
+    for test in plan:
         summary.records.append(test(summary))
     return summary
 
@@ -332,6 +322,64 @@ def scenario_plan(config: ScenarioConfig) -> list[Callable]:
         ):
             plan += [grwf_inside_rate_test]
     return plan
+
+
+def _unconverged_share(config: ScenarioConfig, total_time: float) -> float:
+    """Exact share of branch systems whose largest weight is <= CONVERGENCE_WEIGHT at total_time.
+
+    After n ~ Poisson(lambda_eff * T) collapses, n >= 1, the log-odds
+    l = log(w_0 / w_1) of branch i is Normal(l_0 +- n D, 2 n D), D = d^2 / sigma^2
+    (the flash mixture of first_window_inside_probability).  Branch 1 reads
+    -l, which drifts up like l, so no difference of normal CDFs cancels.
+    """
+    mu = config.params.lambda_eff * total_time
+    a_in, a_out = config.anchor_positions()
+    sep = ((a_out - a_in) / config.params.sigma) ** 2
+    bound = math.log(CONVERGENCE_WEIGHT / (1.0 - CONVERGENCE_WEIGHT))
+    l0 = math.log(config.c1_sq / (1.0 - config.c1_sq))
+    reach = 40.0 * math.sqrt(mu) + 50.0  # as in _poisson_tails
+    n = np.arange(max(1, int(mu - reach)), int(mu + reach) + 1)
+    share = math.exp(-mu) * (max(config.c1_sq, 1.0 - config.c1_sq) <= CONVERGENCE_WEIGHT)
+    for w, start in ((config.c1_sq, l0), (1.0 - config.c1_sq, -l0)):
+        for p_n, mean, sd in zip(_poisson_pmf(n, mu), start + n * sep, np.sqrt(2.0 * n * sep)):
+            share += w * p_n * (_normal_cdf((bound - mean) / sd) - _normal_cdf((-bound - mean) / sd))
+    return float(share)
+
+
+def _check_horizon(config: ScenarioConfig, plan: list[Callable]) -> None:
+    """Reject a horizon too short for the limit statistics in plan, before anything runs.
+
+    Their targets hold once the weights have converged; a GRWf flip after a
+    collapsed past also needs a final window that holds run flashes only.
+    """
+    if selection_frequency_test not in plan:  # the grid backend plans no limit statistic
+        return
+    params, horizon = config.params, config.params.total_time
+    share = _unconverged_share(config, horizon)
+    if share > MAX_UNCONVERGED:
+        budget = MAX_EXPECTED_EVENTS / (config.num_particles * params.lambda_eff)
+        needed = 2.0 * horizon
+        while needed <= budget and _unconverged_share(config, needed) > MAX_UNCONVERGED:
+            needed *= 2.0
+        fix = f"total_time = {needed:g}" if needed <= budget else "no total_time within the event budget"
+        raise ConfigError(
+            f"total_time = {horizon:g} is too short for the limit statistics: a share {share:.3g} "
+            f"of the systems keep a largest weight <= {CONVERGENCE_WEIGHT} (at most "
+            f"{MAX_UNCONVERGED:g} may); {fix} suffices"
+        )
+    if resurrection_rate_test in plan and config.ontology is Ontology.GRWF:
+        k = config.window_flashes
+        if k is None:
+            window, reach = f"{config.window_length():g} time units", float(config.window_length() > horizon)
+        else:
+            tails = _poisson_tails(params.lambda_eff * horizon)
+            window, reach = f"{k} flashes", 1.0 - (tails[k] if k < tails.size else 0.0)
+        if reach > MAX_UNCONVERGED:
+            raise ConfigError(
+                f"the final flash window of {window} reaches into the prehistory at total_time = "
+                f"{horizon:g} with probability {reach:.3g}, so no verdict can flip; shorten the "
+                "window or lengthen total_time"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +551,8 @@ def martingale_test(summary: EnsembleSummary) -> StatRecord:
     )
 
 
-def _require_converged(summary: EnsembleSummary) -> None:
-    max_w = [max(w) for t in summary.trajectories for w in t.final_weights]
-    frac = float(np.mean([w > CONVERGENCE_WEIGHT for w in max_w]))
-    if frac < 0.99:
-        raise InconclusiveHorizonError(
-            f"only {frac:.1%} of systems reached max weight > {CONVERGENCE_WEIGHT}"
-        )
-
-
 def selection_frequency_test(summary: EnsembleSummary) -> StatRecord:
     """Winner frequency vs the initial first-branch weight."""
-    _require_converged(summary)
     winners = [int(np.argmax(w)) for t in summary.trajectories for w in t.final_weights]
     n = len(winners)
     freq = float(np.mean([w == 0 for w in winners]))
@@ -577,7 +615,6 @@ def resurrection_rate_test(summary: EnsembleSummary) -> StatRecord:
     flags = [t.flipped for t in summary.trajectories if t.flipped is not None]
     if not flags:
         raise ConfigError("no trajectories with definite initial and final verdicts")
-    _require_converged(summary)
     freq = float(np.mean(flags))
     target = min(config.c1_sq, 1.0 - config.c1_sq)
     se = math.sqrt(target * (1.0 - target) / len(flags))
@@ -635,11 +672,7 @@ def first_window_inside_probability(config: ScenarioConfig) -> float:
 
 
 def grwf_inside_rate_test(summary: EnsembleSummary) -> StatRecord:
-    """First-window Inside frequency vs the exact law at the summary's horizon.
-
-    The horizon is read from summary.config, which the horizon doubling may
-    have extended.
-    """
+    """First-window Inside frequency vs the exact law at the configured horizon."""
     config = summary.config
     p_star = first_window_inside_probability(config)
     verdicts = [t.first_window_verdict for t in summary.trajectories]

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericsError -> 3,
-statistical failures (including InconclusiveHorizonError) -> 1.
+The CLI maps these onto exit codes: ConfigError -> 2 (a horizon too short
+for a limit statistic included), NumericsError -> 3.
 """
 
 
@@ -19,7 +19,3 @@ class NumericsError(GrwError):
 
 class ZeroProbabilityCollapseError(NumericsError):
     """Collapse center so far from the support that the post-collapse norm underflows."""
-
-
-class InconclusiveHorizonError(GrwError):
-    """Trajectories did not run long enough for a limit statistic to be meaningful."""

@@ -170,6 +170,38 @@ class TestConfigErrors:
         assert "threads must be in 1..64" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, cat_cfg, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cat_cfg), "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "master seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a cat whose systems have not all converged by T = 3 used to be
+            # rerun at T = 6 without notice, and summary.json said 6
+            ("kind = cat\nc1_sq = 0.7\nontology = grw0\ntotal_time = 3\n",
+             "total_time = 3 is too short for the limit statistics: a share 0.0498 of the systems"),
+            # the final 100-unit flash window outlasts a 20-unit run (this
+            # exited 1 with resurrection_rate 0.0)
+            ("kind = tail\nontology = grwf\nhistory = collapsed_past\ntotal_time = 20\n",
+             "final flash window of 100 time units reaches into the prehistory at total_time = 20"),
+        ],
+        ids=["cat-short-horizon", "grwf-flip-window"],
+    )
+    def test_short_horizon_rejected(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--seed", "3", "--trajectories", "200", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "suffices" in err or "lengthen total_time" in err
+        assert not out.exists()
+
     def test_unknown_hamiltonian_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = cat\nhamiltonian = quantum\n")

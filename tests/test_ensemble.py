@@ -7,7 +7,6 @@ from grwsim import (
     ConfigError,
     GrwParams,
     History,
-    InconclusiveHorizonError,
     Ontology,
     RngStream,
     ScenarioConfig,
@@ -16,6 +15,8 @@ from grwsim import (
     run_ensemble,
 )
 from grwsim.ensemble import (
+    CONVERGENCE_WEIGHT,
+    _unconverged_share,
     first_window_inside_probability,
     gof_record,
     grwf_inside_rate_test,
@@ -75,11 +76,52 @@ class TestRunEnsemble:
         assert abs(rec.estimate - 0.5) < 4.0 * math.sqrt(0.25 / 2000.0)
         assert rec.passed
 
-    def test_inconclusive_horizon_raises_after_extension(self):
-        # ~1 expected event, so >13% of trajectories never collapse even after
-        # the one-time horizon doubling: the selection test stays inconclusive
-        with pytest.raises(InconclusiveHorizonError):
+    def test_short_horizon_rejected_before_any_trajectory(self, monkeypatch):
+        # ~1 expected event, so e^-1 of the systems never collapse; the exact
+        # unconverged share first drops below 1% at T = 8 (e^-8), and the
+        # config is rejected before any trajectory runs
+        import grwsim.ensemble as ens
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr(ens, "run_trajectory", no_run)
+        with pytest.raises(ConfigError, match=r"total_time = 1 .* a share 0\.368 .* total_time = 8 suffices"):
             run_ensemble(_cat_config(total_time=1.0), 50, master_seed=61)
+
+    def test_horizon_beyond_event_budget(self):
+        # anchors 0.002 sigma apart need ~10^7 collapses to converge, more
+        # than any horizon within the 10^6 budget gives
+        config = _cat_config(total_time=1.0, inside_anchor=9.999, outside_anchor=10.001)
+        with pytest.raises(ConfigError, match="no total_time within the event budget suffices"):
+            run_ensemble(config, 50, master_seed=61)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="master seed must be >= 0, got -1"):
+            run_ensemble(_cat_config(), 4, master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "window,match",
+        [
+            (dict(), "100 time units .* total_time = 20 with probability 1,"),
+            (dict(window_flashes=25), "25 flashes .* total_time = 20 with probability 0.843,"),
+        ],
+    )
+    def test_flip_window_reaching_prehistory_rejected(self, monkeypatch, window, match):
+        # a final window that still holds prehistory flashes cannot flip
+        # (defect (b) of grwbench/workloads.py is the first case)
+        import grwsim.ensemble as ens
+
+        monkeypatch.setattr(ens, "build_scenario", None)
+        config = ScenarioConfig(
+            kind=ScenarioKind.TAIL,
+            ontology=Ontology.GRWF,
+            history=History.COLLAPSED_PAST,
+            params=GrwParams(total_time=20.0),
+            **window,
+        )
+        with pytest.raises(ConfigError, match=match):
+            run_ensemble(config, 50, master_seed=3)
 
     def test_thread_count_capped(self, monkeypatch):
         # --threads 100000 --trajectories 100000 used to ask the pool for
@@ -201,6 +243,7 @@ class TestRunEnsemble:
             c1_sq=0.99,
             ontology=Ontology.GRWF,
             history=History.COLLAPSED_PAST,
+            window=10.0,  # the default 100-unit window would outlast the run
             params=GrwParams(total_time=20.0),
         )
         summary = run_ensemble(config, 100, master_seed=95)
@@ -253,11 +296,42 @@ class TestRunEnsemble:
         )
         summary = run_ensemble(config, 4000, master_seed=98)
         rec = next(r for r in summary.records if r.name == "grwf_inside_rate")
-        assert summary.config.params.total_time == 8.0  # no horizon doubling
+        assert summary.config is config
         assert rec.target == first_window_inside_probability(config)
         partial = sum(t.first_window_verdict == "partial" for t in summary.trajectories)
         assert partial > 0.15 * len(summary.trajectories)
         assert rec.passed, f"estimate {rec.estimate} vs {rec.target} (z={rec.z})"
+
+
+def test_unconverged_share_law_against_engine():
+    # anchors 1 sigma apart converge slowly: at T = 5 almost half the systems
+    # still have no weight above 0.99, which the exact law must predict
+    import warnings
+
+    from grwsim import build_scenario, run_trajectory
+
+    config = _cat_config(total_time=5.0, inside_anchor=9.5, outside_anchor=10.5)
+    law = _unconverged_share(config, 5.0)
+    assert law == pytest.approx(0.462, abs=1e-3)
+    n = 6000
+    state = build_scenario(config).initial_state
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the separation warning of close anchors
+        unconverged = sum(
+            max(run_trajectory(state, config.params, RngStream(3, i)).final_state.systems[0].weights)
+            <= CONVERGENCE_WEIGHT
+            for i in range(n)
+        )
+    assert abs(unconverged / n - law) <= 4.0 * math.sqrt(law * (1.0 - law) / n)
+
+
+def test_unconverged_share_far_anchors():
+    # 30-sigma anchors settle at the first collapse: only the e^-lambda*T
+    # systems that never collapse stay unconverged
+    for t in (1.0, 3.0, 20.0):
+        assert _unconverged_share(_cat_config(total_time=t), t) == pytest.approx(math.exp(-t), rel=1e-9)
+    # a cat at c1_sq = 0.995 starts converged
+    assert _unconverged_share(_cat_config(c1=0.995, total_time=1.0), 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.51, 0.7, 0.99, 1.0])

@@ -1,6 +1,8 @@
 """The experiment scripts run end to end with small arguments."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,36 @@ def test_script_exits_cleanly(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _load_parity():
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parity_tree_against_itself(tmp_path):
+    parity = _load_parity()
+    assert len({case.name for case in parity.CASES}) == len(parity.CASES)
+    cases = [
+        parity.Case("cat", "kind = cat\nontology = grw0\ntotal_time = 20\n", 20),
+        parity.Case(
+            "marbles", "kind = marbles\nn_marbles = 3\nontology = grwf\nhistory = collapsed_past\n"
+            "total_time = 20\n", 20, threads=2,
+        ),
+    ]
+    report = parity.compare_trees(ROOT, ROOT, cases, tmp_path / "same")
+    assert report["identical"], report
+    assert [c["exit"] for c in report["cases"]] == [[0, 0], [0, 0]]
+    assert all(c["files"] >= 4 for c in report["cases"])
+
+    # a head whose gof gate reads 2e-3 writes another summary target column
+    head = tmp_path / "head"
+    shutil.copytree(ROOT / "src", head / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    ensemble = head / "src" / "grwsim" / "ensemble.py"
+    ensemble.write_text(ensemble.read_text().replace("P_MIN = 1e-3", "P_MIN = 2e-3"))
+    report = parity.compare_trees(ROOT, head, cases[:1], tmp_path / "changed")
+    assert not report["identical"]
+    assert report["cases"][0]["differing"] == ["summary.csv", "summary.json"]
