@@ -23,7 +23,10 @@ def main() -> None:
     parser.add_argument("--marbles", type=int, nargs="+", default=[1, 2, 5, 10, 20])
     parser.add_argument("--trajectories", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="this process plus N-1 worker processes; results are identical for any N",
+    )
     args = parser.parse_args()
 
     print(f"c1_sq = {args.c1_sq}, {args.trajectories} runs per n, seed {args.seed}")

@@ -78,6 +78,16 @@ CASES = _benchmark_cases([("cat_grw0", 500, 0), ("marbles_grwf", 30, 30), ("grid
         "window = 10\ntotal_time = 20\n",
         500,
     ),
+    # the same on three workers (blocks 0-65, 66-132 and 133-199), with
+    # logged trajectories in every block
+    Case(
+        "tail_grwf_three_workers",
+        "kind = tail\nc1_sq = 0.99\nontology = grwf\nhistory = collapsed_past\n"
+        "window = 10\ntotal_time = 20\n",
+        200,
+        threads=3,
+        log_trajectories=150,
+    ),
     # matter-density snapshots replayed from a grid run
     Case(
         "grid_cat_density",

@@ -20,7 +20,10 @@ def main() -> None:
     )
     parser.add_argument("--trajectories", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="this process plus N-1 worker processes; results are identical for any N",
+    )
     args = parser.parse_args()
 
     print(f"{args.trajectories} trajectories per point, seed {args.seed}")

@@ -12,10 +12,11 @@ horizon too short for a limit statistic included), 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from .dynamics import replay_state_at
+from .dynamics import TrajectoryRecord, replay_state_at
 from .ensemble import run_ensemble
 from .errors import ConfigError, GrwError, NumericsError
 from .fileio import (
@@ -27,8 +28,8 @@ from .fileio import (
     write_summary_csv,
     write_summary_json,
 )
-from .ontology import flashes_of, matter_density
-from .scenarios import density_grid
+from .ontology import Flash, flashes_of, matter_density
+from .scenarios import ScenarioConfig, density_grid
 from .state import GridWaveFunction
 
 EXIT_OK = 0
@@ -37,38 +38,47 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def write_trajectory_logs(
+    out: Path, config: ScenarioConfig, index: int, record: TrajectoryRecord, prehistory: list[Flash]
+) -> None:
+    """One logged trajectory's events, flashes and prehistory, plus trajectory 0's density snapshots.
+
+    run_ensemble calls this in the process that ran the trajectory, so it
+    lives at module level and the directory appears with the first log.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    flashes = flashes_of(record)
+    write_events_jsonl(out / f"events-{index:05d}.jsonl", record)
+    write_flashes_csv(out / f"flashes-{index:05d}.csv", flashes)
+    if prehistory:
+        write_flashes_csv(out / f"prehistory-{index:05d}.csv", prehistory)
+    if index == 0 and config.density_times:
+        initial = record.initial_state
+        grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
+        for t in config.density_times:
+            state = replay_state_at(initial, config.params, flashes, t)
+            write_density_csv(out / f"density-t{t:g}.csv", matter_density(state, grid=grid))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_scenario_file(args.config)
     log_first = args.log_trajectories
     if config.density_times and log_first < 1:
         log_first = 1  # density snapshots replay trajectory 0's event log
 
+    out = Path(args.out)
     summary = run_ensemble(
         config,
         args.trajectories,
         args.seed,
         threads=args.threads,
         log_first=log_first,
+        on_logged=functools.partial(write_trajectory_logs, out, config),
     )
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out / "summary.csv", summary.records)
     write_summary_json(out / "summary.json", summary)
-    for i, record in enumerate(summary.logged):
-        write_events_jsonl(out / f"events-{i:05d}.jsonl", record)
-        write_flashes_csv(out / f"flashes-{i:05d}.csv", flashes_of(record))
-        prehistory = summary.logged_prehistory[i]
-        if prehistory:
-            write_flashes_csv(out / f"prehistory-{i:05d}.csv", prehistory)
-    if config.density_times and summary.logged:
-        record = summary.logged[0]
-        initial = record.initial_state
-        grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
-        for t in config.density_times:
-            state = replay_state_at(initial, config.params, flashes_of(record), t)
-            field = matter_density(state, grid=grid)
-            write_density_csv(out / f"density-t{t:g}.csv", field)
 
     if summary.failures:
         print(f"{summary.failures} trajectories aborted; see summary.json", file=sys.stderr)
@@ -131,7 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario config file (key = value)")
     p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_run.add_argument("--trajectories", type=int, default=100, help="ensemble size")
-    p_run.add_argument("--threads", type=int, default=1, help="workers (default 1)")
+    p_run.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="this process plus N-1 worker processes, each on a block of trajectories; "
+        "outputs are byte-identical for any N (default 1, at most 64)",
+    )
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument(
         "--log-trajectories", type=int, default=10,

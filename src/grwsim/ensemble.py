@@ -2,6 +2,9 @@
 
 Each trajectory runs on its own seeded substream (stream id = trajectory
 index), so summaries are deterministic no matter how many workers run them.
+Workers are processes: the indices split into contiguous blocks, the
+calling process runs the first and a process pool the rest, and the
+per-trajectory results fold back in index order.
 Every statistic record carries its analytic target and the provenance of
 that target; nothing is fitted.
 """
@@ -9,7 +12,6 @@ that target; nothing is fitted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -49,8 +51,9 @@ P_MIN = 1e-3
 CONVERGENCE_WEIGHT = 0.99
 # the largest share of unconverged systems, or of flip windows reaching the prehistory
 MAX_UNCONVERGED = 0.01
-# the pool starts min(threads, n_trajectories) OS threads; the engine holds
-# the GIL, so more workers than this buy nothing and could exhaust the host
+# threads = N runs this process plus min(N, n_trajectories) - 1 worker
+# processes; each costs a process's memory, so a mistyped count must not
+# start thousands of them
 MAX_THREADS = 64
 
 
@@ -114,8 +117,10 @@ class EnsembleSummary:
     histograms: dict[str, list[int]]
     failures: int
     diagnostics: list[str]
-    logged: list[TrajectoryRecord]
-    logged_prehistory: list[list[Flash]]
+
+
+# what run_ensemble hands a logged trajectory to: (index, record, prehistory)
+LogHook = Callable[[int, TrajectoryRecord, list[Flash]], None]
 
 
 def _systems(state: TrajectoryState) -> list:
@@ -217,20 +222,65 @@ def reduce_trajectory(
     )
 
 
+def _run_block(
+    config: ScenarioConfig,
+    master_seed: int,
+    log_first: int,
+    on_logged: LogHook | None,
+    lo: int,
+    hi: int,
+) -> list[TrajectoryStats]:
+    """Run and reduce trajectories lo..hi-1; each i < log_first also goes to on_logged.
+
+    Module-level and fed only picklable arguments, so a worker process runs
+    a block exactly as the calling process does.
+    """
+
+    def prehistory_rng(i: int) -> np.random.Generator:
+        return RngStream(master_seed, PREHISTORY_STREAM_OFFSET + i).generator()
+
+    # The initial state draws nothing, so every block builds the same one; a
+    # collapsed past draws trajectory i's prehistory on its own stream from
+    # a disjoint block, and build_scenario draws trajectory lo's.
+    first = build_scenario(config, prehistory_rng(lo))
+    redraw = config.history is History.COLLAPSED_PAST
+    # matter density reads only that shared state, so one initial verdict
+    # serves every trajectory; flash verdicts read each prehistory
+    initial_verdict = None
+    if config.ontology is Ontology.GRWM:
+        initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], [], 0.0)
+
+    stats = []
+    for i in range(lo, hi):
+        scenario = first
+        if redraw and i > lo:
+            scenario = replace(first, prehistory=seed_prehistory(config, prehistory_rng(i)))
+        record = run_trajectory(scenario.initial_state, config.params, RngStream(master_seed, i))
+        stats.append(reduce_trajectory(record, scenario, i, initial_verdict))
+        if i < log_first and on_logged is not None:
+            on_logged(i, record, scenario.prehistory)
+    return stats
+
+
 def run_ensemble(
     config: ScenarioConfig,
     n_trajectories: int,
     master_seed: int,
     threads: int = 1,
     log_first: int = 0,
+    on_logged: LogHook | None = None,
 ) -> EnsembleSummary:
     """Run n independent trajectories and compute the scenario's statistics.
 
-    Deterministic given the master seed irrespective of thread count:
-    trajectory i always runs on RngStream(master_seed, i) (its prehistory on
-    a disjoint stream block) and aggregation folds in index order.  Any
-    aborted trajectory is counted and fails the ensemble.  A horizon too
-    short for the planned limit statistics is rejected before anything runs.
+    threads = N splits the indices into min(N, n) equal contiguous blocks:
+    this process runs the first, a pool of worker processes the rest.
+    Deterministic given the master seed irrespective of N: trajectory i
+    always runs on RngStream(master_seed, i) (its prehistory on a disjoint
+    stream block) and aggregation folds in index order.  Each trajectory
+    i < log_first is handed to on_logged, a picklable hook, in the process
+    that ran it, as soon as it finishes.  Any aborted trajectory is counted
+    and fails the ensemble.  A horizon too short for the planned limit
+    statistics is rejected before anything runs.
     """
     if n_trajectories < 2:
         raise ConfigError("an ensemble needs at least 2 trajectories")
@@ -241,54 +291,44 @@ def run_ensemble(
     plan = scenario_plan(config)
     _check_horizon(config, plan)
 
-    def prehistory_rng(i: int) -> np.random.Generator:
-        return RngStream(master_seed, PREHISTORY_STREAM_OFFSET + i).generator()
-
-    # The initial state draws nothing, so every trajectory shares trajectory
-    # 0's; a collapsed past redraws only the prehistory, trajectory i on its
-    # own stream from a disjoint block.
-    first = build_scenario(config, prehistory_rng(0))
-    redraw = config.history is History.COLLAPSED_PAST
-    # matter density reads only that shared state, so one initial verdict
-    # serves every trajectory; flash verdicts read each prehistory
-    initial_verdict = None
-    if config.ontology is Ontology.GRWM:
-        initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], [], 0.0)
-
-    def one(i: int) -> tuple[TrajectoryStats, TrajectoryRecord | None, list[Flash]]:
-        scenario = first
-        if redraw and i > 0:
-            scenario = replace(first, prehistory=seed_prehistory(config, prehistory_rng(i)))
-        record = run_trajectory(scenario.initial_state, config.params, RngStream(master_seed, i))
-        stats = reduce_trajectory(record, scenario, i, initial_verdict)
-        keep = record if i < log_first else None
-        return stats, keep, scenario.prehistory if keep is not None else []
-
-    if threads == 1:
-        results = [one(i) for i in range(n_trajectories)]
+    blocks = min(threads, n_trajectories)
+    bounds = [n_trajectories * b // blocks for b in range(blocks + 1)]
+    block_args = (config, master_seed, log_first, on_logged)
+    if blocks == 1:
+        trajectories = _run_block(*block_args, 0, n_trajectories)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_trajectories)))
+        # imported here: a one-worker run loads no multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    trajectories = [r[0] for r in results]
-    logged = [r[1] for r in results if r[1] is not None]
-    logged_pre = [r[2] for r in results if r[1] is not None]
+        # spawned workers start from a fresh import; a fork of this process
+        # could inherit threads (a BLAS pool) and locks held by them
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=blocks - 1, mp_context=spawn) as pool:
+            rest = [
+                pool.submit(_run_block, *block_args, lo, hi)
+                for lo, hi in zip(bounds[1:-1], bounds[2:])
+            ]
+            trajectories = _run_block(*block_args, bounds[0], bounds[1])
+            for block in rest:
+                trajectories += block.result()
+
     failures = sum(1 for t in trajectories if t.status != "completed")
     diagnostics = [
         f"trajectory {t.index}: {t.diagnostic}" for t in trajectories if t.diagnostic
     ]
-
-    counts = np.array([t.num_events for t in trajectories])
+    histograms = {"event_count": np.bincount([t.num_events for t in trajectories]).tolist()}
+    if census_chi2_test in plan:
+        inside = [t.census[0] for t in trajectories]
+        histograms["inside_count"] = np.bincount(inside, minlength=config.n_marbles + 1).tolist()
     summary = EnsembleSummary(
         config=config,
         master_seed=master_seed,
         trajectories=trajectories,
         records=[],
-        histograms={"event_count": np.bincount(counts).tolist()},
+        histograms=histograms,
         failures=failures,
         diagnostics=diagnostics,
-        logged=logged,
-        logged_prehistory=logged_pre,
     )
     for test in plan:
         summary.records.append(test(summary))
@@ -597,15 +637,13 @@ def census_all_inside_test(summary: EnsembleSummary) -> StatRecord:
 
 
 def census_chi2_test(summary: EnsembleSummary) -> StatRecord:
-    """Chi-square of the inside counts vs Binomial(n_marbles, c1_sq); kept as histogram "inside_count"."""
+    """Chi-square of the histogram "inside_count" vs Binomial(n_marbles, c1_sq)."""
     config = summary.config
-    inside = np.array([t.census[0] for t in summary.trajectories if t.census is not None])
+    observed = np.array(summary.histograms["inside_count"], dtype=float)
     n, p = config.n_marbles, config.c1_sq
     counts = np.arange(n + 1)
     pmf = _binom_pmf(counts, n, p, _log_factorial(counts))
-    observed = np.bincount(inside, minlength=n + 1)
-    p_val, bins = _merged_chi2(pmf * inside.size, observed.astype(float), 2, "census_chi2_test")
-    summary.histograms["inside_count"] = observed.tolist()
+    p_val, bins = _merged_chi2(pmf * len(summary.trajectories), observed, 2, "census_chi2_test")
     return gof_record("census_chi2_p", p_val, f"chi-square vs Binomial({n}, {p:g}), {bins} bins")
 
 

@@ -1,10 +1,11 @@
+import functools
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from grwsim import History, Ontology, ScenarioKind
+from grwsim import ConfigError, History, NumericsError, Ontology, ScenarioKind
 from grwsim.cli import main
 from grwsim.fileio import parse_scenario_text
 
@@ -20,6 +21,24 @@ total_time = 20.0
 box_lower = -10
 box_upper = 10
 """
+
+
+# two GRWf marbles after a collapsed past, with density snapshots
+MARBLES_CFG = """\
+kind = marbles
+n_marbles = 2
+c1_sq = 0.9
+ontology = grwf
+history = collapsed_past
+total_time = 20
+density_times = 0, 10
+"""
+
+
+def _failing_logs(error, out, config, index, record, prehistory):
+    # stands in for write_trajectory_logs; trajectory 8 belongs to the last block
+    if index == 8:
+        raise error("synthetic failure in a worker")
 
 
 @pytest.fixture
@@ -70,6 +89,37 @@ class TestRunCommand:
             assert code == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
+
+    def test_logs_identical_across_worker_blocks(self, tmp_path):
+        # 9 trajectories on 3 workers are blocks 0-2, 3-5 and 6-8, and the
+        # first 7 are logged, so every block writes logs.  Nine runs are too
+        # few for the event-count chi-square: both runs exit 2 after the
+        # run, leaving the logs and no summary.
+        cfg = tmp_path / "marbles.cfg"
+        cfg.write_text(MARBLES_CFG)
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"r{threads}"
+            code = main(
+                ["run", "--config", str(cfg), "--seed", "4", "--trajectories", "9",
+                 "--threads", threads, "--out", str(out), "--log-trajectories", "7"]
+            )
+            assert code == 2
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        logs = {f"{kind}-{i:05d}.{ext}" for i in range(7)
+                for kind, ext in (("events", "jsonl"), ("flashes", "csv"), ("prehistory", "csv"))}
+        assert set(outputs[0]) == logs | {"density-t0.csv", "density-t10.csv"}
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("error,code", [(ConfigError, 2), (NumericsError, 3)])
+    def test_worker_error_exit_code(self, cat_cfg, tmp_path, monkeypatch, capsys, error, code):
+        import grwsim.cli as cli
+
+        monkeypatch.setattr(cli, "write_trajectory_logs", functools.partial(_failing_logs, error))
+        argv = ["run", "--config", str(cat_cfg), "--seed", "4", "--trajectories", "9",
+                "--threads", "3", "--out", str(tmp_path / "o"), "--log-trajectories", "9"]
+        assert main(argv) == code
+        assert "synthetic failure in a worker" in capsys.readouterr().err
 
     def test_density_snapshots(self, tmp_path):
         cfg = tmp_path / "density.cfg"

@@ -1,4 +1,7 @@
+import concurrent.futures
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from grwsim import (
     ConfigError,
     GrwParams,
     History,
+    NumericsError,
     Ontology,
     RngStream,
     ScenarioConfig,
@@ -27,6 +31,29 @@ from grwsim.ensemble import (
 )
 from grwsim.fileio import write_summary_csv, write_summary_json
 from grwsim.scenarios import Verdict, verdict_from_fraction
+
+
+def _tail_config():
+    # GRWf flips after a collapsed past: every trajectory draws its own prehistory
+    return ScenarioConfig(
+        kind=ScenarioKind.TAIL,
+        c1_sq=0.99,
+        ontology=Ontology.GRWF,
+        history=History.COLLAPSED_PAST,
+        window=10.0,
+        params=GrwParams(total_time=20.0),
+    )
+
+
+def _raise_at(index, error, i, record, prehistory):
+    if i == index:
+        raise error(f"trajectory {i}")
+
+
+def _record_log(out, i, record, prehistory):
+    # what a log needs from the run, and the process that wrote it
+    lines = [repr(record.times), repr(record.centers), repr(prehistory), str(os.getpid())]
+    (out / f"{i}.txt").write_text("\n".join(lines))
 
 
 def _cat_config(c1=0.7, total_time=20.0, **kwargs):
@@ -125,17 +152,73 @@ class TestRunEnsemble:
 
     def test_thread_count_capped(self, monkeypatch):
         # --threads 100000 --trajectories 100000 used to ask the pool for
-        # 10^5 OS threads; the cap is checked before any pool exists
+        # 10^5 workers; the cap is checked before any pool exists
         import grwsim.ensemble as ens
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built")
 
-        monkeypatch.setattr(ens, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match=f"threads must be in 1..{ens.MAX_THREADS}, got 65"):
             run_ensemble(_cat_config(), 4, master_seed=0, threads=ens.MAX_THREADS + 1)
         with pytest.raises(ConfigError, match="threads must be in 1..64, got 0"):
             run_ensemble(_cat_config(), 4, master_seed=0, threads=0)
+
+    def test_pool_size_capped_by_trajectories(self, monkeypatch):
+        # three trajectories make three blocks: this process runs one, and
+        # the pool is asked for two processes however many threads are given
+        sizes, blocks = [], []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                blocks.append(args[-2:])
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        # three runs are too few for the event-count chi-square, which comes after the pool
+        with pytest.raises(ConfigError, match="poisson_flash_test has 0 usable bins"):
+            run_ensemble(_cat_config(), 3, master_seed=5, threads=8)
+        assert sizes == [2]
+        assert blocks == [(1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("error", [ConfigError, NumericsError])
+    def test_worker_error_keeps_its_class(self, error):
+        # trajectory 8 lies in the last of three blocks, run by a worker process
+        hook = functools.partial(_raise_at, 8, error)
+        with pytest.raises(error, match="trajectory 8"):
+            run_ensemble(_cat_config(), 9, master_seed=5, threads=3, log_first=9, on_logged=hook)
+
+    def test_logs_from_every_block(self, tmp_path):
+        # 30 trajectories on 3 workers are blocks 0-9, 10-19 and 20-29; the
+        # first 25 are logged, each by the process that ran it
+        seen, summaries = {}, {}
+        for threads in (1, 3):
+            out = tmp_path / str(threads)
+            out.mkdir()
+            hook = functools.partial(_record_log, out)
+            summaries[threads] = run_ensemble(
+                _tail_config(), 30, master_seed=5, threads=threads, log_first=25, on_logged=hook
+            )
+            seen[threads] = {p.name: p.read_text().rsplit("\n", 1) for p in out.iterdir()}
+        assert sorted(seen[1]) == sorted(f"{i}.txt" for i in range(25))
+        assert {k: v[0] for k, v in seen[1].items()} == {k: v[0] for k, v in seen[3].items()}
+        assert all(v[0].splitlines()[2] != "[]" for v in seen[3].values())  # prehistories travel too
+        pids = [seen[3][f"{i}.txt"][1] for i in range(25)]
+        assert set(pids[:10]) == {str(os.getpid())}
+        assert str(os.getpid()) not in pids[10:]  # one worker may run both blocks
+        assert summaries[1].trajectories == summaries[3].trajectories
+        assert repr(summaries[1].records) == repr(summaries[3].records)  # nan != nan
 
     def test_aborted_trajectories_fail_ensemble(self, monkeypatch):
         import grwsim.ensemble as ens
@@ -393,8 +476,7 @@ class TestPoissonFlashTest:
                 )
                 for i in range(50)
             ],
-            records=[], histograms={}, failures=0, diagnostics=[], logged=[],
-            logged_prehistory=[],
+            records=[], histograms={}, failures=0, diagnostics=[],
         )
         with pytest.raises(ConfigError):
             poisson_flash_test(counts_summary)

@@ -8,7 +8,9 @@ so only the acceptance criteria and the package's re-exports import them:
 a statistic's target never comes from the code it checks.
 
 ``grwsim run`` needs only numpy: SciPy serves ``grwsim check`` and the
-tests, so a run in a fresh interpreter must load no ``scipy`` module.
+tests, so a run in a fresh interpreter must load no ``scipy`` module.  A
+one-worker run starts no process pool, so it loads no ``multiprocessing``
+either.
 """
 
 import ast
@@ -101,7 +103,7 @@ _RUN_CONFIGS = {
     ),
 }
 
-_RUN_WITHOUT_SCIPY = """
+_RUN_WITHOUT = """
 import sys
 from pathlib import Path
 
@@ -112,20 +114,29 @@ for cfg in sorted(tmp.glob("*.cfg")):
     argv = ["run", "--config", str(cfg), "--seed", "5", "--trajectories", "100",
             "--log-trajectories", "2", "--out", str(tmp / cfg.stem)]
     assert grwsim.cli.main(argv) == 0, cfg.stem
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + "."))
 assert not loaded, loaded
 """
 
 
-def test_run_loads_no_scipy(tmp_path):
+def _run_all_configs(tmp_path, package: str) -> None:
+    """Run every _RUN_CONFIGS config with one worker in a fresh interpreter that must not load package."""
     for name, text in _RUN_CONFIGS.items():
         (tmp_path / f"{name}.cfg").write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+        [sys.executable, "-c", _RUN_WITHOUT.format(package=package), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     summary = (tmp_path / "marbles" / "summary.csv").read_text()
     assert "census_chi2_p" in summary and "grwf_inside_rate" in summary
+
+
+def test_run_loads_no_scipy(tmp_path):
+    _run_all_configs(tmp_path, "scipy")
+
+
+def test_one_worker_run_loads_no_multiprocessing(tmp_path):
+    _run_all_configs(tmp_path, "multiprocessing")
