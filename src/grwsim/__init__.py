@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     GrwError,
     NumericsError,
+    WorkerError,
     ZeroProbabilityCollapseError,
 )
 from .ontology import (

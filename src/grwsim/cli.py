@@ -6,7 +6,8 @@ Subcommands:
   report  summarize a results directory
 
 Exit codes: 0 success, 1 a failed statistic, 2 usage/config error (a
-horizon too short for a limit statistic included), 3 numerical error.
+horizon too short for a limit statistic included), 3 numerical error, 4 a
+worker process died (no summary is written).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .dynamics import TrajectoryRecord, replay_state_at
 from .ensemble import run_ensemble
-from .errors import ConfigError, GrwError, NumericsError
+from .errors import ConfigError, GrwError, NumericsError, WorkerError
 from .fileio import (
     parse_scenario_file,
     read_summary_json,
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_WORKER = 4
 
 
 def write_trajectory_logs(
@@ -174,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except GrwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,10 @@ branch weights are conserved event by event (the Born martingale).
 
 For point-anchored branches the same rule reduces to the closed form
 ``w_i' proportional to w_i * exp(-(a_ik - X)^2 / sigma^2)``, applied here in
-log space.
+log space, and X is drawn from ``sum_i w_i Normal(a_ik, sigma^2 / 2)``.
+Both steps are written once, on plain Python floats (``_draw_center`` and
+``_posterior``, the branch kernel), over one system's log-weight list and
+the collapsed particle's anchor list.
 
 A trajectory is recorded as three columns, one entry per collapse: the
 event times, the collapsed particles and the collapse centers.  Read row by
@@ -24,8 +27,11 @@ collapse are not stored; ``TrajectoryRecord.events`` rebuilds them on
 demand by replaying the columns from the initial state.
 The per-event primitives ``sample_collapse_center`` and
 ``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
-one ``BranchState``) and a particle of it; only the run loop and the
-replay map a global particle to its system.
+one ``BranchState``) and a particle of it; on a ``BranchState`` they are
+thin wrappers over the branch kernel.  The run loop and the replay call
+the kernel directly, on the lists that ``_branch_lists`` reads once per
+trajectory, and they alone map a global particle to its system (through
+``BranchSystems._owners``).
 """
 
 from __future__ import annotations
@@ -181,11 +187,23 @@ class TrajectoryRecord:
         bit-identical to the states the run passed through.
         """
         collapses = list(zip(self.times, self.particles, self.centers))
-        replay = _replay(self.initial_state.copy(), self.params, collapses)
-        return [
-            CollapseEvent(t, k, x, _logged_summary(before, k), _logged_summary(after, k))
-            for (t, k, x), (_, _, before, after) in zip(collapses, replay)
-        ]
+        initial = self.initial_state
+        if isinstance(initial, GridWaveFunction):
+            replay = _replay_grid(initial, self.params, collapses)
+            return [
+                CollapseEvent(t, k, x, _grid_summary(before, k), _grid_summary(after, k))
+                for (t, k, x), (before, after) in zip(collapses, replay)
+            ]
+        log_w, anchors, system_of = _branch_lists(initial)
+        # each system's weights as logged: its last post-weights are its next pre-weights
+        weights = [tuple([math.exp(v) for v in lw]) for lw in log_w]
+        events = []
+        replay = _replay_branches(log_w, anchors, system_of, self.params.sigma, collapses)
+        for (t, k, x), system in zip(collapses, replay):
+            post = tuple([math.exp(v) for v in log_w[system]])
+            events.append(CollapseEvent(t, k, x, weights[system], post))
+            weights[system] = post
+        return events
 
 
 def sample_waiting_time(num_particles: int, lambda_eff: float, rng: np.random.Generator) -> float:
@@ -250,24 +268,11 @@ def branch_collapse_update(
         raise ConfigError(
             f"particle index {particle} out of range for N={state.num_particles}"
         )
-    if not math.isfinite(center):
-        raise NumericsError(f"collapse center {center} is not finite")
     if check_separation:
         _warn_if_close(state, sigma)
-    # plain-float arithmetic: this is the per-event hot path and the branch
-    # counts are tiny, where numpy's call overhead dominates
-    inv = 1.0 / (sigma * sigma)
-    new_log = [
-        lw - (a - center) * (a - center) * inv
-        for lw, a in zip(state.log_weights.tolist(), state.anchors[:, particle].tolist())
-    ]
-    peak = max(new_log)
-    if not math.isfinite(peak):
-        raise ZeroProbabilityCollapseError(
-            "all branch posterior factors underflowed simultaneously"
-        )
-    total = peak + math.log(sum([math.exp(v - peak) for v in new_log]))
-    return BranchState(state.labels, np.array([v - total for v in new_log]), state.anchors)
+    anchors = state.anchors[:, particle].tolist()
+    log_w = _posterior(state.log_weights.tolist(), anchors, center, 1.0 / (sigma * sigma))
+    return BranchState(state.labels, np.array(log_w), state.anchors)
 
 
 def sample_collapse_center(
@@ -290,16 +295,66 @@ def sample_collapse_center(
         raise ConfigError(
             f"particle index {particle} out of range for N={state.num_particles}"
         )
-    weights = [math.exp(v) for v in state.log_weights.tolist()]
+    return _draw_center(
+        state.log_weights.tolist(), state.anchors[:, particle].tolist(), sigma * _INV_SQRT2, rng
+    )
+
+
+# The branch kernel: one collapse of one system, on plain floats.  The run
+# loop, the replay and the two primitives above all call these, and the
+# branch counts are tiny, where numpy's per-call overhead would dominate.
+
+
+def _draw_center(
+    log_weights: list[float], anchors: list[float], spread: float, rng: np.random.Generator
+) -> float:
+    """X from sum_i w_i Normal(a_i, spread^2), with a_i the collapsed particle's anchors.
+
+    One uniform picks a branch by weight, then one normal draws X.
+    """
+    weights = [math.exp(v) for v in log_weights]
     u = rng.random() * sum(weights)
-    idx = len(weights) - 1
     acc = 0.0
-    for j, w in enumerate(weights):
+    for a, w in zip(anchors, weights):
         acc += w
         if u <= acc:
-            idx = j
-            break
-    return float(rng.normal(state.anchors[idx, particle], sigma * _INV_SQRT2))
+            return rng.normal(a, spread)
+    # rounding left u above the last partial sum
+    return rng.normal(anchors[-1], spread)
+
+
+def _posterior(
+    log_weights: list[float], anchors: list[float], center: float, inv_var: float
+) -> list[float]:
+    """Normalized log posterior log w_i - (a_i - X)^2 * inv_var - log Z, with inv_var = 1 / sigma^2.
+
+    Computed in log space, so a positive weight stays positive; a zero
+    weight stays zero.
+    """
+    if not math.isfinite(center):
+        raise NumericsError(f"collapse center {center} is not finite")
+    new_log = [lw - (a - center) * (a - center) * inv_var for lw, a in zip(log_weights, anchors)]
+    peak = max(new_log)
+    if not math.isfinite(peak):
+        raise ZeroProbabilityCollapseError(
+            "all branch posterior factors underflowed simultaneously"
+        )
+    total = peak + math.log(sum([math.exp(v - peak) for v in new_log]))
+    return [v - total for v in new_log]
+
+
+def _branch_lists(state: BranchSystems) -> tuple[list[list[float]], list[list[float]], list[int]]:
+    """The kernel's view of branch systems: each system's log-weights, each global
+    particle's anchors (one per branch of its system) and each global particle's system."""
+    log_w = [s.log_weights.tolist() for s in state.systems]
+    anchors = [col for s in state.systems for col in s.anchors.T.tolist()]
+    return log_w, anchors, [system for system, _ in state._owners]
+
+
+def _branch_systems(template: BranchSystems, log_w: list[list[float]]) -> BranchSystems:
+    """template's systems with the given log-weights; shares no array with template."""
+    systems = zip(template.systems, log_w)
+    return BranchSystems([BranchState(s.labels, np.array(lw), s.anchors.copy()) for s, lw in systems])
 
 
 def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -> GridWaveFunction:
@@ -332,13 +387,6 @@ def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def _logged_summary(system: GridWaveFunction | BranchState, particle: int) -> tuple:
-    """A CollapseEvent weight field: the branch weights, or the particle's (mean, std) on the grid."""
-    if isinstance(system, GridWaveFunction):
-        return _grid_summary(system, particle)
-    return tuple([math.exp(v) for v in system.log_weights.tolist()])
-
-
 def _require_trajectory_state(state: object) -> None:
     if not isinstance(state, (GridWaveFunction, BranchSystems)):
         raise ConfigError(
@@ -365,47 +413,16 @@ def run_trajectory(
     if params.hamiltonian.kind != "zero" and not grid:
         raise ConfigError("free-particle evolution requires the grid model")
     rng = stream.generator()
-    state: TrajectoryState = initial_state.copy()
-    n = state.num_particles
-    sigma = params.sigma
-
-    if not grid:
-        for s in state.systems:
-            _warn_if_close(s, sigma)
-
-    times: list[float] = []
-    particles: list[int] = []
-    centers: list[float] = []
-    status, diagnostic = "completed", None
-
-    t = 0.0
-    while True:
-        t_next = t + sample_waiting_time(n, params.lambda_eff, rng)
-        if grid:
-            state = evolve_unitary(state, min(t_next, params.total_time) - t, params.hamiltonian)
-        if t_next > params.total_time:
-            break
-        # integers(1) consumes no bits, so skipping it leaves the stream unchanged
-        particle = int(rng.integers(n)) if n > 1 else 0
-        try:
-            if grid:
-                center = sample_collapse_center(state, particle, sigma, rng)
-                state = apply_collapse_grid(state, particle, center, sigma)
-            else:
-                sys_idx, local = state.locate(particle)
-                system = state.systems[sys_idx]
-                center = sample_collapse_center(system, local, sigma, rng)
-                state.systems[sys_idx] = branch_collapse_update(
-                    system, local, center, sigma, check_separation=False
-                )
-        except NumericsError as exc:
-            status = "aborted"
-            diagnostic = f"event {len(times)} at t={t_next:.6g}: {exc}"
-            break
-        times.append(t_next)
-        particles.append(particle)
-        centers.append(center)
-        t = t_next
+    if grid:
+        times, particles, centers, final_state, diagnostic = _run_grid(
+            initial_state.copy(), params, rng
+        )
+    else:
+        for s in initial_state.systems:
+            _warn_if_close(s, params.sigma)
+        log_w, anchors, system_of = _branch_lists(initial_state)
+        times, particles, centers, diagnostic = _run_branches(log_w, anchors, system_of, params, rng)
+        final_state = _branch_systems(initial_state, log_w)
 
     return TrajectoryRecord(
         params=params,
@@ -413,34 +430,111 @@ def run_trajectory(
         particles=particles,
         centers=centers,
         initial_state=initial_state,
-        final_state=state,
-        status=status,
+        final_state=final_state,
+        status="completed" if diagnostic is None else "aborted",
         diagnostic=diagnostic,
     )
 
 
-def _replay(
-    state: TrajectoryState, params: GrwParams, collapses: Iterable[tuple[float, int, float]]
-):
-    """Apply (time, particle, center) collapses in order to state, without random draws.
+def _run_grid(state: GridWaveFunction, params: GrwParams, rng: np.random.Generator) -> tuple:
+    """run_trajectory's grid arm: (times, particles, centers, final state, diagnostic),
+    where the diagnostic is None unless a numerical failure aborted the run."""
+    times: list[float] = []
+    particles: list[int] = []
+    centers: list[float] = []
+    n = state.num_particles
+    sigma = params.sigma
+    t = 0.0
+    while True:
+        t_next = t + sample_waiting_time(n, params.lambda_eff, rng)
+        state = evolve_unitary(state, min(t_next, params.total_time) - t, params.hamiltonian)
+        if t_next > params.total_time:
+            return times, particles, centers, state, None
+        # integers(1) consumes no bits, so skipping it leaves the stream unchanged
+        particle = int(rng.integers(n)) if n > 1 else 0
+        try:
+            center = sample_collapse_center(state, particle, sigma, rng)
+            state = apply_collapse_grid(state, particle, center, sigma)
+        except NumericsError as exc:
+            return times, particles, centers, state, f"event {len(times)} at t={t_next:.6g}: {exc}"
+        times.append(t_next)
+        particles.append(particle)
+        centers.append(center)
+        t = t_next
 
-    Yields (time, state, before, after) after each collapse, where before
-    and after are the collapsed system (one BranchState, or the whole
-    wave function on the grid) just before and just after it.  A
-    BranchSystems state is updated in place; pass a copy.
+
+def _run_branches(
+    log_w: list[list[float]], anchors: list[list[float]], system_of: list[int],
+    params: GrwParams, rng: np.random.Generator,
+) -> tuple:
+    """run_trajectory's branch arm on _branch_lists' view: (times, particles, centers, diagnostic).
+
+    Steps log_w in place.  Draws per event, in order: the waiting time, the
+    particle (only when N > 1), the branch and the center.
+    """
+    times: list[float] = []
+    particles: list[int] = []
+    centers: list[float] = []
+    n = len(anchors)
+    wait_scale = 1.0 / (n * params.lambda_eff)
+    spread = params.sigma * _INV_SQRT2
+    inv_var = 1.0 / (params.sigma * params.sigma)
+    total_time = params.total_time
+    exponential, integers = rng.exponential, rng.integers
+    t = 0.0
+    while True:
+        t_next = t + exponential(wait_scale)
+        if t_next > total_time:
+            return times, particles, centers, None
+        particle = int(integers(n)) if n > 1 else 0
+        system = system_of[particle]
+        try:
+            center = _draw_center(log_w[system], anchors[particle], spread, rng)
+            log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
+        except NumericsError as exc:
+            return times, particles, centers, f"event {len(times)} at t={t_next:.6g}: {exc}"
+        times.append(t_next)
+        particles.append(particle)
+        centers.append(center)
+        t = t_next
+
+
+def _replay_grid(
+    psi: GridWaveFunction, params: GrwParams, collapses: Iterable[tuple[float, int, float]]
+):
+    """Apply (time, particle, center) collapses in order to psi, without random draws.
+
+    Yields (before, after) per collapse: the wave function evolved to the
+    collapse time, and the same collapsed.
     """
     t_prev = 0.0
     for t, particle, center in collapses:
-        if isinstance(state, GridWaveFunction):
-            before = evolve_unitary(state, t - t_prev, params.hamiltonian)
-            state = after = apply_collapse_grid(before, particle, center, params.sigma)
-        else:
-            sys_idx, local = state.locate(particle)
-            before = state.systems[sys_idx]
-            after = branch_collapse_update(before, local, center, params.sigma, check_separation=False)
-            state.systems[sys_idx] = after
+        before = evolve_unitary(psi, t - t_prev, params.hamiltonian)
+        psi = apply_collapse_grid(before, particle, center, params.sigma)
         t_prev = t
-        yield t, state, before, after
+        yield before, psi
+
+
+def _replay_branches(
+    log_w: list[list[float]],
+    anchors: list[list[float]],
+    system_of: list[int],
+    sigma: float,
+    collapses: Iterable[tuple[float, int, float]],
+):
+    """Apply (time, particle, center) collapses in order to _branch_lists' view, without random draws.
+
+    Steps log_w in place and yields the collapsed system's index after each
+    collapse.
+    """
+    inv_var = 1.0 / (sigma * sigma)
+    n = len(anchors)
+    for _, particle, center in collapses:
+        if not 0 <= particle < n:
+            raise ConfigError(f"particle index {particle} out of range for N={n}")
+        system = system_of[particle]
+        log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
+        yield system
 
 
 def replay_state_at(
@@ -456,14 +550,17 @@ def replay_state_at(
     trajectory's state bit-for-bit without any random draws.
     """
     _require_trajectory_state(initial_state)
-    state = initial_state.copy()
-    t_prev = 0.0
-    upto_t = ((e.time, e.particle, e.center) for e in takewhile(lambda e: e.time <= t, events))
-    for t_prev, state, _, _ in _replay(state, params, upto_t):
+    upto_t = [(e.time, e.particle, e.center) for e in takewhile(lambda e: e.time <= t, events)]
+    if isinstance(initial_state, GridWaveFunction):
+        state = initial_state.copy()
+        for _, state in _replay_grid(state, params, upto_t):
+            pass
+        t_prev = upto_t[-1][0] if upto_t else 0.0
+        return evolve_unitary(state, t - t_prev, params.hamiltonian)
+    log_w, anchors, system_of = _branch_lists(initial_state)
+    for _ in _replay_branches(log_w, anchors, system_of, params.sigma, upto_t):
         pass
-    if isinstance(state, GridWaveFunction):
-        state = evolve_unitary(state, t - t_prev, params.hamiltonian)
-    return state
+    return _branch_systems(initial_state, log_w)
 
 
 def _warn_if_close(state: BranchState, sigma: float) -> None:

@@ -29,7 +29,7 @@ from .dynamics import (
     run_trajectory,
     sample_collapse_center,
 )
-from .errors import ConfigError
+from .errors import ConfigError, WorkerError
 from .scenarios import (
     MAX_EXPECTED_EVENTS,
     PREHISTORY_STREAM_OFFSET,
@@ -279,8 +279,9 @@ def run_ensemble(
     stream block) and aggregation folds in index order.  Each trajectory
     i < log_first is handed to on_logged, a picklable hook, in the process
     that ran it, as soon as it finishes.  Any aborted trajectory is counted
-    and fails the ensemble.  A horizon too short for the planned limit
-    statistics is rejected before anything runs.
+    and fails the ensemble.  A worker process that dies raises WorkerError,
+    naming the first block that did not finish.  A horizon too short for
+    the planned limit statistics is rejected before anything runs.
     """
     if n_trajectories < 2:
         raise ConfigError("an ensemble needs at least 2 trajectories")
@@ -300,18 +301,22 @@ def run_ensemble(
         # imported here: a one-worker run loads no multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # spawned workers start from a fresh import; a fork of this process
         # could inherit threads (a BLAS pool) and locks held by them
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=blocks - 1, mp_context=spawn) as pool:
-            rest = [
-                pool.submit(_run_block, *block_args, lo, hi)
-                for lo, hi in zip(bounds[1:-1], bounds[2:])
-            ]
+            spans = list(zip(bounds[1:-1], bounds[2:]))
+            rest = [pool.submit(_run_block, *block_args, lo, hi) for lo, hi in spans]
             trajectories = _run_block(*block_args, bounds[0], bounds[1])
-            for block in rest:
-                trajectories += block.result()
+            for block, (lo, hi) in zip(rest, spans):
+                try:
+                    trajectories += block.result()
+                except BrokenProcessPool as exc:
+                    raise WorkerError(
+                        f"trajectories {lo}-{hi - 1} did not finish: a worker process died"
+                    ) from exc
 
     failures = sum(1 for t in trajectories if t.status != "completed")
     diagnostics = [

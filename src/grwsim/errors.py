@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2 (a horizon too short
-for a limit statistic included), NumericsError -> 3.
+for a limit statistic included), NumericsError -> 3, WorkerError -> 4.
 """
 
 
@@ -15,6 +15,10 @@ class ConfigError(GrwError):
 
 class NumericsError(GrwError):
     """Numerical failure: underflow, non-convergence, coverage loss."""
+
+
+class WorkerError(GrwError):
+    """A worker process died before its block of trajectories finished."""
 
 
 class ZeroProbabilityCollapseError(NumericsError):

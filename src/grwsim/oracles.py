@@ -5,8 +5,10 @@ quadrature, an oracle-local center sampler, no shared numerical kernels
 with the trajectory engine.  The test suite and the acceptance criteria
 compare engine output against these references; the engine modules never
 import them.  SciPy's ``quad`` is imported inside
-``one_step_posterior_oracle``, the one function that integrates, so
-importing ``grwsim`` (and ``grwsim run``) loads no SciPy.
+``one_step_posterior_oracle``, the one function that integrates, which
+only the tests call; criterion 8's ``grid_branch_crosscheck`` compares
+against a fine grid and integrates nothing.  So importing ``grwsim``,
+``grwsim run`` and ``grwsim check`` load no SciPy.
 """
 
 from __future__ import annotations

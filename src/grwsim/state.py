@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -247,12 +248,12 @@ class BranchState:
         return self.anchors.shape[1]
 
     def separation(self) -> float:
-        """Min over branch pairs and particles of the anchor distance."""
-        if self.num_branches < 2:
-            return np.inf
-        diffs = np.abs(self.anchors[:, None, :] - self.anchors[None, :, :])
-        mask = ~np.eye(self.num_branches, dtype=bool)
-        return float(diffs[mask].min())
+        """Min over branch pairs and particles of the anchor distance (inf below 2 branches)."""
+        # plain floats: run_trajectory asks this of every system of every trajectory
+        return min(
+            (abs(a - b) for col in self.anchors.T.tolist() for a, b in combinations(col, 2)),
+            default=math.inf,
+        )
 
     def copy(self) -> "BranchState":
         return BranchState(self.labels, self.log_weights.copy(), self.anchors.copy())

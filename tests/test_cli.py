@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import re
 from pathlib import Path
 
@@ -39,6 +40,12 @@ def _failing_logs(error, out, config, index, record, prehistory):
     # stands in for write_trajectory_logs; trajectory 8 belongs to the last block
     if index == 8:
         raise error("synthetic failure in a worker")
+
+
+def _dying_logs(out, config, index, record, prehistory):
+    # stands in for write_trajectory_logs; trajectory 3 opens the middle block
+    if index == 3:
+        os._exit(1)
 
 
 @pytest.fixture
@@ -120,6 +127,17 @@ class TestRunCommand:
                 "--threads", "3", "--out", str(tmp_path / "o"), "--log-trajectories", "9"]
         assert main(argv) == code
         assert "synthetic failure in a worker" in capsys.readouterr().err
+
+    def test_dead_worker_exit_code(self, cat_cfg, tmp_path, monkeypatch, capsys):
+        import grwsim.cli as cli
+
+        monkeypatch.setattr(cli, "write_trajectory_logs", _dying_logs)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cat_cfg), "--seed", "4", "--trajectories", "9",
+                "--threads", "3", "--out", str(out), "--log-trajectories", "9"]
+        assert main(argv) == 4
+        assert "trajectories 3-5 did not finish: a worker process died" in capsys.readouterr().err
+        assert not list(out.glob("summary.*"))
 
     def test_density_snapshots(self, tmp_path):
         cfg = tmp_path / "density.cfg"

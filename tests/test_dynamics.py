@@ -382,9 +382,14 @@ class TestRunTrajectory:
         log_weights_before = [s.log_weights.copy() for s in initial.systems]
         rec = run_trajectory(initial, params, RngStream(93, 0))
         assert rec.num_events > 0
-        replay_state_at(initial, params, rec.events, params.total_time)
+        replayed = replay_state_at(initial, params, rec.events, params.total_time)
         assert rec.initial_state is initial
         assert rec.final_state is not initial
+        # nor do the final and replayed states share an array with it
+        for state in (rec.final_state, replayed):
+            for s, s0 in zip(state.systems, initial.systems):
+                assert not np.shares_memory(s.log_weights, s0.log_weights)
+                assert not np.shares_memory(s.anchors, s0.anchors)
         assert all(a is b for a, b in zip(initial.systems, systems_before))
         for s, before in zip(initial.systems, log_weights_before):
             assert np.array_equal(s.log_weights, before)
@@ -469,6 +474,135 @@ class TestRandomStream:
         assert rec.num_events == count
         assert list(zip(rec.times, rec.particles, rec.centers))[:8] == triples
 
+
+
+# The per-event branch code from before the plain-float kernel, verbatim:
+# numpy-backed BranchState updates, the mixture sampler and the step loop.
+# The kernel must reproduce it bit for bit.
+def _reference_update(state, particle, center, sigma):
+    inv = 1.0 / (sigma * sigma)
+    new_log = [
+        lw - (a - center) * (a - center) * inv
+        for lw, a in zip(state.log_weights.tolist(), state.anchors[:, particle].tolist())
+    ]
+    peak = max(new_log)
+    if not math.isfinite(peak):
+        raise ZeroProbabilityCollapseError(
+            "all branch posterior factors underflowed simultaneously"
+        )
+    total = peak + math.log(sum([math.exp(v - peak) for v in new_log]))
+    return BranchState(state.labels, np.array([v - total for v in new_log]), state.anchors)
+
+
+def _reference_center(state, particle, sigma, rng):
+    weights = [math.exp(v) for v in state.log_weights.tolist()]
+    u = rng.random() * sum(weights)
+    idx = len(weights) - 1
+    acc = 0.0
+    for j, w in enumerate(weights):
+        acc += w
+        if u <= acc:
+            idx = j
+            break
+    return float(rng.normal(state.anchors[idx, particle], sigma * (1.0 / math.sqrt(2.0))))
+
+
+def _reference_weights(system):
+    return tuple([math.exp(v) for v in system.log_weights.tolist()])
+
+
+def _reference_run(initial_state, params, stream):
+    """(times, particles, centers, final state, events) of the step loop."""
+    rng = stream.generator()
+    state = initial_state.copy()
+    n = state.num_particles
+    sigma = params.sigma
+    times, particles, centers, events = [], [], [], []
+    t = 0.0
+    while True:
+        t_next = t + float(rng.exponential(1.0 / (n * params.lambda_eff)))
+        if t_next > params.total_time:
+            break
+        # integers(1) consumes no bits, so skipping it leaves the stream unchanged
+        particle = int(rng.integers(n)) if n > 1 else 0
+        sys_idx, local = state.locate(particle)
+        system = state.systems[sys_idx]
+        center = _reference_center(system, local, sigma, rng)
+        after = _reference_update(system, local, center, sigma)
+        state.systems[sys_idx] = after
+        events.append(
+            CollapseEvent(t_next, particle, center, _reference_weights(system), _reference_weights(after))
+        )
+        times.append(t_next)
+        particles.append(particle)
+        centers.append(center)
+        t = t_next
+    return times, particles, centers, state, events
+
+
+def _hand_built_systems():
+    # 3 branches of 2 particles (global 0, 1) and a 2-branch marble (global 2)
+    pair = BranchState.from_weights(
+        ("a", "b", "c"), (0.5, 0.3, 0.2), [[0.0, 100.0], [15.0, 140.0], [-20.0, 160.0]]
+    )
+    return BranchSystems([pair, _branch_state(0.8)]), GrwParams(lambda_eff=0.7, sigma=1.3, total_time=15.0)
+
+
+def _scenario_case(config):
+    return build_scenario(config).initial_state, config.params
+
+
+_REFERENCE_CASES = {
+    # criterion 4's cat
+    "cat": lambda: _scenario_case(
+        ScenarioConfig(
+            kind=ScenarioKind.CAT, c1_sq=0.7, ontology=Ontology.GRW0,
+            params=GrwParams(lambda_eff=1.0, sigma=1.0, total_time=50.0),
+        )
+    ),
+    "marbles3": lambda: _scenario_case(
+        ScenarioConfig(
+            kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=3, params=GrwParams(total_time=20.0)
+        )
+    ),
+    "three_branches_two_particles": _hand_built_systems,
+}
+
+
+class TestBranchKernelMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 7, 1004, 2024])
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_run_and_event_log(self, case, seed):
+        initial, params = _REFERENCE_CASES[case]()
+        for stream in range(3):
+            rec = run_trajectory(initial, params, RngStream(seed, stream))
+            times, particles, centers, final, events = _reference_run(initial, params, RngStream(seed, stream))
+            assert rec.num_events > 0
+            assert rec.times == times
+            assert rec.particles == particles
+            assert rec.centers == centers
+            assert all(type(x) is float for x in rec.times + rec.centers)
+            assert [s.log_weights.tolist() for s in rec.final_state.systems] == [
+                s.log_weights.tolist() for s in final.systems
+            ]
+            assert rec.events == events
+            replayed = replay_state_at(initial, params, rec.events, params.total_time)
+            assert [s.log_weights.tolist() for s in replayed.systems] == [
+                s.log_weights.tolist() for s in final.systems
+            ]
+
+    def test_primitives(self):
+        rng = _rng(31)
+        state, _ = _hand_built_systems()
+        pair = state.systems[0]
+        for _ in range(200):
+            particle = int(rng.integers(2))
+            draw_seed = int(rng.integers(2**32))
+            center = sample_collapse_center(pair, particle, 1.3, _rng(draw_seed))
+            assert center == _reference_center(pair, particle, 1.3, _rng(draw_seed))
+            post = branch_collapse_update(pair, particle, center, 1.3)
+            assert post.log_weights.tolist() == _reference_update(pair, particle, center, 1.3).log_weights.tolist()
+            pair = post
 
 def _stepwise_events(initial, params, rec, summary):
     """The event log read off replay_state_at one event at a time."""

@@ -7,10 +7,11 @@ computations in ``oracles.py`` are what engine output is checked against,
 so only the acceptance criteria and the package's re-exports import them:
 a statistic's target never comes from the code it checks.
 
-``grwsim run`` needs only numpy: SciPy serves ``grwsim check`` and the
-tests, so a run in a fresh interpreter must load no ``scipy`` module.  A
-one-worker run starts no process pool, so it loads no ``multiprocessing``
-either.
+``grwsim run`` and ``grwsim check`` need only numpy: SciPy serves only the
+tests, so a run in a fresh interpreter must load no ``scipy`` module, and
+neither must criterion 8, which compares the branch posterior with a fine
+grid and integrates nothing.  A one-worker run starts no process pool, so
+it loads no ``multiprocessing`` either.
 """
 
 import ast
@@ -119,15 +120,19 @@ assert not loaded, loaded
 """
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_all_configs(tmp_path, package: str) -> None:
     """Run every _RUN_CONFIGS config with one worker in a fresh interpreter that must not load package."""
     for name, text in _RUN_CONFIGS.items():
         (tmp_path / f"{name}.cfg").write_text(text)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_WITHOUT.format(package=package), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_src_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     summary = (tmp_path / "marbles" / "summary.csv").read_text()
@@ -140,3 +145,22 @@ def test_run_loads_no_scipy(tmp_path):
 
 def test_one_worker_run_loads_no_multiprocessing(tmp_path):
     _run_all_configs(tmp_path, "multiprocessing")
+
+
+_CHECK_CRITERION_8 = """
+import sys
+
+import grwsim.cli
+
+assert grwsim.cli.main(["check", "--criteria", "8"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_criterion_8_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECK_CRITERION_8], env=_src_env(), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
