@@ -20,6 +20,7 @@ from grwsim import (
     build_scenario,
     flash_fraction_in_region,
     flashes_of,
+    grw0_view,
     mass_fraction_in_region,
     matter_density,
     replay_state_at,
@@ -55,13 +56,14 @@ def main() -> None:
     print(f"{'t':>6} {'w_dead':>10} {'flash frac in box':>18} {'matter frac in box':>19}")
     for t in np.linspace(0.0, config.params.total_time, 7):
         state = replay_state_at(scenario.initial_state, config.params, run_flashes, t)
-        w_dead = float(state.systems[0].weights[0])
+        (_, w_dead), _ = grw0_view(state)[0]
         frac, count = flash_fraction_in_region(config.flash_window(flashes, t), box)
         m_frac = mass_fraction_in_region(matter_density(state, grid=grid), box)
         flash_txt = f"{frac:.3f} ({count:3d} fl)" if count else "   no flashes"
         print(f"{t:>6.1f} {w_dead:>10.3e} {flash_txt:>18} {m_frac:>19.6f}")
 
-    verdict = "inside/dead" if float(record.final_state.systems[0].weights[0]) > 0.5 else "outside/alive"
+    (_, w_final), _ = grw0_view(record.final_state)[0]
+    verdict = "inside/dead" if w_final > 0.5 else "outside/alive"
     print(f"\nlimit verdict: {verdict}; the weight-only view never said where anything was.")
 
 

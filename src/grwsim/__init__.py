@@ -47,7 +47,7 @@ from .ontology import (
     mass_fraction_in_region,
     matter_density,
 )
-from .oracles import grid_branch_crosscheck, one_step_posterior_oracle
+from .oracles import grid_branch_crosscheck
 from .scenarios import (
     History,
     Ontology,
@@ -65,7 +65,6 @@ from .state import (
     GridWaveFunction,
     Packet,
     Region,
-    branch_weights,
     make_grid_wavefunction,
     marginal_density,
     norm_squared,

@@ -6,8 +6,9 @@ Subcommands:
   report  summarize a results directory
 
 Exit codes: 0 success, 1 a failed statistic, 2 usage/config error (a
-horizon too short for a limit statistic included), 3 numerical error, 4 a
-worker process died (no summary is written).
+horizon too short for a limit statistic, a malformed summary and an output
+path that cannot be written included), 3 numerical error, 4 a worker
+process died (no summary is written).
 """
 
 from __future__ import annotations
@@ -181,6 +182,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_WORKER
     except GrwError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # an output file or directory, here or in a worker: reading a
+        # config or a summary raises ConfigError instead
+        target = exc.filename2 or exc.filename or "output"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -256,8 +256,6 @@ def branch_collapse_update(
     particle: int,
     center: float,
     sigma: float,
-    *,
-    check_separation: bool = True,
 ) -> BranchState:
     """Closed-form posterior for point anchors: w_i' ~ w_i exp(-(a_ik - X)^2 / sigma^2).
 
@@ -268,8 +266,7 @@ def branch_collapse_update(
         raise ConfigError(
             f"particle index {particle} out of range for N={state.num_particles}"
         )
-    if check_separation:
-        _warn_if_close(state, sigma)
+    _warn_if_close(state, sigma)
     anchors = state.anchors[:, particle].tolist()
     log_w = _posterior(state.log_weights.tolist(), anchors, center, 1.0 / (sigma * sigma))
     return BranchState(state.labels, np.array(log_w), state.anchors)

@@ -225,11 +225,33 @@ def write_density_csv(path: str | Path, field: MatterDensityField) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# what grwsim report reads of a summary.json
+_SUMMARY_KEYS = ("config", "n_trajectories", "master_seed", "failures", "records", "diagnostics")
+_RECORD_KEYS = ("statistic", "estimate", "target", "z", "pass")
+
+
+def _has_keys(obj, keys: tuple[str, ...]) -> bool:
+    return isinstance(obj, dict) and all(k in obj for k in keys)
+
+
 def read_summary_json(path: str | Path) -> dict:
+    """A summary.json holding every key ``grwsim report`` reads, else ConfigError."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        summary = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read summary {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed summary {path}: {exc}") from exc
+    if not (
+        _has_keys(summary, _SUMMARY_KEYS)
+        and _has_keys(summary["config"], ("kind", "ontology", "history"))
+        and isinstance(summary["diagnostics"], list)
+        and isinstance(summary["records"], list)
+        and all(_has_keys(r, _RECORD_KEYS) for r in summary["records"])
+    ):
+        raise ConfigError(
+            f"malformed summary {path}: expected a JSON object with the keys "
+            f"{', '.join(_SUMMARY_KEYS)} and records holding {', '.join(_RECORD_KEYS)}"
+        )
+    return summary

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import BranchSystems, Flash, TrajectoryRecord
 from .errors import ConfigError, NumericsError
-from .state import BranchState, GridWaveFunction, Region, branch_weights, marginal_density
+from .state import BranchState, GridWaveFunction, Region, marginal_density
 
 COVERAGE_TOL = 1e-6
 
@@ -135,5 +135,5 @@ def default_window(num_particles: int, lambda_eff: float) -> float:
 
 
 def grw0_view(state: BranchSystems) -> list[list[tuple[str, float]]]:
-    """Each system's branch weights -- deliberately nothing spatial to point at."""
-    return [branch_weights(s) for s in state.systems]
+    """Each system's (label, weight) pairs -- deliberately nothing spatial to point at."""
+    return [list(zip(s.labels, s.weights.tolist())) for s in state.systems]

@@ -258,7 +258,3 @@ class BranchState:
     def copy(self) -> "BranchState":
         return BranchState(self.labels, self.log_weights.copy(), self.anchors.copy())
 
-
-def branch_weights(state: BranchState) -> list[tuple[str, float]]:
-    """(label, weight) pairs; weights sum to 1 up to float rounding."""
-    return list(zip(state.labels, (float(w) for w in state.weights)))

@@ -139,6 +139,29 @@ class TestRunCommand:
         assert "trajectories 3-5 did not finish: a worker process died" in capsys.readouterr().err
         assert not list(out.glob("summary.*"))
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_unwritable_out_exit_code(self, cat_cfg, tmp_path, capsys, threads):
+        # with no logs, the summary write is the first to fail, after the whole run
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "results"
+        argv = ["run", "--config", str(cat_cfg), "--trajectories", "40", "--threads", threads,
+                "--out", str(out), "--log-trajectories", "0"]
+        assert main(argv) == 2
+        assert f"error: cannot write {out}: Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_unwritable_log_exit_code(self, cat_cfg, tmp_path, capsys, threads):
+        # trajectory 8's event log cannot replace a directory; at 3 threads
+        # the last worker block raises it
+        out = tmp_path / "o"
+        (out / "events-00008.jsonl").mkdir(parents=True)
+        argv = ["run", "--config", str(cat_cfg), "--seed", "4", "--trajectories", "9",
+                "--threads", threads, "--out", str(out), "--log-trajectories", "9"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / 'events-00008.jsonl'}: Is a directory" in err
+        assert not list(out.glob("summary.*"))
+
     def test_density_snapshots(self, tmp_path):
         cfg = tmp_path / "density.cfg"
         cfg.write_text(CAT_CFG + "density_times = 0.0, 20.0\n")
@@ -335,6 +358,13 @@ class TestOtherCommands:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize("text", ['{"config": {}}', "[1, 2]"])
+    def test_report_malformed_summary(self, tmp_path, capsys, text):
+        # valid JSON that is not a summary: a config error, not a traceback
+        (tmp_path / "summary.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == 2
+        assert "malformed summary" in capsys.readouterr().err
 
 
 def test_readme_config_example_parses():

@@ -7,11 +7,14 @@ computations in ``oracles.py`` are what engine output is checked against,
 so only the acceptance criteria and the package's re-exports import them:
 a statistic's target never comes from the code it checks.
 
-``grwsim run`` and ``grwsim check`` need only numpy: SciPy serves only the
-tests, so a run in a fresh interpreter must load no ``scipy`` module, and
-neither must criterion 8, which compares the branch posterior with a fine
-grid and integrates nothing.  A one-worker run starts no process pool, so
-it loads no ``multiprocessing`` either.
+The package needs only numpy.  No module under ``src/grwsim`` imports
+SciPy, not even inside a function, and ``[project].dependencies`` names
+numpy alone; SciPy comes with the ``test`` extra, for the references the
+tests compare against (``tests/quad_oracle.py``, ``scipy.stats``).  So a
+run in a fresh interpreter must load no ``scipy`` module, and neither must
+criterion 8, which compares the branch posterior with a fine grid.  A
+one-worker run starts no process pool, so it loads no ``multiprocessing``
+either.
 """
 
 import ast
@@ -87,6 +90,36 @@ def test_oracle_import_detector():
 @pytest.mark.parametrize("path", ENGINE, ids=[p.name for p in ENGINE])
 def test_engine_never_imports_oracles(path):
     assert not imports_oracles(path.read_text())
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of every import of scipy or a scipy submodule, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_never_imports_scipy():
+    assert scipy_imports("import scipy\ndef f():\n    from scipy.integrate import quad\n") == [1, 3]
+    assert scipy_imports("import scipyx\nfrom .scipy import x\n") == []
+    found = {
+        p.name: scipy_imports(p.read_text()) for p in sorted((ROOT / "src" / "grwsim").glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # the standard library has it from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 # a cat, a 2-marble fresh GRWf count window (census chi-square and exact

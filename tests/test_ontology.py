@@ -15,7 +15,6 @@ from grwsim import (
     Region,
     RngStream,
     ScenarioConfig,
-    branch_weights,
     flash_fraction_in_region,
     flashes_of,
     grw0_view,
@@ -183,13 +182,14 @@ class TestFlashFraction:
 class TestGrw0View:
     def test_matches_branch_weights(self):
         state = _marble(0.8)
-        assert grw0_view(state) == [branch_weights(state.systems[0])]
+        marble = state.systems[0]
+        assert grw0_view(state) == [list(zip(marble.labels, marble.weights.tolist()))]
 
     def test_systems_view(self):
         systems = BranchSystems([_marble_state(0.8), _marble_state(0.8)])
         view = grw0_view(systems)
         assert len(view) == 2
-        assert view[0] == branch_weights(systems.systems[0])
+        assert view[0] == [("in", pytest.approx(0.8)), ("out", pytest.approx(0.2))]
 
 
 def test_default_window_expected_flashes():

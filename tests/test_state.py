@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from grwsim import (
     BranchState,
+    BranchSystems,
     ConfigError,
     GridSpec,
     GridWaveFunction,
     Packet,
     Region,
-    branch_weights,
+    grw0_view,
     make_grid_wavefunction,
     marginal_density,
     norm_squared,
@@ -129,11 +130,13 @@ class TestBranchState:
         state = BranchState.from_weights(
             ("inside", "outside"), (0.9, 0.1), [[0.0], [30.0]]
         )
-        assert branch_weights(state) == [("inside", pytest.approx(0.9)), ("outside", pytest.approx(0.1))]
+        assert state.labels == ("inside", "outside")
+        assert state.weights.tolist() == [pytest.approx(0.9), pytest.approx(0.1)]
 
     def test_single_branch_degenerate(self):
         state = BranchState.from_weights(("only",), (1.0,), [[2.0]])
-        assert branch_weights(state) == [("only", pytest.approx(1.0))]
+        assert state.labels == ("only",)
+        assert state.weights.tolist() == [pytest.approx(1.0)]
         assert state.separation() == np.inf
 
     def test_weight_sum_enforced(self):
@@ -203,7 +206,8 @@ def test_branch_weights_always_sum_to_one(raw):
     state = BranchState.from_weights(
         tuple(f"b{i}" for i in range(len(raw))), weights, anchors
     )
-    assert abs(sum(w for _, w in branch_weights(state)) - 1.0) < 1e-12
+    (pairs,) = grw0_view(BranchSystems([state]))
+    assert abs(sum(w for _, w in pairs) - 1.0) < 1e-12
 
 
 @given(
