@@ -47,17 +47,19 @@ def main() -> None:
     scenario = build_scenario(config, np.random.default_rng(args.seed))
     record = run_trajectory(scenario.initial_state, config.params, RngStream(args.seed))
     run_flashes = flashes_of(record)
-    flashes = scenario.prehistory + run_flashes
+    pre_times, _, pre_centers = scenario.prehistory
+    times = np.concatenate((pre_times, record.times))
+    centers = np.concatenate((pre_centers, record.centers))
     box = config.box
     grid = density_grid(config)
 
     print(f"eps = {args.eps}, box = [{box.lower}, {box.upper}], seed {args.seed}")
-    print(f"prehistory flashes: {len(scenario.prehistory)} (all inside the box)")
+    print(f"prehistory flashes: {len(pre_times)} (all inside the box)")
     print(f"{'t':>6} {'w_dead':>10} {'flash frac in box':>18} {'matter frac in box':>19}")
     for t in np.linspace(0.0, config.params.total_time, 7):
         state = replay_state_at(scenario.initial_state, config.params, run_flashes, t)
         (_, w_dead), _ = grw0_view(state)[0]
-        frac, count = flash_fraction_in_region(config.flash_window(flashes, t), box)
+        frac, count = flash_fraction_in_region(centers[config.flash_window(times, t)], box)
         m_frac = mass_fraction_in_region(matter_density(state, grid=grid), box)
         flash_txt = f"{frac:.3f} ({count:3d} fl)" if count else "   no flashes"
         print(f"{t:>6.1f} {w_dead:>10.3e} {flash_txt:>18} {m_frac:>19.6f}")

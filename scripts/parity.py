@@ -5,9 +5,11 @@
 
 Runs `grwsim run` from each tree's ``src/`` on the committed case list
 CASES, at seed 11, and compares every output file byte for byte and every
-exit code.  It writes one JSON report and exits 0 when every case matches
-on both trees, 1 otherwise.  A change that says it moves no random draw
-cites this report.
+exit code.  It also runs each tree's ``scripts/ontology_snapshot_demo.py``
+at its default (fixed) seed and compares the stdout and exit code.  It
+writes one JSON report and exits 0 when every case and the demo match on
+both trees, 1 otherwise.  A change that says it moves no random draw cites
+this report.
 
 Only bytes are compared.  A change that alters the draws needs a
 comparison in law (histograms and verdict tables under two-sample tests),
@@ -102,7 +104,20 @@ CASES = _benchmark_cases([("cat_grw0", 500, 0), ("marbles_grwf", 30, 30), ("grid
         "history = fresh_preparation\nwindow_flashes = 20\ntotal_time = 40\n",
         500,
     ),
+    # three collapsed-past GRWf marbles whose count windows of 40 flashes
+    # reach back into the prehistory
+    Case(
+        "marbles3_grwf_prehistory",
+        "kind = marbles\nn_marbles = 3\nontology = grwf\nhistory = collapsed_past\n"
+        "window_flashes = 40\ntotal_time = 20\n",
+        300,
+    ),
 ]
+DEMO = Path("scripts") / "ontology_snapshot_demo.py"
+
+
+def _env(tree: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
 
 
 def run_case(tree: Path, case: Case, work: Path) -> tuple[int, str]:
@@ -115,9 +130,8 @@ def run_case(tree: Path, case: Case, work: Path) -> tuple[int, str]:
         "--trajectories", str(case.trajectories), "--threads", str(case.threads),
         "--log-trajectories", str(case.log_trajectories), "--out", str(work / "out"),
     ]
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        argv, cwd=work, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+        argv, cwd=work, env=_env(tree), capture_output=True, text=True, timeout=RUN_TIMEOUT_S
     )
     lines = proc.stderr.strip().splitlines()
     return proc.returncode, lines[-1] if lines else ""
@@ -147,15 +161,33 @@ def compare_case(base: Path, head: Path, case: Case, work: Path) -> dict:
     }
 
 
+def compare_demo(base: Path, head: Path) -> dict:
+    """Exit code and stdout of each tree's demo script, run on its own src/."""
+    runs = [
+        subprocess.run(
+            [sys.executable, str(tree / DEMO)], cwd=tree, env=_env(tree),
+            capture_output=True, timeout=RUN_TIMEOUT_S,
+        )
+        for tree in (base, head)
+    ]
+    return {
+        "name": DEMO.name,
+        "exit": [run.returncode for run in runs],
+        "match": runs[0].returncode == runs[1].returncode and runs[0].stdout == runs[1].stdout,
+    }
+
+
 def compare_trees(base: Path, head: Path, cases: list[Case], work: Path) -> dict:
     results = [compare_case(base, head, case, work) for case in cases]
+    demo = compare_demo(base, head)
     return {
         "mode": "bytes",
         "base": str(base),
         "head": str(head),
         "seed": SEED,
         "cases": results,
-        "identical": all(r["match"] for r in results),
+        "demo": demo,
+        "identical": demo["match"] and all(r["match"] for r in results),
     }
 
 
@@ -171,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     for r in report["cases"]:
         status = "same" if r["match"] else f"DIFFERS {r['differing']}"
         print(f"{r['name']:<28} exit {r['exit'][0]}/{r['exit'][1]}  {r['files']:4d} files  {status}")
+    demo = report["demo"]
+    print(f"{demo['name']:<28} exit {demo['exit'][0]}/{demo['exit'][1]}  stdout {'same' if demo['match'] else 'DIFFERS'}")
     same = sum(r["match"] for r in report["cases"])
     print(f"{same}/{len(report['cases'])} cases byte-identical; report in {args.report}")
     return 0 if report["identical"] else 1

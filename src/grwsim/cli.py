@@ -30,8 +30,8 @@ from .fileio import (
     write_summary_csv,
     write_summary_json,
 )
-from .ontology import Flash, flashes_of, matter_density
-from .scenarios import ScenarioConfig, density_grid
+from .ontology import flashes_of, matter_density
+from .scenarios import FlashColumns, ScenarioConfig, density_grid
 from .state import GridWaveFunction
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ EXIT_WORKER = 4
 
 
 def write_trajectory_logs(
-    out: Path, config: ScenarioConfig, index: int, record: TrajectoryRecord, prehistory: list[Flash]
+    out: Path, config: ScenarioConfig, index: int, record: TrajectoryRecord, prehistory: FlashColumns
 ) -> None:
     """One logged trajectory's events, flashes and prehistory, plus trajectory 0's density snapshots.
 
@@ -50,14 +50,14 @@ def write_trajectory_logs(
     lives at module level and the directory appears with the first log.
     """
     out.mkdir(parents=True, exist_ok=True)
-    flashes = flashes_of(record)
     write_events_jsonl(out / f"events-{index:05d}.jsonl", record)
-    write_flashes_csv(out / f"flashes-{index:05d}.csv", flashes)
-    if prehistory:
-        write_flashes_csv(out / f"prehistory-{index:05d}.csv", prehistory)
+    write_flashes_csv(out / f"flashes-{index:05d}.csv", record.times, record.particles, record.centers)
+    if len(prehistory[0]):
+        write_flashes_csv(out / f"prehistory-{index:05d}.csv", *prehistory)
     if index == 0 and config.density_times:
         initial = record.initial_state
         grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
+        flashes = flashes_of(record)
         for t in config.density_times:
             state = replay_state_at(initial, config.params, flashes, t)
             write_density_csv(out / f"density-t{t:g}.csv", matter_density(state, grid=grid))
@@ -122,11 +122,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
     for r in summary["records"]:
-        z = "" if r["z"] is None else f"{r['z']:.3f}"
-        print(
-            f"{r['statistic']:<24}{r['estimate']:>14.6g}{r['target']:>14.6g}{z:>10}"
-            f"  {'yes' if r['pass'] else 'NO'}"
+        # null marks a non-finite value in summary.json; it prints blank
+        estimate, target, z = (
+            "" if r[key] is None else format(r[key], spec)
+            for key, spec in (("estimate", ".6g"), ("target", ".6g"), ("z", ".3f"))
         )
+        print(f"{r['statistic']:<24}{estimate:>14}{target:>14}{z:>10}  {'yes' if r['pass'] else 'NO'}")
     for line in summary["diagnostics"]:
         print(f"note: {line}")
     return EXIT_OK

@@ -20,11 +20,12 @@ Both steps are written once, on plain Python floats (``_draw_center`` and
 the collapsed particle's anchor list.
 
 A trajectory is recorded as three columns, one entry per collapse: the
-event times, the collapsed particles and the collapse centers.  Read row by
-row they are its flashes (``Flash``, via ``ontology.flashes_of``), which is
-all ``replay_state_at`` needs.  Branch weights before and after each
-collapse are not stored; ``TrajectoryRecord.events`` rebuilds them on
-demand by replaying the columns from the initial state.
+event times, the collapsed particles and the collapse centers.  They are
+its flashes, and the one flash layout: verdict windows, the collapsed-past
+prehistory and the flash logs all read columns.  ``ontology.flashes_of``
+reads them row by row as ``Flash`` objects, for ``replay_state_at`` and for
+users.  Branch weights before and after each collapse are not stored;
+``TrajectoryRecord.events`` rebuilds them by replaying the columns.
 The per-event primitives ``sample_collapse_center`` and
 ``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
 one ``BranchState``) and a particle of it; on a ``BranchState`` they are

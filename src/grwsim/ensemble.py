@@ -20,7 +20,6 @@ import numpy as np
 from . import ontology
 from .dynamics import (
     BranchSystems,
-    Flash,
     GridWaveFunction,
     RngStream,
     TrajectoryRecord,
@@ -33,12 +32,14 @@ from .errors import ConfigError, WorkerError
 from .scenarios import (
     MAX_EXPECTED_EVENTS,
     PREHISTORY_STREAM_OFFSET,
+    FlashColumns,
     History,
     Ontology,
     Scenario,
     ScenarioConfig,
     ScenarioKind,
     Verdict,
+    _normal_cdf,
     build_scenario,
     classify_branch_grwm,
     classify_grwf,
@@ -94,18 +95,21 @@ def gof_record(name: str, p_value: float, provenance: str) -> StatRecord:
 
 @dataclass
 class TrajectoryStats:
-    """Reduced per-trajectory record, small enough for 1e5-run ensembles."""
+    """Reduced per-trajectory record, small enough for 1e5-run ensembles.
+
+    The verdict fields stay None where the ontology gives no such verdict.
+    """
 
     index: int
     status: str
     diagnostic: str | None
     num_events: int
     final_weights: tuple[tuple[float, ...], ...]  # per branch system; empty on the grid
-    initial_verdict: str | None
-    final_verdict: str | None
-    flipped: bool | None
-    census: tuple[int, int, int, int] | None  # (inside, outside, partial, undefined)
-    first_window_verdict: str | None
+    initial_verdict: str | None = None
+    final_verdict: str | None = None
+    flipped: bool | None = None
+    census: tuple[int, int, int, int] | None = None  # (inside, outside, partial, undefined)
+    first_window_verdict: str | None = None
 
 
 @dataclass
@@ -120,7 +124,7 @@ class EnsembleSummary:
 
 
 # what run_ensemble hands a logged trajectory to: (index, record, prehistory)
-LogHook = Callable[[int, TrajectoryRecord, list[Flash]], None]
+LogHook = Callable[[int, TrajectoryRecord, FlashColumns], None]
 
 
 def _systems(state: TrajectoryState) -> list:
@@ -128,26 +132,27 @@ def _systems(state: TrajectoryState) -> list:
     return [state] if isinstance(state, GridWaveFunction) else state.systems
 
 
-def _flashes_by_system(record: TrajectoryRecord, prehistory: list[Flash]) -> list[list[Flash]]:
-    """Each system's prehistory and run flashes in time order, grouped in one pass."""
-    state = record.initial_state
-    if isinstance(state, BranchSystems):
-        owner = [state.locate(p)[0] for p in range(state.num_particles)]
-    else:
-        owner = [0] * state.num_particles
-    groups: list[list[Flash]] = [[] for _ in _systems(state)]
-    for f in prehistory + ontology.flashes_of(record):
-        groups[owner[f.particle]].append(f)
-    return groups
+def _flash_columns(record: TrajectoryRecord, prehistory: FlashColumns) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each system's (times, centers) columns, its prehistory then its run flashes, in time order."""
+    times = np.concatenate((prehistory[0], record.times))
+    centers = np.concatenate((prehistory[2], record.centers))
+    systems = _systems(record.initial_state)
+    if len(systems) == 1:
+        return [(times, centers)]
+    # global particle -> system; a stable sort by system keeps each system's flashes in time order
+    owner = np.repeat(np.arange(len(systems)), [s.num_particles for s in systems])
+    system = owner[np.concatenate((prehistory[1], np.asarray(record.particles, dtype=int)))]
+    order = np.argsort(system, kind="stable")
+    times, centers = times[order], centers[order]
+    ends = np.cumsum(np.bincount(system, minlength=len(systems))).tolist()
+    return [(times[lo:hi], centers[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _verdict_at(
-    config: ScenarioConfig, state: TrajectoryState | None, flashes: list[Flash], t: float
-) -> str:
+def _verdict_at(config: ScenarioConfig, state: TrajectoryState | None, flashes: tuple | None, t: float) -> str:
     """One system's verdict at time t, read off the configured ontology.
 
-    Matter density reads the system's state at t; flashes read
-    config.flash_window(flashes, t).
+    Matter density reads the system's state at t; flashes read the centers
+    in config.flash_window of the system's (times, centers) columns.
     """
     if config.ontology is Ontology.GRWM:
         if isinstance(state, GridWaveFunction):
@@ -155,14 +160,12 @@ def _verdict_at(
         else:
             verdict = classify_branch_grwm(state, config.box, config.theta_m)
         return verdict.value
-    return classify_grwf(config.flash_window(flashes, t), config.box, config.theta_f).value
+    times, centers = flashes
+    return classify_grwf(centers[config.flash_window(times, t)], config.box, config.theta_f).value
 
 
 def reduce_trajectory(
-    record: TrajectoryRecord,
-    scenario: Scenario,
-    index: int,
-    initial_verdict: str | None = None,
+    record: TrajectoryRecord, scenario: Scenario, index: int, initial_verdict: str | None = None
 ) -> TrajectoryStats:
     """One trajectory's verdicts, census and final weights.
 
@@ -175,60 +178,39 @@ def reduce_trajectory(
     final_weights = ()
     if isinstance(record.final_state, BranchSystems):
         final_weights = tuple(tuple(float(x) for x in s.weights) for s in finals)
+    stats = TrajectoryStats(index, record.status, record.diagnostic, record.num_events, final_weights)
+    if config.ontology is Ontology.GRW0:
+        return stats
 
-    final_verdict = first_window_verdict = None
-    flipped = None
-    census = None
-    if config.ontology is not Ontology.GRW0:
-        horizon = record.params.total_time
-        if config.ontology is Ontology.GRWF:
-            flashes = _flashes_by_system(record, scenario.prehistory)
+    horizon = record.params.total_time
+    grwf = config.ontology is Ontology.GRWF
+    flashes = _flash_columns(record, scenario.prehistory) if grwf else [None] * len(finals)
+    if initial_verdict is None:
+        initial_verdict = _verdict_at(config, _systems(scenario.initial_state)[0], flashes[0], 0.0)
+    verdicts = [_verdict_at(config, s, fl, horizon) for s, fl in zip(finals, flashes)]
+    stats.initial_verdict, stats.final_verdict = initial_verdict, verdicts[0]
+    definite = (Verdict.INSIDE.value, Verdict.OUTSIDE.value)
+    if initial_verdict in definite and verdicts[0] in definite:
+        stats.flipped = initial_verdict != verdicts[0]
+    if grwf:
+        # the first window reads run flashes only and closes when it is
+        # full: at time w, or at the window_flashes-th flash
+        times, centers = flashes[0]
+        start = int(np.searchsorted(times, 0.0, side="right"))
+        run = (times[start:], centers[start:])
+        k = config.window_flashes
+        if k is None:
+            closes = config.window_length()
         else:
-            flashes = [[] for _ in finals]
-        if initial_verdict is None:
-            initial = _systems(scenario.initial_state)[0]
-            initial_verdict = _verdict_at(config, initial, flashes[0], 0.0)
-        final_verdict = _verdict_at(config, finals[0], flashes[0], horizon)
-        definite = (Verdict.INSIDE.value, Verdict.OUTSIDE.value)
-        if initial_verdict in definite and final_verdict in definite:
-            flipped = initial_verdict != final_verdict
-        if config.ontology is Ontology.GRWF:
-            # the first window reads run flashes only and closes when it is
-            # full: at time w, or at the window_flashes-th flash
-            run = [f for f in flashes[0] if f.time > 0.0]
-            k = config.window_flashes
-            if k is None:
-                closes = config.window_length()
-            else:
-                closes = run[k - 1].time if len(run) >= k else horizon
-            first_window_verdict = _verdict_at(config, None, run, closes)
-        if config.kind is ScenarioKind.MARBLES:
-            counts = {v.value: 0 for v in Verdict}
-            for state, fl in zip(finals, flashes):
-                counts[_verdict_at(config, state, fl, horizon)] += 1
-            census = tuple(counts[v.value] for v in Verdict)
-
-    return TrajectoryStats(
-        index=index,
-        status=record.status,
-        diagnostic=record.diagnostic,
-        num_events=record.num_events,
-        final_weights=final_weights,
-        initial_verdict=initial_verdict,
-        final_verdict=final_verdict,
-        flipped=flipped,
-        census=census,
-        first_window_verdict=first_window_verdict,
-    )
+            closes = run[0][k - 1] if run[0].size >= k else horizon
+        stats.first_window_verdict = _verdict_at(config, None, run, closes)
+    if config.kind is ScenarioKind.MARBLES:
+        stats.census = tuple(verdicts.count(v.value) for v in Verdict)
+    return stats
 
 
 def _run_block(
-    config: ScenarioConfig,
-    master_seed: int,
-    log_first: int,
-    on_logged: LogHook | None,
-    lo: int,
-    hi: int,
+    config: ScenarioConfig, master_seed: int, log_first: int, on_logged: LogHook | None, lo: int, hi: int
 ) -> list[TrajectoryStats]:
     """Run and reduce trajectories lo..hi-1; each i < log_first also goes to on_logged.
 
@@ -248,7 +230,7 @@ def _run_block(
     # serves every trajectory; flash verdicts read each prehistory
     initial_verdict = None
     if config.ontology is Ontology.GRWM:
-        initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], [], 0.0)
+        initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], None, 0.0)
 
     stats = []
     for i in range(lo, hi):
@@ -327,13 +309,8 @@ def run_ensemble(
         inside = [t.census[0] for t in trajectories]
         histograms["inside_count"] = np.bincount(inside, minlength=config.n_marbles + 1).tolist()
     summary = EnsembleSummary(
-        config=config,
-        master_seed=master_seed,
-        trajectories=trajectories,
-        records=[],
-        histograms=histograms,
-        failures=failures,
-        diagnostics=diagnostics,
+        config=config, master_seed=master_seed, trajectories=trajectories, records=[],
+        histograms=histograms, failures=failures, diagnostics=diagnostics,
     )
     for test in plan:
         summary.records.append(test(summary))
@@ -562,10 +539,6 @@ def _binom_tail(c: int, n: int, p: float, log_fact: np.ndarray) -> float:
     return float(np.sum(_binom_pmf(np.arange(lo, hi + 1), n, p, log_fact)))
 
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
     """Chi-square of the event-count histogram against Poisson(N lambda T)."""
     config = summary.config
@@ -705,10 +678,9 @@ def first_window_inside_probability(config: ScenarioConfig) -> float:
         p_m[-1] = tails[k]  # every N >= k fills the window
     c = inside_count_threshold(m, config.theta_f).astype(int)
     log_fact = _log_factorial(np.arange(top + 1))
-    scale = config.params.sigma / math.sqrt(2.0)
     p_star = 0.0
     for w, a in zip((config.c1_sq, 1.0 - config.c1_sq), config.anchor_positions()):
-        q = _normal_cdf((config.box.upper - a) / scale) - _normal_cdf((config.box.lower - a) / scale)
+        q = config.box_probability(a)
         inside = np.array([_binom_tail(ci, mi, q, log_fact) for ci, mi in zip(c, m)])
         p_star += w * float(np.sum(p_m * inside))
     return p_star

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 from .dynamics import GrwParams, Hamiltonian, TrajectoryRecord
 from .ensemble import EnsembleSummary, StatRecord
 from .errors import ConfigError
-from .ontology import Flash, MatterDensityField
+from .ontology import MatterDensityField
 from .scenarios import History, Ontology, ScenarioConfig, ScenarioKind
 
 
@@ -112,11 +112,15 @@ def parse_scenario_file(path: str | Path) -> ScenarioConfig:
 # writers
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place; a failure removes the temp file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp~")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -211,10 +215,11 @@ def write_events_jsonl(path: str | Path, record: TrajectoryRecord) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def write_flashes_csv(path: str | Path, flashes: Iterable[Flash]) -> None:
+def write_flashes_csv(path: str | Path, times: Iterable, particles: Iterable, centers: Iterable) -> None:
+    """Flash columns (times, particles, centers) as time,position,particle rows."""
     lines = ["time,position,particle"]
-    for f in flashes:
-        lines.append(f"{_fmt(f.time)},{_fmt(f.center)},{f.particle}")
+    for t, k, x in zip(times, particles, centers):
+        lines.append(f"{_fmt(t)},{_fmt(x)},{k}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

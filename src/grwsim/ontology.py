@@ -2,7 +2,9 @@
 
 Three views of the same collapse process:
 
-* flashes -- one space-time point per collapse (time, center, particle);
+* flashes -- one space-time point per collapse, held as the trajectory
+  record's columns (times, particles, centers); ``flashes_of`` reads them
+  row by row as ``Flash`` objects, for ``replay_state_at`` and for users;
 * matter density -- mass-weighted sum of single-particle position densities,
   a nonnegative field m(x) integrating to the total mass;
 * weight-only view -- branch weights with nothing spatial attached, the
@@ -12,7 +14,6 @@ Three views of the same collapse process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -25,10 +26,7 @@ COVERAGE_TOL = 1e-6
 
 def flashes_of(trajectory: TrajectoryRecord) -> list[Flash]:
     """One flash per collapse event, order-preserving, same time and center."""
-    return [
-        Flash(t, x, k)
-        for t, k, x in zip(trajectory.times, trajectory.particles, trajectory.centers)
-    ]
+    return list(map(Flash, trajectory.times, trajectory.centers, trajectory.particles))
 
 
 @dataclass
@@ -112,21 +110,17 @@ def mass_fraction_in_region(field: MatterDensityField, region: Region) -> float:
     return float(field.values[inside].sum() * field.dx / total)
 
 
-def flash_fraction_in_region(flashes: Iterable[Flash], region: Region) -> tuple[float, int]:
-    """(fraction of the flashes inside the region, flash count).
+def flash_fraction_in_region(centers: np.ndarray, region: Region) -> tuple[float, int]:
+    """(fraction of the flash centers inside the region, flash count).
 
     No flashes return (nan, 0) so callers can tell "no facts" apart from
     "all outside".  ScenarioConfig.flash_window picks a time's flashes.
     """
-    count = 0
-    inside = 0
-    for f in flashes:
-        count += 1
-        if region.contains(f.center):
-            inside += 1
-    if count == 0:
+    centers = np.asarray(centers, dtype=float)
+    if centers.size == 0:
         return float("nan"), 0
-    return inside / count, count
+    inside = int(np.count_nonzero((centers >= region.lower) & (centers <= region.upper)))
+    return inside / centers.size, centers.size
 
 
 def default_window(num_particles: int, lambda_eff: float) -> float:

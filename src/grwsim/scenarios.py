@@ -11,6 +11,9 @@ superposition with widely separated supports):
 Verdicts are read off a chosen ontology: matter density (majority of mass in
 the box), flashes (fraction of windowed flashes in the box), or the
 weight-only view, which by construction yields no spatial verdict at all.
+Flashes are columns, as in a trajectory record: a collapsed-past prehistory
+is (times, particles, centers) arrays, and a window is an index range over
+a time-sorted column (``ScenarioConfig.flash_window``).
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
 from .dynamics import BranchSystems, GrwParams, RngStream, TrajectoryState
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .ontology import (
-    Flash,
     MatterDensityField,
     default_window,
     flash_fraction_in_region,
@@ -36,6 +37,10 @@ from .state import BranchState, GridSpec, Packet, Region, make_grid_wavefunction
 # cap on the expected collapse count N * lambda_eff * T of one trajectory;
 # the run loop has no other bound, and its event columns grow with the count
 MAX_EXPECTED_EVENTS = 10**6
+# draws of a prehistory center before it must have fallen in the box, and the
+# most centers a collapsed past may expect to leave outside after them
+PREHISTORY_TRIES = 100
+MAX_EXHAUSTED = 1e-9
 
 
 class ScenarioKind(str, Enum):
@@ -60,6 +65,10 @@ class Verdict(str, Enum):
     OUTSIDE = "outside"
     PARTIAL = "partial"
     UNDEFINED = "undefined"
+
+
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def verdict_from_fraction(fraction: float, theta: float) -> Verdict:
@@ -131,6 +140,15 @@ class ScenarioConfig:
                 f"a trajectory expects n_marbles * lambda_eff * total_time = {expected:g} "
                 f"collapses, above the budget of {MAX_EXPECTED_EVENTS:g}"
             )
+        if self.history is History.COLLAPSED_PAST:
+            q_in = self.box_probability(self.anchor_positions()[0])
+            flashes = self.num_particles * self.params.lambda_eff * self.window_length()
+            if flashes * (1.0 - q_in) ** PREHISTORY_TRIES > MAX_EXHAUSTED:
+                raise ConfigError(
+                    f"the box holds a share {q_in:.3g} of the in-box flash law Normal(a_in, sigma^2 / 2), "
+                    f"so a collapsed-past prehistory of {flashes:g} expected flashes may draw a center "
+                    f"{PREHISTORY_TRIES} times outside it; widen the box or move inside_anchor into it"
+                )
 
     @property
     def labels(self) -> tuple[str, str]:
@@ -156,22 +174,30 @@ class ScenarioConfig:
             raise ConfigError(f"outside anchor {a_out} must be finite and outside the box")
         return float(a_in), float(a_out)
 
+    def box_probability(self, anchor: float) -> float:
+        """The box's share of the flash law Normal(anchor, sigma^2 / 2)."""
+        scale = self.params.sigma / math.sqrt(2.0)
+        return _normal_cdf((self.box.upper - anchor) / scale) - _normal_cdf((self.box.lower - anchor) / scale)
+
     def window_length(self) -> float:
         if self.window is not None:
             return self.window
         return default_window(self.num_particles, self.params.lambda_eff)
 
-    def flash_window(self, flashes: Iterable[Flash], t: float) -> list[Flash]:
-        """The time-ordered flashes that fix the facts at time t.
+    def flash_window(self, times: np.ndarray, t: float) -> slice:
+        """The index range, in a time-sorted column, of the flashes that fix the facts at time t.
 
         The last window_flashes flashes up to t, or else the flashes in the
         half-open interval (t - window, t].
         """
-        seen = [f for f in flashes if f.time <= t]
+        end = int(np.searchsorted(times, t, side="right"))
         if self.window_flashes is not None:
-            return seen[-self.window_flashes :]
-        w = self.window_length()
-        return [f for f in seen if f.time > t - w]
+            return slice(max(end - self.window_flashes, 0), end)
+        return slice(int(np.searchsorted(times, t - self.window_length(), side="right")), end)
+
+
+# a flash record as columns: (times, particles, centers)
+FlashColumns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -180,39 +206,40 @@ class Scenario:
 
     config: ScenarioConfig
     initial_state: TrajectoryState
-    prehistory: list[Flash]
+    prehistory: FlashColumns
 
 
 # prehistory generators live on a disjoint block of stream ids
 PREHISTORY_STREAM_OFFSET = 2**48
 
 
-def seed_prehistory(config: ScenarioConfig, rng: np.random.Generator) -> list[Flash]:
-    """Flashes before t=0, all consistent with the in-box branch.
+def seed_prehistory(config: ScenarioConfig, rng: np.random.Generator) -> FlashColumns:
+    """Flashes before t=0 in time order, all consistent with the in-box branch.
 
     One Poisson batch per particle over the window preceding the start;
     positions are drawn from the in-box branch's center law, rejection
-    sampled into the box so the construction is inside by definition.
+    sampled into the box so the construction is inside by definition.  A
+    center still outside after PREHISTORY_TRIES draws raises NumericsError;
+    ScenarioConfig rejects a box where that is not vanishingly rare.
     """
     a_in, _ = config.anchor_positions()
     sigma = config.params.sigma
     window = config.window_length()
-    flashes: list[Flash] = []
+    times, particles, centers = [], [], []
     for particle in range(config.num_particles):
         count = int(rng.poisson(config.params.lambda_eff * window))
-        times = np.sort(rng.uniform(-window, 0.0, size=count))
-        for t in times:
-            pos = None
-            for _ in range(100):
-                cand = float(rng.normal(a_in, sigma / np.sqrt(2.0)))
-                if config.box.contains(cand):
-                    pos = cand
+        for t in np.sort(rng.uniform(-window, 0.0, size=count)).tolist():
+            for _ in range(PREHISTORY_TRIES):
+                center = float(rng.normal(a_in, sigma / np.sqrt(2.0)))
+                if config.box.contains(center):
                     break
-            if pos is None:
-                pos = a_in
-            flashes.append(Flash(float(t), pos, particle))
-    flashes.sort(key=lambda f: f.time)
-    return flashes
+            else:
+                raise NumericsError(f"no prehistory center fell in the box in {PREHISTORY_TRIES} draws")
+            times.append(t)
+            particles.append(particle)
+            centers.append(center)
+    order = np.argsort(times, kind="stable")
+    return np.array(times)[order], np.array(particles, dtype=int)[order], np.array(centers)[order]
 
 
 def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = None) -> Scenario:
@@ -248,12 +275,11 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
             ]
         )
 
-    prehistory: list[Flash] = []
-    if config.history is History.COLLAPSED_PAST:
-        if rng is None:
-            rng = RngStream(0, PREHISTORY_STREAM_OFFSET).generator()
-        prehistory = seed_prehistory(config, rng)
-    return Scenario(config, state, prehistory)
+    if config.history is not History.COLLAPSED_PAST:
+        return Scenario(config, state, (np.empty(0), np.empty(0, dtype=int), np.empty(0)))
+    if rng is None:
+        rng = RngStream(0, PREHISTORY_STREAM_OFFSET).generator()
+    return Scenario(config, state, seed_prehistory(config, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +292,9 @@ def classify_grwm(field: MatterDensityField, box: Region, theta_m: float) -> Ver
     return verdict_from_fraction(mass_fraction_in_region(field, box), theta_m)
 
 
-def classify_grwf(flashes: Iterable[Flash], box: Region, theta_f: float) -> Verdict:
-    """Verdict from the fraction of the flashes in the box; no flashes (nan) means no fact."""
-    return verdict_from_fraction(flash_fraction_in_region(flashes, box)[0], theta_f)
+def classify_grwf(centers: np.ndarray, box: Region, theta_f: float) -> Verdict:
+    """Verdict from the fraction of a window's flash centers in the box; no flashes (nan) means no fact."""
+    return verdict_from_fraction(flash_fraction_in_region(centers, box)[0], theta_f)
 
 
 def branch_box_fraction(state: BranchState, box: Region) -> float:

@@ -161,6 +161,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"error: cannot write {out / 'events-00008.jsonl'}: Is a directory" in err
         assert not list(out.glob("summary.*"))
+        assert not list(out.glob("*.tmp~"))  # the failed write removed its temp file
 
     def test_density_snapshots(self, tmp_path):
         cfg = tmp_path / "density.cfg"
@@ -293,6 +294,21 @@ class TestConfigErrors:
         assert "suffices" in err or "lengthen total_time" in err
         assert not out.exists()
 
+    def test_narrow_prehistory_box_rejected(self, tmp_path, capsys):
+        # the box holds about 0.1% of the prehistory's center law Normal(0, 1/2):
+        # 100 redraws used to leave every center outside and put it at the
+        # anchor without notice; now the config is refused
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(
+            "kind = tail\nontology = grwf\nhistory = collapsed_past\nbox_lower = -0.001\n"
+            "box_upper = 0.001\nwindow = 10\ntotal_time = 20\n"
+        )
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--seed", "3", "--trajectories", "20", "--out", str(out)]
+        assert main(argv) == 2
+        assert "so a collapsed-past prehistory of 10 expected flashes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_hamiltonian_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = cat\nhamiltonian = quantum\n")
@@ -355,6 +371,21 @@ class TestOtherCommands:
         text = capsys.readouterr().out
         assert "martingale_w1_final" in text
         assert "scenario: cat" in text
+
+    def test_report_null_values(self, cat_cfg, tmp_path, capsys):
+        # summary.json writes a non-finite estimate, target or z as null
+        out = tmp_path / "results"
+        main(["run", "--config", str(cat_cfg), "--trajectories", "40", "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        summary["records"][0]["estimate"] = None
+        summary["records"][1]["target"] = None
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[4:]}
+        first, second = (rows[r["statistic"]] for r in summary["records"][:2])
+        assert first[24:38].strip() == "" and first[38:52].strip()  # blank estimate
+        assert second[24:38].strip() and second[38:52].strip() == ""  # blank target
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2

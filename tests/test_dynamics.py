@@ -32,7 +32,7 @@ from grwsim import (
     sample_waiting_time,
 )
 from grwsim.dynamics import BranchSystems, CollapseEvent, _grid_summary, replay_state_at
-from grwsim.ensemble import _flashes_by_system
+from grwsim.ensemble import _flash_columns
 
 
 def _rng(seed=0):
@@ -410,9 +410,12 @@ class TestRunTrajectory:
         replayed = replay_state_at(initial, params, rec.events, params.total_time)
         for a, b in zip(replayed.systems, rec.final_state.systems):
             assert np.array_equal(a.log_weights, b.log_weights)
-        groups = _flashes_by_system(rec, [])
-        assert [f.particle for f in groups[0]] == [e.particle for e in rec.events if e.particle < 2]
-        assert [f.particle for f in groups[1]] == [e.particle for e in rec.events if e.particle == 2]
+        no_prehistory = (np.empty(0), np.empty(0, dtype=int), np.empty(0))
+        (times_0, centers_0), (times_1, centers_1) = _flash_columns(rec, no_prehistory)
+        assert times_0.tolist() == [e.time for e in rec.events if e.particle < 2]
+        assert centers_0.tolist() == [e.center for e in rec.events if e.particle < 2]
+        assert times_1.tolist() == [e.time for e in rec.events if e.particle == 2]
+        assert centers_1.tolist() == [e.center for e in rec.events if e.particle == 2]
 
 
 # The first 8 (time, particle, center) triples of RngStream(2024, 7), recorded

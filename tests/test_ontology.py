@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from grwsim import (
     BranchState,
-    Flash,
     GridSpec,
     GrwParams,
     NumericsError,
@@ -128,37 +127,33 @@ class TestMassFraction:
 
 class TestFlashFraction:
     def test_all_inside(self):
-        flashes = [Flash(0.1 * i, 0.0, 0) for i in range(1, 8)]
-        frac, count = flash_fraction_in_region(flashes, Region(-1.0, 1.0))
+        frac, count = flash_fraction_in_region(np.zeros(7), Region(-1.0, 1.0))
         assert (frac, count) == (1.0, 7)
 
     def test_counting(self):
-        flashes = [Flash(0.1, 0.0, 0), Flash(0.2, 0.5, 0), Flash(0.3, 9.0, 0), Flash(0.4, 0.1, 0)]
-        frac, count = flash_fraction_in_region(flashes, Region(-1.0, 1.0))
+        frac, count = flash_fraction_in_region(np.array([0.0, 0.5, 9.0, 0.1]), Region(-1.0, 1.0))
         assert count == 4
         assert frac == pytest.approx(0.75)
 
     def test_empty_window_undefined(self):
-        flashes = [Flash(5.0, 0.0, 0)]
+        times, centers = np.array([5.0]), np.array([0.0])
         for config in (ScenarioConfig(window=1.0), ScenarioConfig(window_flashes=3)):
-            window = config.flash_window(flashes, 1.0)
-            frac, count = flash_fraction_in_region(window, Region(-1.0, 1.0))
+            window = config.flash_window(times, 1.0)
+            frac, count = flash_fraction_in_region(centers[window], Region(-1.0, 1.0))
             assert count == 0 and math.isnan(frac)
 
     def test_window_is_half_open(self):
-        flashes = [Flash(1.0, 0.0, 0), Flash(2.0, 0.0, 0)]
         # (t - window, t]: the flash at t - window is out, the flash at t is in
-        assert ScenarioConfig(window=1.0).flash_window(flashes, 2.0) == flashes[1:]
-        flashes = [Flash(float(i), 0.0, 0) for i in range(1, 6)]
+        assert ScenarioConfig(window=1.0).flash_window(np.array([1.0, 2.0]), 2.0) == slice(1, 2)
+        times = np.arange(1.0, 6.0)
         by_count = ScenarioConfig(window_flashes=3)
-        assert by_count.flash_window(flashes, 4.0) == flashes[1:4]  # the flash at t counts
-        assert by_count.flash_window(flashes, 2.5) == flashes[:2]  # fewer than 3 so far
+        assert by_count.flash_window(times, 4.0) == slice(1, 4)  # the flash at t counts
+        assert by_count.flash_window(times, 2.5) == slice(0, 2)  # fewer than 3 so far
 
     def test_particle_filter(self):
         # callers pass one particle's flashes, filtered beforehand
-        flashes = [Flash(0.1, 0.0, 0), Flash(0.2, 0.0, 1), Flash(0.3, 0.0, 1)]
-        own = [f for f in flashes if f.particle == 1]
-        _, count = flash_fraction_in_region(own, Region(-1.0, 1.0))
+        particles, centers = np.array([0, 1, 1]), np.zeros(3)
+        _, count = flash_fraction_in_region(centers[particles == 1], Region(-1.0, 1.0))
         assert count == 2
 
     def test_engine_window_fraction_matches_oracle(self):
@@ -170,8 +165,7 @@ class TestFlashFraction:
         inside_windows = 0
         for i in range(n):
             rec = run_trajectory(_marble(0.99), params, RngStream(4000, i))
-            first = flashes_of(rec)[:100]
-            frac, count = flash_fraction_in_region(first, box)
+            frac, count = flash_fraction_in_region(rec.centers[:100], box)
             assert count == 100
             inside_windows += frac >= 0.99
         p_star = 0.99
@@ -208,15 +202,50 @@ def test_default_window_expected_flashes():
 @settings(max_examples=60, deadline=None)
 def test_window_monotonicity(n_flashes, t, width, widen, k, more):
     rng = np.random.default_rng(n_flashes * 1000 + 17)
-    flashes = sorted(
-        (Flash(float(rng.uniform(0.0, 10.0)), float(rng.normal()), 0) for _ in range(n_flashes)),
-        key=lambda f: f.time,
-    )
-    small = ScenarioConfig(window=width).flash_window(flashes, t)
-    large = ScenarioConfig(window=width + widen).flash_window(flashes, t)
+    times = np.sort(rng.uniform(0.0, 10.0, size=n_flashes))
+    small = _indices(ScenarioConfig(window=width).flash_window(times, t))
+    large = _indices(ScenarioConfig(window=width + widen).flash_window(times, t))
     assert set(small) <= set(large)
     # a count window holds the last k flashes up to t, or all of them if fewer
-    seen = [f for f in flashes if f.time <= t]
-    last_k = ScenarioConfig(window_flashes=k).flash_window(flashes, t)
+    seen = np.flatnonzero(times <= t).tolist()
+    last_k = _indices(ScenarioConfig(window_flashes=k).flash_window(times, t))
     assert last_k == seen[len(seen) - min(k, len(seen)) :]
-    assert last_k == ScenarioConfig(window_flashes=k + more).flash_window(flashes, t)[-k:]
+    assert last_k == _indices(ScenarioConfig(window_flashes=k + more).flash_window(times, t))[-k:]
+
+
+def _indices(window: slice) -> list[int]:
+    return list(range(window.start, window.stop))
+
+
+@st.composite
+def _column_and_time(draw):
+    """A sorted time column on a quarter-unit lattice (ties, exact boundaries) and a time t
+    on a flash, between two flash times, before the first flash or anywhere."""
+    times = np.array(sorted(draw(st.lists(st.integers(-40, 40), max_size=25)))) / 4.0
+    where = draw(st.sampled_from(["on", "between", "before", "anywhere"]))
+    if where == "on" and times.size:
+        t = float(draw(st.sampled_from(times.tolist())))
+    elif where == "between" and np.unique(times).size > 1:
+        j = draw(st.integers(0, np.unique(times).size - 2))
+        t = float(np.unique(times)[j : j + 2].mean())
+    elif where == "before" and times.size:
+        t = float(times[0]) - draw(st.floats(1e-3, 5.0))
+    else:
+        t = draw(st.floats(-12.0, 12.0))
+    return times, t
+
+
+@given(
+    column=_column_and_time(),
+    width=st.one_of(st.integers(1, 40).map(lambda q: q / 4.0), st.floats(1e-3, 30.0)),
+    k=st.integers(1, 30),
+)
+@settings(max_examples=300, deadline=None)
+def test_flash_window_matches_brute_force_scan(column, width, k):
+    times, t = column
+    # time window: every flash with t - width < time <= t, found by scanning
+    scan = [i for i, s in enumerate(times.tolist()) if t - width < s <= t]
+    assert _indices(ScenarioConfig(window=width).flash_window(times, t)) == scan
+    # count window: the last k flashes with time <= t
+    seen = [i for i, s in enumerate(times.tolist()) if s <= t]
+    assert _indices(ScenarioConfig(window_flashes=k).flash_window(times, t)) == seen[max(len(seen) - k, 0) :]

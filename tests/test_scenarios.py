@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from grwsim import (
     BranchState,
     ConfigError,
-    Flash,
     GridWaveFunction,
     GrwParams,
     History,
     Ontology,
+    NumericsError,
     Region,
     RngStream,
     ScenarioConfig,
@@ -40,6 +40,7 @@ from grwsim.scenarios import (
     Scenario,
     branch_box_fraction,
     density_grid,
+    seed_prehistory,
     verdict_from_fraction,
 )
 
@@ -70,6 +71,16 @@ class TestScenarioConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_prehistory_box_too_narrow_rejected(self):
+        # [-0.001, 0.001] holds about 0.1% of the in-box flash law Normal(0, 1/2):
+        # with a 10-unit window, default_rng(3) used to draw each of 5
+        # prehistory centers outside it 100 times and put it at exactly 0.0
+        narrow = dict(kind=ScenarioKind.TAIL, ontology=Ontology.GRWF, box=Region(-0.001, 0.001), window=10.0)
+        with pytest.raises(ConfigError, match="collapsed-past prehistory of 10 expected flashes"):
+            ScenarioConfig(history=History.COLLAPSED_PAST, **narrow)
+        ScenarioConfig(history=History.FRESH_PREPARATION, **narrow)  # no prehistory to draw
+        ScenarioConfig(history=History.COLLAPSED_PAST, **{**narrow, "box": Region(-1.0, 1.0)})
 
     def test_default_anchors(self):
         config = ScenarioConfig(box=Region(-10.0, 10.0))
@@ -114,14 +125,33 @@ class TestBuildScenario:
             ontology=Ontology.GRWF,
         )
         scenario = build_scenario(config)
-        assert len(scenario.prehistory) > 0
-        for f in scenario.prehistory:
-            assert f.time < 0.0
-            assert config.box.contains(f.center)
+        times, particles, centers = scenario.prehistory
+        assert len(times) > 0
+        assert np.all(times < 0.0) and np.all(np.diff(times) >= 0.0)
+        assert set(particles.tolist()) <= {0, 1, 2}
+        for x in centers:
+            assert config.box.contains(x)
+
+    def test_prehistory_that_never_reaches_the_box_raises(self):
+        # a generator whose every center misses the box: the rejection loop
+        # used to put the center at the inside anchor after 100 draws, silently
+        class Missing:
+            def poisson(self, lam):
+                return 1
+
+            def uniform(self, low, high, size):
+                return np.full(size, -1.0)
+
+            def normal(self, loc, scale):
+                return loc + 1e3
+
+        config = ScenarioConfig(ontology=Ontology.GRWF, history=History.COLLAPSED_PAST)
+        with pytest.raises(NumericsError, match="no prehistory center fell in the box in 100 draws"):
+            seed_prehistory(config, Missing())
 
     def test_fresh_preparation_no_prehistory(self):
         scenario = build_scenario(ScenarioConfig(history=History.FRESH_PREPARATION))
-        assert scenario.prehistory == []
+        assert [len(column) for column in scenario.prehistory] == [0, 0, 0]
 
     def test_grid_backend_builds_wavefunction(self):
         config = ScenarioConfig(kind=ScenarioKind.CAT, backend="grid", grid_points=1024)
@@ -192,13 +222,13 @@ class TestClassifyGrwm:
 
 class TestClassifyGrwf:
     def test_all_inside(self):
-        flashes = [Flash(0.01 * i, 0.0, 0) for i in range(1, 101)]
-        assert classify_grwf(flashes, Region(-1.0, 1.0), theta_f=0.99) == Verdict.INSIDE
+        centers = np.zeros(100)
+        assert classify_grwf(centers, Region(-1.0, 1.0), theta_f=0.99) == Verdict.INSIDE
 
     def test_half_half_partial(self):
-        flashes = [Flash(0.01 * i, 0.0 if i % 2 else 9.0, 0) for i in range(1, 101)]
-        assert classify_grwf(flashes, Region(-1.0, 1.0), theta_f=0.99) == Verdict.PARTIAL
-        assert flash_fraction_in_region(flashes, Region(-1.0, 1.0))[0] == pytest.approx(0.5)
+        centers = np.array([0.0 if i % 2 else 9.0 for i in range(1, 101)])
+        assert classify_grwf(centers, Region(-1.0, 1.0), theta_f=0.99) == Verdict.PARTIAL
+        assert flash_fraction_in_region(centers, Region(-1.0, 1.0))[0] == pytest.approx(0.5)
 
     def test_no_flashes_undefined(self):
         assert classify_grwf([], Region(-1.0, 1.0), theta_f=0.99) == Verdict.UNDEFINED
@@ -241,9 +271,9 @@ def _fabricated_record(w_path, times=None):
     )
 
 
-def _reduce(record, config, prehistory=()):
-    scenario = Scenario(config, record.initial_state, list(prehistory))
-    return reduce_trajectory(record, scenario, 0)
+def _reduce(record, config):
+    no_prehistory = (np.empty(0), np.empty(0, dtype=int), np.empty(0))
+    return reduce_trajectory(record, Scenario(config, record.initial_state, no_prehistory), 0)
 
 
 class TestDetectResurrection:

@@ -56,12 +56,21 @@ def test_parity_tree_against_itself(tmp_path):
     assert report["identical"], report
     assert [c["exit"] for c in report["cases"]] == [[0, 0], [0, 0]]
     assert all(c["files"] >= 4 for c in report["cases"])
+    assert report["demo"]["exit"] == [0, 0] and report["demo"]["match"]
 
     # a head whose gof gate reads 2e-3 writes another summary target column
     head = tmp_path / "head"
-    shutil.copytree(ROOT / "src", head / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for folder in ("src", "scripts"):
+        shutil.copytree(ROOT / folder, head / folder, ignore=shutil.ignore_patterns("__pycache__"))
     ensemble = head / "src" / "grwsim" / "ensemble.py"
     ensemble.write_text(ensemble.read_text().replace("P_MIN = 1e-3", "P_MIN = 2e-3"))
     report = parity.compare_trees(ROOT, head, cases[:1], tmp_path / "changed")
     assert not report["identical"]
     assert report["cases"][0]["differing"] == ["summary.csv", "summary.json"]
+    assert report["demo"]["match"]  # the demo prints no summary
+
+    # a head whose demo runs at another default seed prints other flashes
+    demo = head / "scripts" / "ontology_snapshot_demo.py"
+    demo.write_text(demo.read_text().replace("type=int, default=3)", "type=int, default=4)"))
+    result = parity.compare_demo(ROOT, head)
+    assert result["exit"] == [0, 0] and not result["match"]
