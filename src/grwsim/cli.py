@@ -54,20 +54,30 @@ def write_trajectory_logs(
     write_flashes_csv(out / f"flashes-{index:05d}.csv", record.times, record.particles, record.centers)
     if len(prehistory[0]):
         write_flashes_csv(out / f"prehistory-{index:05d}.csv", *prehistory)
-    if index == 0 and config.density_times:
-        initial = record.initial_state
-        grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
-        flashes = flashes_of(record)
-        for t in config.density_times:
-            state = replay_state_at(initial, config.params, flashes, t)
-            write_density_csv(out / f"density-t{t:g}.csv", matter_density(state, grid=grid))
+    write_density_snapshots(out, config, index, record, prehistory)
+
+
+def write_density_snapshots(
+    out: Path, config: ScenarioConfig, index: int, record: TrajectoryRecord, prehistory: FlashColumns
+) -> None:
+    """Trajectory 0's density-t* snapshots, replayed from its flashes; nothing for any other."""
+    if index != 0 or not config.density_times:
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    initial = record.initial_state
+    grid = None if isinstance(initial, GridWaveFunction) else density_grid(config)
+    flashes = flashes_of(record)
+    for t in config.density_times:
+        state = replay_state_at(initial, config.params, flashes, t)
+        write_density_csv(out / f"density-t{t:g}.csv", matter_density(state, grid=grid))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_scenario_file(args.config)
-    log_first = args.log_trajectories
-    if config.density_times and log_first < 1:
-        log_first = 1  # density snapshots replay trajectory 0's event log
+    log_first, write_logs = args.log_trajectories, write_trajectory_logs
+    if config.density_times and log_first == 0:
+        # the snapshots replay trajectory 0, which writes no other log
+        log_first, write_logs = 1, write_density_snapshots
 
     out = Path(args.out)
     summary = run_ensemble(
@@ -76,7 +86,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.seed,
         threads=args.threads,
         log_first=log_first,
-        on_logged=functools.partial(write_trajectory_logs, out, config),
+        on_logged=functools.partial(write_logs, out, config),
     )
 
     out.mkdir(parents=True, exist_ok=True)

@@ -19,13 +19,16 @@ Both steps are written once, on plain Python floats (``_draw_center`` and
 ``_posterior``, the branch kernel), over one system's log-weight list and
 the collapsed particle's anchor list.
 
-A trajectory is recorded as three columns, one entry per collapse: the
-event times, the collapsed particles and the collapse centers.  They are
-its flashes, and the one flash layout: verdict windows, the collapsed-past
+A trajectory is recorded as columns, one entry per collapse: the event
+times, the collapsed particles and the collapse centers.  They are its
+flashes, and the one flash layout: verdict windows, the collapsed-past
 prehistory and the flash logs all read columns.  ``ontology.flashes_of``
 reads them row by row as ``Flash`` objects, for ``replay_state_at`` and for
-users.  Branch weights before and after each collapse are not stored;
-``TrajectoryRecord.events`` rebuilds them by replaying the columns.
+users.  A branch run keeps a fourth column: the collapsed system's
+log-weights after each collapse, the list ``_posterior`` returned, so the
+weights are kept by the run and never recomputed.  ``TrajectoryRecord.events``
+and the event log read them off that column; a grid record rebuilds its
+marginal summaries by replaying its columns.
 The per-event primitives ``sample_collapse_center`` and
 ``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
 one ``BranchState``) and a particle of it; on a ``BranchState`` they are
@@ -165,12 +168,17 @@ TrajectoryState = Union[GridWaveFunction, BranchSystems]
 
 @dataclass
 class TrajectoryRecord:
-    """One run: its collapses as columns (time, particle, center) and its end states."""
+    """One run: its collapses as columns (time, particle, center) and its end states.
+
+    A branch run also keeps post_log_weights: per collapse, the collapsed
+    system's log-weights after it.  Grid records leave it empty.
+    """
 
     params: GrwParams
     times: list[float]
     particles: list[int]
     centers: list[float]
+    post_log_weights: list[list[float]] = field(default_factory=list, kw_only=True)
     initial_state: TrajectoryState
     final_state: TrajectoryState
     status: str = "completed"  # "completed" | "aborted"
@@ -182,29 +190,46 @@ class TrajectoryRecord:
 
     @property
     def events(self) -> list[CollapseEvent]:
-        """The CollapseEvent log, rebuilt by replaying the columns from the initial state.
+        """The CollapseEvent log.
 
-        The replay repeats the run's own arithmetic, so the weights are
-        bit-identical to the states the run passed through.
+        A branch record reads its weights off post_log_weights (see
+        weight_columns).  A grid record replays its columns from the initial
+        state, so its summaries are those of the states the run passed through.
         """
-        collapses = list(zip(self.times, self.particles, self.centers))
         initial = self.initial_state
         if isinstance(initial, GridWaveFunction):
+            collapses = list(zip(self.times, self.particles, self.centers))
             replay = _replay_grid(initial, self.params, collapses)
             return [
                 CollapseEvent(t, k, x, _grid_summary(before, k), _grid_summary(after, k))
                 for (t, k, x), (before, after) in zip(collapses, replay)
             ]
-        log_w, anchors, system_of = _branch_lists(initial)
-        # each system's weights as logged: its last post-weights are its next pre-weights
-        weights = [tuple([math.exp(v) for v in lw]) for lw in log_w]
+        system_of, weights, posts = self.weight_columns()
         events = []
-        replay = _replay_branches(log_w, anchors, system_of, self.params.sigma, collapses)
-        for (t, k, x), system in zip(collapses, replay):
-            post = tuple([math.exp(v) for v in log_w[system]])
+        for t, k, x, system, post in zip(self.times, self.particles, self.centers, system_of, posts):
             events.append(CollapseEvent(t, k, x, weights[system], post))
             weights[system] = post
         return events
+
+    def weight_columns(self) -> tuple[list[int], list[tuple], list[tuple]]:
+        """A branch record's weights: (each event's system, each system's initial
+        weights, each event's post-collapse weights of its system).
+
+        An event's pre-weights are its system's previous post-weights, or its
+        initial weights.  A weight column that does not match the times, or a
+        particle out of range (a hand-built record), raises ConfigError.
+        """
+        if len(self.post_log_weights) != len(self.times):
+            raise ConfigError(
+                f"branch record holds {len(self.post_log_weights)} post-collapse weight rows "
+                f"for {len(self.times)} collapses"
+            )
+        owners = self.initial_state._owners
+        if self.particles and not (0 <= min(self.particles) and max(self.particles) < len(owners)):
+            raise ConfigError(f"branch record has a particle index out of range for N={len(owners)}")
+        initial = [tuple([math.exp(v) for v in s.log_weights.tolist()]) for s in self.initial_state.systems]
+        posts = [tuple([math.exp(v) for v in lw]) for lw in self.post_log_weights]
+        return [owners[k][0] for k in self.particles], initial, posts
 
 
 def sample_waiting_time(num_particles: int, lambda_eff: float, rng: np.random.Generator) -> float:
@@ -402,7 +427,8 @@ def run_trajectory(
     Interleaves exponential waiting times (rate N * lambda_eff), uniform
     particle selection, collapse-center sampling, collapse application and
     unitary evolution.  Every collapse is recorded as its time, particle
-    and center.  Deterministic given the RngStream.  Numerical failures
+    and center, and on branches as the collapsed system's new log-weights.
+    Deterministic given the RngStream.  Numerical failures
     abort the trajectory with a diagnostic instead of silently continuing.
     The caller's initial state is never modified.
     """
@@ -415,11 +441,14 @@ def run_trajectory(
         times, particles, centers, final_state, diagnostic = _run_grid(
             initial_state.copy(), params, rng
         )
+        post_log_weights = []
     else:
         for s in initial_state.systems:
             _warn_if_close(s, params.sigma)
         log_w, anchors, system_of = _branch_lists(initial_state)
-        times, particles, centers, diagnostic = _run_branches(log_w, anchors, system_of, params, rng)
+        times, particles, centers, post_log_weights, diagnostic = _run_branches(
+            log_w, anchors, system_of, params, rng
+        )
         final_state = _branch_systems(initial_state, log_w)
 
     return TrajectoryRecord(
@@ -427,6 +456,7 @@ def run_trajectory(
         times=times,
         particles=particles,
         centers=centers,
+        post_log_weights=post_log_weights,
         initial_state=initial_state,
         final_state=final_state,
         status="completed" if diagnostic is None else "aborted",
@@ -465,14 +495,17 @@ def _run_branches(
     log_w: list[list[float]], anchors: list[list[float]], system_of: list[int],
     params: GrwParams, rng: np.random.Generator,
 ) -> tuple:
-    """run_trajectory's branch arm on _branch_lists' view: (times, particles, centers, diagnostic).
+    """run_trajectory's branch arm on _branch_lists' view:
+    (times, particles, centers, post_log_weights, diagnostic).
 
-    Steps log_w in place.  Draws per event, in order: the waiting time, the
-    particle (only when N > 1), the branch and the center.
+    Steps log_w in place and keeps each collapsed system's new log-weight
+    list as its post_log_weights entry.  Draws per event, in order: the
+    waiting time, the particle (only when N > 1), the branch and the center.
     """
     times: list[float] = []
     particles: list[int] = []
     centers: list[float] = []
+    post_log_weights: list[list[float]] = []
     n = len(anchors)
     wait_scale = 1.0 / (n * params.lambda_eff)
     spread = params.sigma * _INV_SQRT2
@@ -483,17 +516,19 @@ def _run_branches(
     while True:
         t_next = t + exponential(wait_scale)
         if t_next > total_time:
-            return times, particles, centers, None
+            return times, particles, centers, post_log_weights, None
         particle = int(integers(n)) if n > 1 else 0
         system = system_of[particle]
         try:
             center = _draw_center(log_w[system], anchors[particle], spread, rng)
             log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
         except NumericsError as exc:
-            return times, particles, centers, f"event {len(times)} at t={t_next:.6g}: {exc}"
+            diagnostic = f"event {len(times)} at t={t_next:.6g}: {exc}"
+            return times, particles, centers, post_log_weights, diagnostic
         times.append(t_next)
         particles.append(particle)
         centers.append(center)
+        post_log_weights.append(log_w[system])
         t = t_next
 
 
@@ -511,28 +546,6 @@ def _replay_grid(
         psi = apply_collapse_grid(before, particle, center, params.sigma)
         t_prev = t
         yield before, psi
-
-
-def _replay_branches(
-    log_w: list[list[float]],
-    anchors: list[list[float]],
-    system_of: list[int],
-    sigma: float,
-    collapses: Iterable[tuple[float, int, float]],
-):
-    """Apply (time, particle, center) collapses in order to _branch_lists' view, without random draws.
-
-    Steps log_w in place and yields the collapsed system's index after each
-    collapse.
-    """
-    inv_var = 1.0 / (sigma * sigma)
-    n = len(anchors)
-    for _, particle, center in collapses:
-        if not 0 <= particle < n:
-            raise ConfigError(f"particle index {particle} out of range for N={n}")
-        system = system_of[particle]
-        log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
-        yield system
 
 
 def replay_state_at(
@@ -556,8 +569,12 @@ def replay_state_at(
         t_prev = upto_t[-1][0] if upto_t else 0.0
         return evolve_unitary(state, t - t_prev, params.hamiltonian)
     log_w, anchors, system_of = _branch_lists(initial_state)
-    for _ in _replay_branches(log_w, anchors, system_of, params.sigma, upto_t):
-        pass
+    inv_var = 1.0 / (params.sigma * params.sigma)
+    for _, particle, center in upto_t:
+        if not 0 <= particle < len(anchors):
+            raise ConfigError(f"particle index {particle} out of range for N={len(anchors)}")
+        system = system_of[particle]
+        log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
     return _branch_systems(initial_state, log_w)
 
 

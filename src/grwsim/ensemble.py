@@ -271,6 +271,8 @@ def run_ensemble(
         raise ConfigError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
     if master_seed < 0:
         raise ConfigError(f"the master seed must be >= 0, got {master_seed}")
+    if log_first < 0:
+        raise ConfigError(f"the number of logged trajectories must be >= 0, got {log_first}")
     plan = scenario_plan(config)
     _check_horizon(config, plan)
 

@@ -21,7 +21,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .dynamics import GrwParams, Hamiltonian, TrajectoryRecord
+import numpy as np
+
+from .dynamics import BranchSystems, GrwParams, Hamiltonian, TrajectoryRecord
 from .ensemble import EnsembleSummary, StatRecord
 from .errors import ConfigError
 from .ontology import MatterDensityField
@@ -196,31 +198,52 @@ def write_summary_json(path: str | Path, summary: EnsembleSummary) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
+# json's spelling of the floats that float.__repr__ spells nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: Iterable[float]) -> list[str]:
+    """Each float as json spells it: its repr, or NaN, Infinity or -Infinity."""
+    return [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, values)]
+
+
+def _json_array(values: Iterable[float]) -> str:
+    return "[" + ",".join(_json_floats(values)) + "]"
+
+
 def write_events_jsonl(path: str | Path, record: TrajectoryRecord) -> None:
-    """One JSON object per collapse event: {t, particle, center, pre_weights, post_weights}."""
-    # the encoder json.dumps builds for these arguments, built once per file
-    encoder = json.JSONEncoder(separators=(",", ":"))
+    """One JSON object per collapse event: {t, particle, center, pre_weights, post_weights}.
+
+    Each line is what json.dumps(event, separators=(",", ":")) writes.  A
+    branch record's lines come straight from its columns, and each weight
+    tuple is spelled once: an event's pre-weights are its system's previous
+    post-weights.
+    """
+    if isinstance(record.initial_state, BranchSystems):
+        system_of, initial, post_weights = record.weight_columns()
+        current = [_json_array(w) for w in initial]
+        posts = [_json_array(w) for w in post_weights]
+        pres = []
+        for system, post in zip(system_of, posts):
+            pres.append(current[system])
+            current[system] = post
+    else:
+        events = record.events
+        pres = [_json_array(e.pre_weights) for e in events]
+        posts = [_json_array(e.post_weights) for e in events]
+    rows = zip(_json_floats(record.times), record.particles, _json_floats(record.centers), pres, posts)
     lines = [
-        encoder.encode(
-            {
-                "t": e.time,
-                "particle": e.particle,
-                "center": e.center,
-                "pre_weights": list(e.pre_weights),
-                "post_weights": list(e.post_weights),
-            }
-        )
-        for e in record.events
+        f'{{"t":{t},"particle":{k},"center":{x},"pre_weights":{pre},"post_weights":{post}}}\n'
+        for t, k, x, pre, post in rows
     ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write_text(path, "".join(lines))
 
 
 def write_flashes_csv(path: str | Path, times: Iterable, particles: Iterable, centers: Iterable) -> None:
-    """Flash columns (times, particles, centers) as time,position,particle rows."""
-    lines = ["time,position,particle"]
-    for t, k, x in zip(times, particles, centers):
-        lines.append(f"{_fmt(t)},{_fmt(x)},{k}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Flash columns (times, particles, centers), lists or arrays, as time,position,particle rows."""
+    times, centers = (np.asarray(c, dtype=float).tolist() for c in (times, centers))
+    rows = [f"{t!r},{x!r},{k}\n" for t, k, x in zip(times, np.asarray(particles).tolist(), centers)]
+    atomic_write_text(path, "time,position,particle\n" + "".join(rows))
 
 
 def write_density_csv(path: str | Path, field: MatterDensityField) -> None:

@@ -173,6 +173,24 @@ class TestRunCommand:
         assert density[0] == "x,m"
         assert len(density) > 100
 
+    def test_density_snapshots_without_logs(self, tmp_path):
+        # --log-trajectories 0 asks for no trajectory logs: the snapshots replay
+        # trajectory 0 and write nothing else
+        cfg = tmp_path / "density.cfg"
+        cfg.write_text(CAT_CFG + "density_times = 0, 20\n")
+        out = tmp_path / "results"
+        argv = ["run", "--config", str(cfg), "--trajectories", "40", "--seed", "3",
+                "--out", str(out), "--log-trajectories", "0"]
+        assert main(argv) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "summary.csv", "summary.json", "density-t0.csv", "density-t20.csv"
+        }
+        logged = tmp_path / "logged"
+        argv[-3:] = [str(logged), "--log-trajectories", "1"]
+        assert main(argv) == 0
+        for name in ("density-t0.csv", "density-t20.csv", "summary.csv"):
+            assert (out / name).read_bytes() == (logged / name).read_bytes()
+
     def test_grid_backend_run(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
@@ -260,6 +278,17 @@ class TestConfigErrors:
                 "--threads", "65", "--out", str(out)]
         assert main(argv) == 2
         assert "threads must be in 1..64" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density", ["", "density_times = 0\n"])
+    def test_negative_log_count_rejected(self, tmp_path, capsys, density):
+        cfg = tmp_path / "cat.cfg"
+        cfg.write_text(CAT_CFG + density)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--trajectories", "4",
+                "--log-trajectories", "-3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "logged trajectories must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_rejected(self, cat_cfg, tmp_path, capsys):

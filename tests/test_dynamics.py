@@ -12,6 +12,7 @@ from grwsim import (
     GridSpec,
     GrwParams,
     Hamiltonian,
+    History,
     NumericsError,
     Packet,
     RngStream,
@@ -31,7 +32,8 @@ from grwsim import (
     sample_collapse_center,
     sample_waiting_time,
 )
-from grwsim.dynamics import BranchSystems, CollapseEvent, _grid_summary, replay_state_at
+import grwsim.dynamics as dynamics
+from grwsim.dynamics import BranchSystems, CollapseEvent, TrajectoryRecord, _grid_summary, replay_state_at
 from grwsim.ensemble import _flash_columns
 
 
@@ -637,6 +639,127 @@ class TestEventLog:
         rec = run_trajectory(two_packet_state, params, RngStream(96, 0))
         assert rec.num_events > 0
         assert rec.events == _stepwise_events(two_packet_state, params, rec, _grid_summary)
+
+
+def _posterior_oracle(record):
+    """(post_log_weights, events) of a branch record, rebuilt by replaying its
+    columns through _posterior one collapse at a time."""
+    systems = record.initial_state
+    log_w = [s.log_weights.tolist() for s in systems.systems]
+    inv_var = 1.0 / (record.params.sigma * record.params.sigma)
+    posts, events = [], []
+    for t, particle, center in zip(record.times, record.particles, record.centers):
+        system, local = systems.locate(particle)
+        anchors = systems.systems[system].anchors[:, local].tolist()
+        pre = log_w[system]
+        log_w[system] = dynamics._posterior(pre, anchors, center, inv_var)
+        posts.append(log_w[system])
+        events.append(
+            CollapseEvent(
+                t, particle, center,
+                tuple([math.exp(v) for v in pre]), tuple([math.exp(v) for v in log_w[system]]),
+            )
+        )
+    return posts, events
+
+
+def _bits(events):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [
+        (e.time.hex(), e.particle, e.center.hex(),
+         [w.hex() for w in e.pre_weights], [w.hex() for w in e.post_weights])
+        for e in events
+    ]
+
+
+_ORACLE_CASES = {
+    "cat": ScenarioConfig(
+        kind=ScenarioKind.CAT, c1_sq=0.7, ontology=Ontology.GRW0, params=GrwParams(total_time=50.0)
+    ),
+    "tail": ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.999, params=GrwParams(total_time=20.0)),
+    "marbles5_collapsed_past": ScenarioConfig(
+        kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=5, ontology=Ontology.GRWF,
+        history=History.COLLAPSED_PAST, params=GrwParams(total_time=20.0),
+    ),
+}
+
+
+class TestKeptWeights:
+    """A branch run keeps the weights it computed; events reads them, no replay."""
+
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_events_match_sequential_posterior(self, case):
+        config = _ORACLE_CASES[case]
+        for stream in range(3):
+            scenario = build_scenario(config, RngStream(8, 2**48 + stream).generator())
+            rec = run_trajectory(scenario.initial_state, config.params, RngStream(8, stream))
+            assert rec.num_events > 0
+            posts, events = _posterior_oracle(rec)
+            assert [[v.hex() for v in lw] for lw in rec.post_log_weights] == [
+                [v.hex() for v in lw] for lw in posts
+            ]
+            assert _bits(rec.events) == _bits(events)
+
+    def test_events_do_not_call_posterior(self, monkeypatch):
+        config = _ORACLE_CASES["marbles5_collapsed_past"]
+        rec = run_trajectory(build_scenario(config).initial_state, config.params, RngStream(8, 0))
+        expected = rec.events
+
+        def no_posterior(*args):
+            raise AssertionError("events replayed a collapse")
+
+        monkeypatch.setattr(dynamics, "_posterior", no_posterior)
+        assert rec.events == expected
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_aborted_run_keeps_k_rows(self, monkeypatch, k):
+        config = _ORACLE_CASES["marbles5_collapsed_past"]
+        initial = build_scenario(config).initial_state
+        posterior = dynamics._posterior
+        calls = []
+
+        def failing_posterior(*args):
+            calls.append(None)
+            if len(calls) > k:
+                raise ZeroProbabilityCollapseError("synthetic underflow")
+            return posterior(*args)
+
+        monkeypatch.setattr(dynamics, "_posterior", failing_posterior)
+        rec = run_trajectory(initial, config.params, RngStream(8, 0))
+        monkeypatch.undo()
+        assert rec.status == "aborted"
+        assert f"event {k} at" in rec.diagnostic
+        assert rec.num_events == len(rec.post_log_weights) == k
+        posts, events = _posterior_oracle(rec)
+        assert rec.post_log_weights == posts
+        assert _bits(rec.events) == _bits(events)
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_mismatched_weight_column_raises(self, rows):
+        config = _ORACLE_CASES["marbles5_collapsed_past"]
+        rec = run_trajectory(build_scenario(config).initial_state, config.params, RngStream(8, 1))
+        assert rec.num_events > 3
+        hand_built = TrajectoryRecord(
+            params=rec.params, times=rec.times, particles=rec.particles, centers=rec.centers,
+            post_log_weights=rec.post_log_weights[:rows],
+            initial_state=rec.initial_state, final_state=rec.final_state,
+        )
+        with pytest.raises(ConfigError, match=f"{rows} post-collapse weight rows for {rec.num_events}"):
+            hand_built.events
+
+    @pytest.mark.parametrize("particle", [-1, 5])
+    def test_particle_out_of_range_raises(self, particle):
+        config = _ORACLE_CASES["marbles5_collapsed_past"]
+        rec = run_trajectory(build_scenario(config).initial_state, config.params, RngStream(8, 1))
+        rec.particles[-1] = particle
+        with pytest.raises(ConfigError, match="particle index out of range for N=5"):
+            rec.events
+
+    def test_grid_record_keeps_no_weights(self, two_packet_state):
+        rec = run_trajectory(two_packet_state, GrwParams(total_time=4.0), RngStream(96, 0))
+        assert rec.num_events > 0
+        assert rec.post_log_weights == []
+        assert len(rec.events) == rec.num_events
 
 
 class TestOneStepMartingale:

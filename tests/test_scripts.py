@@ -74,3 +74,51 @@ def test_parity_tree_against_itself(tmp_path):
     demo.write_text(demo.read_text().replace("type=int, default=3)", "type=int, default=4)"))
     result = parity.compare_demo(ROOT, head)
     assert result["exit"] == [0, 0] and not result["match"]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_alternate_and_summarize():
+    snapshot = _load_script("bench_snapshot")
+    base, change = Path("/base"), Path("/change")
+    calls = []
+
+    def stub_runner(tree, workload, seconds, seed):
+        # the change is 20% faster; both trees fail the gate at seed 3, the change alone at 4
+        calls.append((tree, seed))
+        wall = 2.0 if tree == base else 1.6
+        correct = seed != 3 and not (tree == change and seed == 4)
+        metrics = {"wall_s": {"value": wall + seed / 100, "unit": "s"},
+                   "traj_per_s": {"value": 300 / wall, "unit": "1/s"}}
+        return {"exit_code": 0, "correct": correct, "metrics": metrics}
+
+    end_to_end = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "traj_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},  # no run reports it
+    ]
+    result = snapshot.run_pairs(change, base, "cat_grw0", 4, 12.0, end_to_end, runner=stub_runner)
+
+    assert calls == [(base, 1), (change, 1), (change, 2), (base, 2),
+                     (base, 3), (change, 3), (change, 4), (base, 4)]
+    assert [p["first"] for p in result["pairs"]] == ["base", "change", "base", "change"]
+    assert [p["seed"] for p in result["pairs"]] == [1, 2, 3, 4]
+    assert result["gate"] == {
+        "base_correct": 3, "change_correct": 2, "both_fail_seeds": [3],
+        "change_only_fail_seeds": [4], "base_only_fail_seeds": [],
+    }
+    wall = result["metrics"]["wall_s"]
+    assert wall["base_quartiles"] == pytest.approx([2.0175, 2.025, 2.0325])
+    assert wall["change_quartiles"] == pytest.approx([1.6175, 1.625, 1.6325])
+    assert wall["change_better"] == 4 and wall["pairs"] == 4 and wall["gain_shown"]
+    assert 0.80 < wall["ratio_median"] < 0.81
+    assert result["metrics"]["traj_per_s"]["change_better"] == 4
+    # a metric whose trees read the same shows no gain
+    same = snapshot.run_pairs(change, change, "cat_grw0", 2, 12.0, end_to_end, runner=stub_runner)
+    assert same["metrics"]["wall_s"]["change_better"] == 0 and not same["metrics"]["wall_s"]["gain_shown"]
+    assert "peak_rss_mb" not in result["metrics"]
