@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import takewhile
 from typing import Iterable, Sequence, Union
 
@@ -51,7 +52,7 @@ from numpy.fft import fftfreq, fftn, ifftn
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
-from .state import BranchState, GridWaveFunction, marginal_density, norm_squared
+from .state import BranchState, GridSpec, GridWaveFunction, marginal_density, norm_squared
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -391,14 +392,26 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
     if dt == 0 or hamiltonian.kind == "zero":
         return psi
     spec = psi.spec
-    k = 2.0 * np.pi * fftfreq(spec.points_per_axis, d=spec.dx)
-    phase_1d = np.exp(-1j * k**2 * dt / (2.0 * hamiltonian.mass))
+    phase_1d = np.exp(_minus_i_k_squared(spec) * dt / (2.0 * hamiltonian.mass))
     amps_k = fftn(psi.amplitudes)
     for axis in range(spec.num_particles):
         shape = [1] * spec.num_particles
         shape[axis] = -1
         amps_k = amps_k * phase_1d.reshape(shape)
     return GridWaveFunction(spec, ifftn(amps_k))
+
+
+@lru_cache(maxsize=16)
+def _minus_i_k_squared(spec: GridSpec) -> np.ndarray:
+    """-1j * k^2 over the FFT wave numbers k of spec's axis; read-only, one array per spec.
+
+    evolve_unitary scales it by dt / (2 mass) in the order the free phase
+    -1j k^2 dt / (2 mass) was always written, so the phase keeps its bits.
+    """
+    k = 2.0 * np.pi * fftfreq(spec.points_per_axis, d=spec.dx)
+    rate = -1j * k**2
+    rate.flags.writeable = False
+    return rate
 
 
 def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -67,8 +68,19 @@ class GridSpec:
         return (self.x_max - self.x_min) / self.points_per_axis
 
     def points(self) -> np.ndarray:
-        """Cell-center coordinates of the 1-D axis (midpoint rule)."""
-        return self.x_min + (np.arange(self.points_per_axis) + 0.5) * self.dx
+        """Cell-center coordinates of the 1-D axis (midpoint rule).
+
+        Computed once per spec and shared by every call, so the array is
+        read-only; copy it before writing.
+        """
+        return _cell_centers(self)
+
+
+@lru_cache(maxsize=16)
+def _cell_centers(spec: GridSpec) -> np.ndarray:
+    x = spec.x_min + (np.arange(spec.points_per_axis) + 0.5) * spec.dx
+    x.flags.writeable = False
+    return x
 
 
 @dataclass

@@ -281,6 +281,41 @@ class TestEvolveUnitary:
         with pytest.raises(ConfigError):
             evolve_unitary(two_packet_state, -1.0, Hamiltonian("zero"))
 
+    @pytest.mark.parametrize("n,points", [(1, 512), (2, 64), (3, 32)])
+    def test_matches_uncached_formula_bitwise(self, n, points):
+        # the free step as written before its constants were cached: fftfreq,
+        # the phase in one expression, fftn and a per-axis phase product
+        spec = GridSpec(-12.0, 14.0, points, n)
+        packets = [Packet((-3.0,) * n, 2.0, 0.8), Packet((4.0,) * n, 2.5, 0.6j)]
+        psi = make_grid_wavefunction(spec, packets)
+        for dt in (1e-3, 0.37, 2.5):
+            for mass in (0.5, 1.0, 5.0):
+                k = 2.0 * np.pi * np.fft.fftfreq(points, d=spec.dx)
+                phase_1d = np.exp(-1j * k**2 * dt / (2.0 * mass))
+                amps_k = np.fft.fftn(psi.amplitudes)
+                for axis in range(n):
+                    shape = [1] * n
+                    shape[axis] = -1
+                    amps_k = amps_k * phase_1d.reshape(shape)
+                expected = np.fft.ifftn(amps_k)
+                out = evolve_unitary(psi, dt, Hamiltonian("free", mass))
+                assert np.array_equal(out.amplitudes, expected)
+
+    def test_cached_wave_numbers_read_only(self, spec512):
+        rate = dynamics._minus_i_k_squared(spec512)
+        with pytest.raises(ValueError):
+            rate[0] = 1.0
+        assert dynamics._minus_i_k_squared(spec512) is rate
+
+    def test_specs_keep_their_own_wave_numbers(self):
+        specs = [GridSpec(-8.0, 8.0, 64), GridSpec(-8.0, 8.0, 128), GridSpec(-4.0, 8.0, 64),
+                 GridSpec(-8.0, 8.0, 64, 2)]
+        for spec in specs:
+            k = 2.0 * np.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.dx)
+            assert np.array_equal(dynamics._minus_i_k_squared(spec), -1j * k**2)
+        rates = [dynamics._minus_i_k_squared(spec) for spec in specs]
+        assert len({id(r) for r in rates}) == len(specs)
+
 
 def _branch_state(c1=0.7):
     return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [[0.0], [30.0]])

@@ -45,6 +45,20 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(**kwargs)
 
+    def test_points_cached_read_only(self, spec512):
+        x = spec512.points()
+        assert spec512.points() is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_specs_keep_their_own_points(self):
+        specs = [GridSpec(-1.0, 1.0, 8), GridSpec(-1.0, 1.0, 16), GridSpec(-2.0, 1.0, 8),
+                 GridSpec(-1.0, 3.0, 8), GridSpec(-1.0, 1.0, 8, 2)]
+        for spec in specs:
+            expected = spec.x_min + (np.arange(spec.points_per_axis) + 0.5) * spec.dx
+            assert np.array_equal(spec.points(), expected)
+        assert len({id(spec.points()) for spec in specs}) == len(specs)
+
 
 class TestMakeGridWavefunction:
     def test_single_packet_any_coefficient_normalized(self, spec512):
