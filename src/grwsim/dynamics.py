@@ -4,7 +4,11 @@ Between jumps the state evolves unitarily (identity for H=0, spectral
 propagation for free particles).  Jumps arrive as a Poisson process with
 total rate ``N * lambda_eff``; each jump picks a particle uniformly at
 random, draws a collapse center X from the operator-completeness density
-``p(X) = ||L_{k,X} psi||^2``, and applies the collapse.
+``p(X) = ||L_{k,X} psi||^2``, and applies the collapse.  On the grid, p is
+the particle's marginal convolved with ``g^2``, so X is drawn as a marginal
+sample (a cell center) plus Normal(0, sigma^2 / 2) noise: a point of the
+real line, and no convolution runs.  ``collapse_center_density`` tabulates
+p at the cell centers for the acceptance checks and for users.
 
 The collapse operator multiplies the wavefunction along the chosen
 coordinate by ``g(u) = (pi sigma^2)^(-1/4) exp(-u^2 / (2 sigma^2))`` with
@@ -247,7 +251,7 @@ def _g_squared_kernel(dx: float, sigma: float) -> tuple[np.ndarray, int]:
 
 
 def collapse_center_density(psi: GridWaveFunction, particle: int, sigma: float) -> np.ndarray:
-    """Density of the collapse center on the grid: marginal convolved with g^2.
+    """Density of the collapse center at the cell centers: marginal convolved with g^2.
 
     Nonnegative by construction; integrates to 1 (operator completeness) as
     long as the state keeps ~9 sigma of clearance from the domain edges.
@@ -304,17 +308,20 @@ def sample_collapse_center(
 ) -> float:
     """Draw X with density ||L_{k,X} psi||^2 for one particle of one system.
 
-    Grid model: inverse CDF over the discretized density (the sample is a
-    grid cell center, exact with respect to the grid measure).  Branch
+    That density is the particle's marginal convolved with g^2 =
+    Normal(0, sigma^2 / 2), so X = x + noise.  Grid model: one uniform
+    picks the cell center x by inverse CDF over the marginal, then one
+    normal adds the noise; X is a point of the real line, not a cell center,
+    and may fall outside the grid.  Its law is the continuous density whose
+    values at the cell centers collapse_center_density tabulates.  Branch
     model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
     system's branches.
     """
     if isinstance(state, GridWaveFunction):
-        density = collapse_center_density(state, particle, sigma)
-        cdf = np.cumsum(density) * state.spec.dx
-        u = rng.random() * cdf[-1]
-        idx = min(int(np.searchsorted(cdf, u)), density.size - 1)
-        return float(state.spec.points()[idx])
+        cdf = np.cumsum(marginal_density(state, particle))
+        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        x = state.spec.points()[min(idx, cdf.size - 1)]
+        return float(rng.normal(x, sigma * _INV_SQRT2))
     if not 0 <= particle < state.num_particles:
         raise ConfigError(
             f"particle index {particle} out of range for N={state.num_particles}"
@@ -405,8 +412,8 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
 def _minus_i_k_squared(spec: GridSpec) -> np.ndarray:
     """-1j * k^2 over the FFT wave numbers k of spec's axis; read-only, one array per spec.
 
-    evolve_unitary scales it by dt / (2 mass) in the order the free phase
-    -1j k^2 dt / (2 mass) was always written, so the phase keeps its bits.
+    evolve_unitary scales it as (rate * dt) / (2 mass), left to right like
+    -1j * k**2 * dt / (2 mass); another order moves the phase's last bits.
     """
     k = 2.0 * np.pi * fftfreq(spec.points_per_axis, d=spec.dx)
     rate = -1j * k**2

@@ -34,11 +34,17 @@ from grwsim import (
 )
 import grwsim.dynamics as dynamics
 from grwsim.dynamics import BranchSystems, CollapseEvent, TrajectoryRecord, _grid_summary, replay_state_at
-from grwsim.ensemble import _flash_columns
+from grwsim.ensemble import _flash_columns, _merged_chi2
 
 
 def _rng(seed=0):
     return RngStream(seed).generator()
+
+
+def _nearest_cells(centers, spec):
+    """Index of each center's nearest cell, centers beyond the grid in its edge cells."""
+    idx = np.rint((centers - spec.points()[0]) / spec.dx)
+    return np.clip(idx, 0, spec.points_per_axis - 1).astype(int)
 
 
 class TestProcessParams:
@@ -239,11 +245,42 @@ class TestSampleCollapseCenter:
         draws = np.array(
             [sample_collapse_center(two_packet_state, 0, 1.0, rng) for _ in range(n)]
         )
-        x = spec512.points()
-        idx = np.round((draws - x[0]) / spec512.dx).astype(int)
-        counts = np.bincount(idx, minlength=512)
+        counts = np.bincount(_nearest_cells(draws, spec512), minlength=512)
         tv = 0.5 * float(np.abs(counts / n - probs).sum())
-        assert tv < 0.02  # inverse-CDF on the grid resamples the cell measure
+        assert tv < 0.02  # the continuous center law, read in the grid's cells
+
+    def test_grid_centers_leave_the_cell_centers(self, two_packet_state, spec512):
+        rng = _rng(15)
+        draws = np.array([sample_collapse_center(two_packet_state, 0, 1.0, rng) for _ in range(100)])
+        offsets = (draws - spec512.points()[0]) / spec512.dx
+        assert np.all(np.abs(offsets - np.rint(offsets)) > 1e-9)
+
+    def test_grid_sampler_law_chi_square(self):
+        # 10^5 draws on criterion 7's state against the tabulated density,
+        # cell by cell; a sampler whose noise is 1.3 times too wide fails
+        spec = GridSpec(-25.6, 25.6, 512, 1)
+        psi = make_grid_wavefunction(
+            spec, [Packet((-6.0,), 1.0, math.sqrt(0.6)), Packet((6.0,), 1.5, math.sqrt(0.4))]
+        )
+        probs = collapse_center_density(psi, 0, 1.0) * spec.dx
+        probs = probs / probs.sum()
+        n = 100_000
+
+        def p_value(draw, seed):
+            rng = _rng(seed)
+            draws = np.array([draw(psi, 0, 1.0, rng) for _ in range(n)])
+            observed = np.bincount(_nearest_cells(draws, spec), minlength=512)
+            p, bins = _merged_chi2(probs * n, observed, 10, "grid_center_chi2")
+            assert bins > 100
+            return p
+
+        def too_wide(state, particle, sigma, rng):
+            cdf = np.cumsum(marginal_density(state, particle))
+            idx = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), cdf.size - 1)
+            return float(rng.normal(state.spec.points()[idx], 1.3 * sigma / math.sqrt(2.0)))
+
+        assert p_value(sample_collapse_center, 1007) >= 0.001
+        assert p_value(too_wide, 1007) < 1e-6
 
     def test_deterministic(self, two_packet_state):
         a = sample_collapse_center(two_packet_state, 0, 1.0, _rng(5))

@@ -12,11 +12,14 @@ from grwsim import (
     History,
     NumericsError,
     Ontology,
+    Packet,
     RngStream,
     ScenarioConfig,
     ScenarioKind,
     center_histogram_test,
+    make_grid_wavefunction,
     run_ensemble,
+    sample_collapse_center,
 )
 from grwsim.ensemble import (
     CONVERGENCE_WEIGHT,
@@ -528,6 +531,17 @@ class TestCenterHistogram:
         a = center_histogram_test(two_packet_state, 0, 1.0, 5000, RngStream(9))
         b = center_histogram_test(two_packet_state, 0, 1.0, 5000, RngStream(9))
         assert a.estimate == b.estimate
+
+    def test_centers_beyond_the_grid_count_in_edge_cells(self, spec512):
+        # a packet 0.6 sigma inside each edge puts centers beyond both ends of
+        # the grid; they count in the edge cells instead of breaking the count
+        packets = [Packet((-25.0,), 1.0, 1.0), Packet((25.0,), 1.0, 1.0)]
+        psi = make_grid_wavefunction(spec512, packets)
+        rng = RngStream(4).generator()
+        draws = np.array([sample_collapse_center(psi, 0, 1.0, rng) for _ in range(2000)])
+        assert draws.min() < spec512.x_min and draws.max() > spec512.x_max
+        rec = center_histogram_test(psi, 0, 1.0, 2000, RngStream(4))
+        assert 0.0 <= rec.estimate <= 1.0
 
 
 def test_resurrection_requires_definite_verdicts():
