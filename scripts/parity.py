@@ -26,7 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +89,11 @@ CASES = _benchmark_cases([("cat_grw0", 500, 0), ("marbles_grwf", 30, 30), ("grid
         200,
         threads=3,
         log_trajectories=150,
+    ),
+    # grid trajectories run in lockstep chunks of consecutive indices; three
+    # workers (blocks 0-11, 12-23 and 24-36) cut them elsewhere than one does
+    replace(
+        _benchmark_cases([("grid_free", 37, 5)])[0], name="grid_free_three_workers", threads=3
     ),
     # matter-density snapshots replayed from a grid run
     Case(

@@ -10,6 +10,17 @@ sample (a cell center) plus Normal(0, sigma^2 / 2) noise: a point of the
 real line, and no convolution runs.  ``collapse_center_density`` tabulates
 p at the cell centers for the acceptance checks and for users.
 
+Grid trajectories run in lockstep chunks (``run_grid_chunk``): the rows of
+one ``(R, points**N)`` array share each step's phase ``exp``, FFT round
+trip, marginal and collapse, which pays numpy's per-call cost once per
+chunk instead of once per trajectory.  R is ``GRID_CHUNK_CELLS // points**N``
+(16 rows at 512 points), a bound on the chunk's memory.  The stream
+contract is unchanged: trajectory i draws from ``RngStream(seed, i)`` in a
+lone run's order, and ``run_trajectory``'s grid arm is a chunk of one.
+``evolve_unitary`` and ``apply_collapse_grid``, the replay's primitives,
+call the kernel's ``_free_step`` and ``_collapse_rows`` on one row, so a
+replay reproduces a run bit for bit.
+
 The collapse operator multiplies the wavefunction along the chosen
 coordinate by ``g(u) = (pi sigma^2)^(-1/4) exp(-u^2 / (2 sigma^2))`` with
 ``u = x_k - X``.  With this convention ``g^2`` is a normalized Gaussian of
@@ -48,7 +59,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import takewhile
+from itertools import groupby, takewhile
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -56,7 +67,7 @@ from numpy.fft import fftfreq, fftn, ifftn
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
-from .state import BranchState, GridSpec, GridWaveFunction, marginal_density, norm_squared
+from .state import BranchState, GridSpec, GridWaveFunction, marginal_density
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -65,6 +76,12 @@ UNDERFLOW_FLOOR = 1e-150
 
 # g^2 is truncated at this many sigmas when tabulated on a grid.
 _KERNEL_REACH = 9.0
+
+# Grid cells run_grid_chunk advances at once: 16 trajectories at 512 points,
+# one on a 512^2 grid.  Each row costs a few copies of its amplitudes, so
+# the chunk is kept small: with 16, 32 and 64 rows at 512 points peak RSS
+# rose by 0.9, 2.7 and 6 MB over 37.3 MB.
+GRID_CHUNK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -269,17 +286,34 @@ def apply_collapse_grid(
     n = psi.spec.num_particles
     if not 0 <= particle < n:
         raise ConfigError(f"particle index {particle} out of range for N={n}")
-    x = psi.spec.points()
-    g = (np.pi * sigma**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-    shape = [1] * n
-    shape[particle] = -1
-    new_amps = psi.amplitudes * g.reshape(shape)
-    norm = math.sqrt(norm_squared(GridWaveFunction(psi.spec, new_amps)))
+    spec, collapsed = psi.spec, np.empty_like(psi.amplitudes)
+    norms = _collapse_rows(psi.amplitudes[None], particle, np.array([center]), spec, sigma, collapsed[None])
+    norm = float(norms[0])
     if norm <= UNDERFLOW_FLOOR:
-        raise ZeroProbabilityCollapseError(
-            f"collapse at X={center} has norm {norm:.3e} (zero-probability collapse)"
-        )
-    return GridWaveFunction(psi.spec, new_amps / norm)
+        raise ZeroProbabilityCollapseError(_zero_norm_message(center, norm))
+    return GridWaveFunction(spec, collapsed / norm)
+
+
+def _collapse_rows(
+    amps: np.ndarray, particle: int, centers: np.ndarray, spec: GridSpec, sigma: float, out: np.ndarray
+) -> np.ndarray:
+    """Write each row of amps (R, *grid) times g(x_particle - centers[r]) to out;
+    return each product's norm.
+
+    The products are not renormalized: the caller checks the norms against
+    UNDERFLOW_FLOOR before dividing by them.
+    """
+    n = spec.num_particles
+    u = spec.points() - centers[:, None]
+    g = (np.pi * sigma**2) ** (-0.25) * np.exp(-(u**2) / (2.0 * sigma**2))
+    shape = [len(centers)] + [1] * n
+    shape[particle + 1] = -1
+    np.multiply(amps, g.reshape(shape), out=out)
+    return np.sqrt(np.sum(np.abs(out) ** 2, axis=tuple(range(1, n + 1))) * spec.dx**n)
+
+
+def _zero_norm_message(center: float, norm: float) -> str:
+    return f"collapse at X={center} has norm {norm:.3e} (zero-probability collapse)"
 
 
 def branch_collapse_update(
@@ -317,18 +351,34 @@ def sample_collapse_center(
     model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
     system's branches.
     """
-    if isinstance(state, GridWaveFunction):
-        cdf = np.cumsum(marginal_density(state, particle))
-        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        x = state.spec.points()[min(idx, cdf.size - 1)]
-        return float(rng.normal(x, sigma * _INV_SQRT2))
     if not 0 <= particle < state.num_particles:
         raise ConfigError(
             f"particle index {particle} out of range for N={state.num_particles}"
         )
+    if isinstance(state, GridWaveFunction):
+        marginal = _marginal_rows(np.abs(state.amplitudes[None]) ** 2, particle, state.spec)
+        cell = _pick_cells(marginal, np.array([rng.random()]))[0]
+        return float(rng.normal(state.spec.points()[cell], sigma * _INV_SQRT2))
     return _draw_center(
         state.log_weights.tolist(), state.anchors[:, particle].tolist(), sigma * _INV_SQRT2, rng
     )
+
+
+def _marginal_rows(density: np.ndarray, particle: int, spec: GridSpec) -> np.ndarray:
+    """One particle's marginal of each row of density (R, *grid), as marginal_density sums it."""
+    axes = tuple(ax + 1 for ax in range(spec.num_particles) if ax != particle)
+    return density.sum(axis=axes) * spec.dx ** len(axes) if axes else density
+
+
+def _pick_cells(marginals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each row's inverse-CDF cell for its uniform: the cells whose CDF is <= u * total.
+
+    A cumulative sum of nonnegative terms never decreases, so the count
+    equals searchsorted(side="right"); rounding past the last cell picks it.
+    """
+    cdf = np.cumsum(marginals, axis=1)
+    cells = np.count_nonzero(cdf <= (uniforms * cdf[:, -1])[:, None], axis=1)
+    return np.minimum(cells, cdf.shape[1] - 1)
 
 
 # The branch kernel: one collapse of one system, on plain floats.  The run
@@ -398,27 +448,53 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
         raise ConfigError("dt must be nonnegative")
     if dt == 0 or hamiltonian.kind == "zero":
         return psi
-    spec = psi.spec
-    phase_1d = np.exp(_minus_i_k_squared(spec) * dt / (2.0 * hamiltonian.mass))
-    amps_k = fftn(psi.amplitudes)
-    for axis in range(spec.num_particles):
-        shape = [1] * spec.num_particles
+    amps = _free_step(psi.amplitudes[None], [dt], psi.spec, hamiltonian.mass)
+    return GridWaveFunction(psi.spec, amps[0])
+
+
+def _free_step(amps: np.ndarray, dts: Sequence[float], spec: GridSpec, mass: float) -> np.ndarray:
+    """Each row of amps (R, *grid) evolved freely for its own time dts[r] > 0; a new array.
+
+    The phase exp(-1j k^2 dt / (2 mass)) is taken once per distinct k^2
+    (fftfreq is sign-symmetric) and gathered onto the FFT axis.
+    """
+    n = spec.num_particles
+    axes = tuple(range(1, n + 1))
+    phase = _minus_i_k_squared(spec)[: spec.points_per_axis // 2 + 1] * np.array(dts)[:, None]
+    phase /= 2.0 * mass
+    phase = np.exp(phase, out=phase)[:, _k_squared_index(spec)]
+    amps_k = fftn(amps, axes=axes)
+    for axis in axes:
+        shape = [len(dts)] + [1] * n
         shape[axis] = -1
-        amps_k = amps_k * phase_1d.reshape(shape)
-    return GridWaveFunction(spec, ifftn(amps_k))
+        amps_k *= phase.reshape(shape)
+    return ifftn(amps_k, axes=axes)
 
 
 @lru_cache(maxsize=16)
 def _minus_i_k_squared(spec: GridSpec) -> np.ndarray:
     """-1j * k^2 over the FFT wave numbers k of spec's axis; read-only, one array per spec.
 
-    evolve_unitary scales it as (rate * dt) / (2 mass), left to right like
+    _free_step scales it as (rate * dt) / (2 mass), left to right like
     -1j * k**2 * dt / (2 mass); another order moves the phase's last bits.
     """
     k = 2.0 * np.pi * fftfreq(spec.points_per_axis, d=spec.dx)
     rate = -1j * k**2
     rate.flags.writeable = False
     return rate
+
+
+@lru_cache(maxsize=16)
+def _k_squared_index(spec: GridSpec) -> np.ndarray:
+    """Position j of the FFT axis -> min(j, points - j), the first position with the same k^2.
+
+    fftfreq puts -m exactly at points - m, so the gather through this
+    index reproduces the full -1j * k^2 bit for bit; read-only, one per spec.
+    """
+    j = np.arange(spec.points_per_axis)
+    index = np.minimum(j, spec.points_per_axis - j)
+    index.flags.writeable = False
+    return index
 
 
 def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
@@ -456,21 +532,14 @@ def run_trajectory(
     grid = isinstance(initial_state, GridWaveFunction)
     if params.hamiltonian.kind != "zero" and not grid:
         raise ConfigError("free-particle evolution requires the grid model")
-    rng = stream.generator()
     if grid:
-        times, particles, centers, final_state, diagnostic = _run_grid(
-            initial_state.copy(), params, rng
-        )
-        post_log_weights = []
-    else:
-        for s in initial_state.systems:
-            _warn_if_close(s, params.sigma)
-        log_w, anchors, system_of = _branch_lists(initial_state)
-        times, particles, centers, post_log_weights, diagnostic = _run_branches(
-            log_w, anchors, system_of, params, rng
-        )
-        final_state = _branch_systems(initial_state, log_w)
-
+        return run_grid_chunk(initial_state, params, [stream])[0]
+    for s in initial_state.systems:
+        _warn_if_close(s, params.sigma)
+    log_w, anchors, system_of = _branch_lists(initial_state)
+    times, particles, centers, post_log_weights, diagnostic = _run_branches(
+        log_w, anchors, system_of, params, stream.generator()
+    )
     return TrajectoryRecord(
         params=params,
         times=times,
@@ -478,37 +547,112 @@ def run_trajectory(
         centers=centers,
         post_log_weights=post_log_weights,
         initial_state=initial_state,
-        final_state=final_state,
+        final_state=_branch_systems(initial_state, log_w),
         status="completed" if diagnostic is None else "aborted",
         diagnostic=diagnostic,
     )
 
 
-def _run_grid(state: GridWaveFunction, params: GrwParams, rng: np.random.Generator) -> tuple:
-    """run_trajectory's grid arm: (times, particles, centers, final state, diagnostic),
-    where the diagnostic is None unless a numerical failure aborted the run."""
-    times: list[float] = []
-    particles: list[int] = []
-    centers: list[float] = []
-    n = state.num_particles
-    sigma = params.sigma
-    t = 0.0
-    while True:
-        t_next = t + sample_waiting_time(n, params.lambda_eff, rng)
-        state = evolve_unitary(state, min(t_next, params.total_time) - t, params.hamiltonian)
-        if t_next > params.total_time:
-            return times, particles, centers, state, None
+def grid_chunk_rows(spec: GridSpec) -> int:
+    """How many trajectories on spec's grid run_grid_chunk advances at once."""
+    return max(1, GRID_CHUNK_CELLS // spec.points_per_axis**spec.num_particles)
+
+
+def run_grid_chunk(
+    initial_state: GridWaveFunction, params: GrwParams, streams: Sequence[RngStream]
+) -> list[TrajectoryRecord]:
+    """run_trajectory from one grid state for each stream, in lockstep.
+
+    The trajectories are the rows of one (R, *grid) array: each step takes
+    one phase exp and one FFT round trip over every live row, and one
+    marginal and one collapse over each block of neighbouring rows that
+    collapse the same particle (all of them when N = 1).  Row r draws from streams[r] exactly as a lone run does,
+    per event the waiting time, the particle (only when N > 1), the uniform
+    and the normal, so every record equals its chunk-of-one record bit for
+    bit.  A row leaves at its horizon, or aborted with a diagnostic at a
+    zero-probability collapse, keeping the state it reached.  Rows whose
+    step is dt = 0 skip the free step.
+    """
+    spec = initial_state.spec
+    n = spec.num_particles
+    total_time, sigma, hamiltonian = params.total_time, params.sigma, params.hamiltonian
+    wait_scale = 1.0 / (n * params.lambda_eff)
+    spread = sigma * _INV_SQRT2
+    points = spec.points()
+    rngs = [s.generator() for s in streams]
+    columns = [([], [], []) for _ in streams]  # each row's times, particles, centers
+    finals: list = [None] * len(streams)
+    diagnostics: list = [None] * len(streams)
+    # the live rows: their chunk rows, amplitudes and last event times
+    rows = list(range(len(streams)))
+    amps = np.repeat(initial_state.amplitudes[None], len(rows), axis=0)
+    t = [0.0] * len(rows)
+    while rows:
+        t_next = [tr + rngs[r].exponential(wait_scale) for r, tr in zip(rows, t)]
+        if hamiltonian.kind == "free":
+            dts = [min(tn, total_time) - tr for tn, tr in zip(t_next, t)]
+            moving = [j for j, dt in enumerate(dts) if dt > 0]
+            if len(moving) == len(rows):
+                amps = _free_step(amps, dts, spec, hamiltonian.mass)
+            elif moving:
+                moved = _free_step(amps[moving], [dts[j] for j in moving], spec, hamiltonian.mass)
+                amps[moving] = moved
+        live = [j for j, tn in enumerate(t_next) if tn <= total_time]
+        if len(live) < len(rows):
+            for j, r in enumerate(rows):
+                if t_next[j] > total_time:
+                    finals[r] = amps[j].copy()
+            rows, t_next, amps = [rows[j] for j in live], [t_next[j] for j in live], amps[live]
+            if not rows:
+                break
         # integers(1) consumes no bits, so skipping it leaves the stream unchanged
-        particle = int(rng.integers(n)) if n > 1 else 0
-        try:
-            center = sample_collapse_center(state, particle, sigma, rng)
-            state = apply_collapse_grid(state, particle, center, sigma)
-        except NumericsError as exc:
-            return times, particles, centers, state, f"event {len(times)} at t={t_next:.6g}: {exc}"
-        times.append(t_next)
-        particles.append(particle)
-        centers.append(center)
+        particles = [int(rngs[r].integers(n)) if n > 1 else 0 for r in rows]
+        uniforms = np.array([rngs[r].random() for r in rows])
+        density = np.abs(amps) ** 2
+        centers = np.empty(len(rows))
+        collapsed = np.empty_like(amps)
+        norms = np.empty(len(rows))
+        # each run of neighbouring rows that collapse the same particle is one block
+        lo = 0
+        for particle, block in groupby(particles):
+            hi = lo + len(list(block))
+            cells = _pick_cells(_marginal_rows(density[lo:hi], particle, spec), uniforms[lo:hi])
+            x = points[cells].tolist()
+            centers[lo:hi] = [rngs[r].normal(x[j], spread) for j, r in enumerate(rows[lo:hi])]
+            norms[lo:hi] = _collapse_rows(
+                amps[lo:hi], particle, centers[lo:hi], spec, sigma, collapsed[lo:hi]
+            )
+            lo = hi
+        kept = []
+        for j, (r, center, norm) in enumerate(zip(rows, centers.tolist(), norms.tolist())):
+            times, parts, xs = columns[r]
+            if norm <= UNDERFLOW_FLOOR:
+                finals[r] = amps[j].copy()
+                message = _zero_norm_message(center, norm)
+                diagnostics[r] = f"event {len(times)} at t={t_next[j]:.6g}: {message}"
+                continue
+            times.append(t_next[j])
+            parts.append(particles[j])
+            xs.append(center)
+            kept.append(j)
+        if len(kept) < len(rows):
+            rows, t_next = [rows[j] for j in kept], [t_next[j] for j in kept]
+            collapsed, norms = collapsed[kept], norms[kept]
+        amps = np.divide(collapsed, norms.reshape((-1,) + (1,) * n), out=collapsed)
         t = t_next
+    return [
+        TrajectoryRecord(
+            params=params,
+            times=times,
+            particles=parts,
+            centers=xs,
+            initial_state=initial_state,
+            final_state=GridWaveFunction(spec, final),
+            status="completed" if diagnostic is None else "aborted",
+            diagnostic=diagnostic,
+        )
+        for (times, parts, xs), final, diagnostic in zip(columns, finals, diagnostics)
+    ]
 
 
 def _run_branches(

@@ -4,7 +4,8 @@ Each trajectory runs on its own seeded substream (stream id = trajectory
 index), so summaries are deterministic no matter how many workers run them.
 Workers are processes: the indices split into contiguous blocks, the
 calling process runs the first and a process pool the rest, and the
-per-trajectory results fold back in index order.
+per-trajectory results fold back in index order.  Within a block, grid
+trajectories run in lockstep chunks of consecutive indices.
 Every statistic record carries its analytic target and the provenance of
 that target; nothing is fitted.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,10 +22,13 @@ from . import ontology
 from .dynamics import (
     BranchSystems,
     GridWaveFunction,
+    GrwParams,
     RngStream,
     TrajectoryRecord,
     TrajectoryState,
     collapse_center_density,
+    grid_chunk_rows,
+    run_grid_chunk,
     run_trajectory,
     sample_collapse_center,
 )
@@ -233,15 +237,33 @@ def _run_block(
         initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], None, 0.0)
 
     stats = []
-    for i in range(lo, hi):
+    records = _run_records(first.initial_state, config.params, master_seed, lo, hi)
+    for i, record in zip(range(lo, hi), records):
         scenario = first
         if redraw and i > lo:
             scenario = replace(first, prehistory=seed_prehistory(config, prehistory_rng(i)))
-        record = run_trajectory(scenario.initial_state, config.params, RngStream(master_seed, i))
         stats.append(reduce_trajectory(record, scenario, i, initial_verdict))
         if i < log_first and on_logged is not None:
             on_logged(i, record, scenario.prehistory)
     return stats
+
+
+def _run_records(
+    state: TrajectoryState, params: GrwParams, master_seed: int, lo: int, hi: int
+) -> Iterator[TrajectoryRecord]:
+    """Trajectories lo..hi-1 from state, in index order, trajectory i on RngStream(master_seed, i).
+
+    Grid trajectories run in lockstep chunks of consecutive indices
+    (run_grid_chunk); branch trajectories one by one.
+    """
+    if not isinstance(state, GridWaveFunction):
+        for i in range(lo, hi):
+            yield run_trajectory(state, params, RngStream(master_seed, i))
+        return
+    size = grid_chunk_rows(state.spec)
+    for start in range(lo, hi, size):
+        streams = [RngStream(master_seed, i) for i in range(start, min(start + size, hi))]
+        yield from run_grid_chunk(state, params, streams)
 
 
 def run_ensemble(
@@ -260,8 +282,8 @@ def run_ensemble(
     always runs on RngStream(master_seed, i) (its prehistory on a disjoint
     stream block) and aggregation folds in index order.  Each trajectory
     i < log_first is handed to on_logged, a picklable hook, in the process
-    that ran it, as soon as it finishes.  Any aborted trajectory is counted
-    and fails the ensemble.  A worker process that dies raises WorkerError,
+    that ran it, as soon as it finishes (a grid trajectory: its chunk).
+    Any aborted trajectory is counted and fails the ensemble.  A worker process that dies raises WorkerError,
     naming the first block that did not finish.  A horizon too short for
     the planned limit statistics is rejected before anything runs.
     """

@@ -147,6 +147,21 @@ class TestApplyCollapseGrid:
         far_mass = float(marg[x > 5.0].sum() * spec.dx)
         assert far_mass < 1e-40  # exact value is ~exp(-100)
 
+    @pytest.mark.parametrize("n,points,particle", [(1, 512, 0), (2, 64, 0), (2, 64, 1), (3, 16, 2)])
+    def test_matches_two_pass_formula_bitwise(self, n, points, particle):
+        # the collapse as written with a throwaway state for its norm
+        spec = GridSpec(-12.0, 14.0, points, n)
+        psi = make_grid_wavefunction(spec, [Packet((-3.0,) * n, 4.0, 0.8), Packet((4.0,) * n, 3.5, 0.6j)])
+        for center in (-3.2, 0.0, 4.7, 15.0):
+            x = spec.points()
+            g = (np.pi * 1.3**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (2.0 * 1.3**2))
+            shape = [1] * n
+            shape[particle] = -1
+            new_amps = psi.amplitudes * g.reshape(shape)
+            norm = math.sqrt(norm_squared(dynamics.GridWaveFunction(spec, new_amps)))
+            post = apply_collapse_grid(psi, particle, center, 1.3)
+            assert np.array_equal(post.amplitudes, new_amps / norm)
+
     def test_far_center_raises_zero_probability(self, two_packet_state):
         with pytest.raises(ZeroProbabilityCollapseError):
             apply_collapse_grid(two_packet_state, 0, 400.0, 1.0)
@@ -318,7 +333,7 @@ class TestEvolveUnitary:
         with pytest.raises(ConfigError):
             evolve_unitary(two_packet_state, -1.0, Hamiltonian("zero"))
 
-    @pytest.mark.parametrize("n,points", [(1, 512), (2, 64), (3, 32)])
+    @pytest.mark.parametrize("n,points", [(1, 512), (2, 64), (3, 32), (1, 511)])
     def test_matches_uncached_formula_bitwise(self, n, points):
         # the free step as written before its constants were cached: fftfreq,
         # the phase in one expression, fftn and a per-axis phase product
@@ -343,6 +358,18 @@ class TestEvolveUnitary:
         with pytest.raises(ValueError):
             rate[0] = 1.0
         assert dynamics._minus_i_k_squared(spec512) is rate
+
+    @pytest.mark.parametrize("points", [512, 511, 2, 3])
+    def test_distinct_k_squared_gather_bitwise(self, points):
+        # fftfreq puts -m at points - m, so the phase needs one exp per distinct k^2
+        spec = GridSpec(-12.0, 14.0, points, 1)
+        rate = dynamics._minus_i_k_squared(spec)
+        index = dynamics._k_squared_index(spec)
+        assert index.max() == points // 2
+        assert np.array_equal(rate[: points // 2 + 1][index], rate)
+        with pytest.raises(ValueError):
+            index[0] = 1
+        assert dynamics._k_squared_index(spec) is index
 
     def test_specs_keep_their_own_wave_numbers(self):
         specs = [GridSpec(-8.0, 8.0, 64), GridSpec(-8.0, 8.0, 128), GridSpec(-4.0, 8.0, 64),
@@ -832,6 +859,173 @@ class TestKeptWeights:
         assert rec.num_events > 0
         assert rec.post_log_weights == []
         assert len(rec.events) == rec.num_events
+
+
+def _reference_grid_run(initial, params, stream):
+    """One grid trajectory as the scalar loop ran it before chunks, written
+    out in plain numpy: (times, particles, centers, final amplitudes, diagnostic)."""
+    rng = stream.generator()
+    spec, sigma = initial.spec, params.sigma
+    n, x = spec.num_particles, spec.points()
+    amps = initial.amplitudes.copy()
+    times, particles, centers = [], [], []
+    t = 0.0
+    while True:
+        t_next = t + float(rng.exponential(1.0 / (n * params.lambda_eff)))
+        dt = min(t_next, params.total_time) - t
+        if dt > 0 and params.hamiltonian.kind == "free":
+            k = 2.0 * np.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.dx)
+            phase_1d = np.exp(-1j * k**2 * dt / (2.0 * params.hamiltonian.mass))
+            amps_k = np.fft.fftn(amps)
+            for axis in range(n):
+                shape = [1] * n
+                shape[axis] = -1
+                amps_k = amps_k * phase_1d.reshape(shape)
+            amps = np.fft.ifftn(amps_k)
+        if t_next > params.total_time:
+            return times, particles, centers, amps, None
+        particle = int(rng.integers(n)) if n > 1 else 0
+        density = np.abs(amps) ** 2
+        others = tuple(ax for ax in range(n) if ax != particle)
+        marg = density.sum(axis=others) * spec.dx ** len(others) if others else density
+        cdf = np.cumsum(marg)
+        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        center = float(rng.normal(x[min(idx, cdf.size - 1)], sigma * (1.0 / math.sqrt(2.0))))
+        g = (np.pi * sigma**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
+        shape = [1] * n
+        shape[particle] = -1
+        new_amps = amps * g.reshape(shape)
+        norm = math.sqrt(float(np.sum(np.abs(new_amps) ** 2) * spec.dx**n))
+        if norm <= dynamics.UNDERFLOW_FLOOR:
+            message = f"collapse at X={center} has norm {norm:.3e} (zero-probability collapse)"
+            return times, particles, centers, amps, f"event {len(times)} at t={t_next:.6g}: {message}"
+        amps = new_amps / norm
+        times.append(t_next)
+        particles.append(particle)
+        centers.append(center)
+        t = t_next
+
+
+class _Rigged:
+    """A generator whose first zero_waits waiting times are 0, and whose normal
+    draw number far_normal (0-based) lands 10^4 away: a zero-probability collapse."""
+
+    def __init__(self, rng, zero_waits, far_normal):
+        self._rng, self._zero_waits, self._far_normal = rng, zero_waits, far_normal
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def exponential(self, scale):
+        wait = self._rng.exponential(scale)
+        self._zero_waits -= 1
+        return 0.0 if self._zero_waits >= 0 else wait
+
+    def normal(self, loc, scale):
+        x = self._rng.normal(loc, scale)
+        self._far_normal -= 1
+        return x + 1e4 if self._far_normal == -1 else x
+
+
+class _RiggedStream:
+    def __init__(self, stream, zero_waits=0, far_normal=-1):
+        self.stream, self.zero_waits, self.far_normal = stream, zero_waits, far_normal
+
+    def generator(self):
+        return _Rigged(self.stream.generator(), self.zero_waits, self.far_normal)
+
+
+def _grid_case(n, hamiltonian):
+    if n == 1:
+        spec = GridSpec(-12.0, 14.0, 256, 1)
+        packets = [Packet((-3.0,), 1.0, 0.8), Packet((4.0,), 1.5, 0.6j)]
+    else:
+        spec = GridSpec(-12.0, 14.0, 32, 2)
+        packets = [Packet((-3.0, 4.0), 2.0, 0.8), Packet((4.0, -2.0), 2.5, 0.6j)]
+    return make_grid_wavefunction(spec, packets), GrwParams(total_time=3.0, hamiltonian=hamiltonian)
+
+
+def _same_record(rec, times, particles, centers, final, diagnostic):
+    return (
+        rec.times == times
+        and rec.particles == particles
+        and rec.centers == centers
+        and rec.status == ("completed" if diagnostic is None else "aborted")
+        and rec.diagnostic == diagnostic
+        and np.array_equal(rec.final_state.amplitudes, final)
+    )
+
+
+class TestGridChunk:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("hamiltonian", [Hamiltonian("zero"), Hamiltonian("free", 2.0)],
+                             ids=["zero", "free"])
+    def test_rows_match_lone_runs(self, n, hamiltonian):
+        initial, params = _grid_case(n, hamiltonian)
+        rows = dynamics.grid_chunk_rows(initial.spec)
+        assert rows == (32 if n == 1 else 8)
+        streams = [RngStream(61, i) for i in range(rows)]
+        chunk = dynamics.run_grid_chunk(initial, params, streams)
+        assert len({rec.num_events for rec in chunk}) > 1  # rows leave at different steps
+        if n == 2:
+            assert {p for rec in chunk for p in rec.particles} == {0, 1}
+        for rec, stream in zip(chunk, streams):
+            lone = run_trajectory(initial, params, stream)
+            assert _same_record(rec, lone.times, lone.particles, lone.centers,
+                                lone.final_state.amplitudes, lone.diagnostic)
+            assert _same_record(rec, *_reference_grid_run(initial, params, stream))
+            assert rec.initial_state is initial
+            assert all(type(v) is float for v in rec.times + rec.centers)
+        assert not any(np.shares_memory(a.final_state.amplitudes, b.final_state.amplitudes)
+                       for a, b in zip(chunk, chunk[1:]))
+
+    def _check_against_lone_runs(self, initial, params, streams):
+        chunk = dynamics.run_grid_chunk(initial, params, streams)
+        for rec, stream in zip(chunk, streams):
+            reference = _reference_grid_run(initial, params, stream)
+            assert _same_record(rec, *reference)
+            assert _same_record(dynamics.run_grid_chunk(initial, params, [stream])[0], *reference)
+        return chunk
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_zero_probability_collapse_aborts_its_row_only(self, k):
+        initial, params = _grid_case(1, Hamiltonian("free", 2.0))
+        streams = [RngStream(62, i) for i in range(5)]
+        streams[2] = _RiggedStream(streams[2], far_normal=k)
+        chunk = self._check_against_lone_runs(initial, params, streams)
+        assert [rec.status for rec in chunk] == ["completed"] * 2 + ["aborted"] + ["completed"] * 2
+        aborted = chunk[2]
+        assert aborted.num_events == k
+        assert aborted.diagnostic.startswith(f"event {k} at t=")
+        assert "zero-probability collapse" in aborted.diagnostic
+
+    def test_zero_step_skips_the_free_step(self, monkeypatch):
+        # rows 1 and 3 wait 0 for their first two events, so those steps
+        # evolve only the other rows; each row still equals its lone run
+        initial, params = _grid_case(1, Hamiltonian("free", 2.0))
+        streams = [RngStream(64, i) for i in range(4)]
+        for i in (1, 3):
+            streams[i] = _RiggedStream(streams[i], zero_waits=2)
+        evolved_rows = []
+        free_step = dynamics._free_step
+
+        def counting(amps, dts, spec, mass):
+            evolved_rows.append(len(dts))
+            return free_step(amps, dts, spec, mass)
+
+        monkeypatch.setattr(dynamics, "_free_step", counting)
+        chunk = self._check_against_lone_runs(initial, params, streams)
+        assert chunk[1].times[:2] == [0.0, 0.0] and chunk[3].times[:2] == [0.0, 0.0]
+        assert evolved_rows[:2] == [2, 2]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_replay_reproduces_final_state_bitwise(self, n):
+        initial, params = _grid_case(n, Hamiltonian("free", 2.0))
+        chunk = dynamics.run_grid_chunk(initial, params, [RngStream(63, i) for i in range(4)])
+        assert max(rec.num_events for rec in chunk) > 0
+        for rec in chunk:
+            replayed = replay_state_at(initial, params, flashes_of(rec), params.total_time)
+            assert np.array_equal(replayed.amplitudes, rec.final_state.amplitudes)
 
 
 class TestOneStepMartingale:

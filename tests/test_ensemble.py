@@ -16,9 +16,11 @@ from grwsim import (
     RngStream,
     ScenarioConfig,
     ScenarioKind,
+    build_scenario,
     center_histogram_test,
     make_grid_wavefunction,
     run_ensemble,
+    run_trajectory,
     sample_collapse_center,
 )
 from grwsim.ensemble import (
@@ -32,7 +34,7 @@ from grwsim.ensemble import (
     resurrection_rate_test,
     z_record,
 )
-from grwsim.fileio import write_summary_csv, write_summary_json
+from grwsim.fileio import parse_scenario_text, write_summary_csv, write_summary_json
 from grwsim.scenarios import Verdict, verdict_from_fraction
 
 
@@ -85,6 +87,27 @@ class TestRunEnsemble:
             write_summary_json(json_path, summary)
             out.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert out[0] == out[1]
+
+    def test_grid_summaries_identical_across_workers(self, tmp_path):
+        # 37 trajectories: chunks of 16 on one worker, and blocks 0-11,
+        # 12-23 and 24-36 on three, so the chunk edges fall elsewhere
+        config = parse_scenario_text(
+            "kind = tail\nc1_sq = 0.99\nontology = grwm\nbackend = grid\nx_min = -30\n"
+            "x_max = 50\nhamiltonian = free\nmass = 5\ntotal_time = 3\n"
+        )
+        out, summaries = [], []
+        for threads in (1, 3):
+            summary = run_ensemble(config, 37, master_seed=12, threads=threads)
+            write_summary_csv(tmp_path / f"summary-{threads}.csv", summary.records)
+            write_summary_json(tmp_path / f"summary-{threads}.json", summary)
+            out.append([(tmp_path / f"summary-{threads}.{ext}").read_bytes() for ext in ("csv", "json")])
+            summaries.append(summary)
+        assert out[0] == out[1]
+        assert summaries[0].trajectories == summaries[1].trajectories
+        scenario = build_scenario(config, np.random.default_rng(0))
+        lone = [run_trajectory(scenario.initial_state, config.params, RngStream(12, i)) for i in range(37)]
+        assert [t.num_events for t in summaries[0].trajectories] == [r.num_events for r in lone]
+        assert len({r.num_events for r in lone}) > 1
 
     def test_same_seed_same_summary(self):
         config = _cat_config()
