@@ -11,9 +11,10 @@ real line, and no convolution runs.  ``collapse_center_density`` tabulates
 p at the cell centers for the acceptance checks and for users.
 
 Grid trajectories run in lockstep chunks (``run_grid_chunk``): the rows of
-one ``(R, points**N)`` array share each step's phase ``exp``, FFT round
-trip, marginal and collapse, which pays numpy's per-call cost once per
-chunk instead of once per trajectory.  R is ``GRID_CHUNK_CELLS // points**N``
+one ``(R, points**N)`` array share each step's phase ``exp`` and FFT round
+trip, and (for N = 1; else per run of rows that collapse the same
+particle) its marginal and collapse, which pays numpy's per-call cost once
+per chunk instead of once per trajectory.  R is ``GRID_CHUNK_CELLS // points**N``
 (16 rows at 512 points), a bound on the chunk's memory.  The stream
 contract is unchanged: trajectory i draws from ``RngStream(seed, i)`` in a
 lone run's order, and ``run_trajectory``'s grid arm is a chunk of one.
@@ -63,7 +64,7 @@ from itertools import groupby, takewhile
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from numpy.fft import fftfreq, fftn, ifftn
+from numpy.fft import fft, fftfreq, ifft
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
@@ -371,14 +372,14 @@ def _marginal_rows(density: np.ndarray, particle: int, spec: GridSpec) -> np.nda
 
 
 def _pick_cells(marginals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Each row's inverse-CDF cell for its uniform: the cells whose CDF is <= u * total.
+    """Each row's inverse-CDF cell for its uniform u: the number of cells whose CDF is <= u * total.
 
     A cumulative sum of nonnegative terms never decreases, so the count
-    equals searchsorted(side="right"); rounding past the last cell picks it.
+    equals searchsorted(side="right").  Counting over all cells but the
+    last caps it at the last cell, which rounding past the total picks.
     """
     cdf = np.cumsum(marginals, axis=1)
-    cells = np.count_nonzero(cdf <= (uniforms * cdf[:, -1])[:, None], axis=1)
-    return np.minimum(cells, cdf.shape[1] - 1)
+    return (cdf[:, :-1] <= (uniforms * cdf[:, -1])[:, None]).sum(axis=1)
 
 
 # The branch kernel: one collapse of one system, on plain floats.  The run
@@ -459,16 +460,21 @@ def _free_step(amps: np.ndarray, dts: Sequence[float], spec: GridSpec, mass: flo
     (fftfreq is sign-symmetric) and gathered onto the FFT axis.
     """
     n = spec.num_particles
-    axes = tuple(range(1, n + 1))
     phase = _minus_i_k_squared(spec)[: spec.points_per_axis // 2 + 1] * np.array(dts)[:, None]
     phase /= 2.0 * mass
     phase = np.exp(phase, out=phase)[:, _k_squared_index(spec)]
-    amps_k = fftn(amps, axes=axes)
-    for axis in axes:
+    # fftn and ifftn over the grid axes, last axis first as they run it,
+    # without their per-call argument handling
+    amps_k = amps
+    for axis in range(n, 0, -1):
+        amps_k = fft(amps_k, axis=axis)
+    for axis in range(1, n + 1):
         shape = [len(dts)] + [1] * n
         shape[axis] = -1
         amps_k *= phase.reshape(shape)
-    return ifftn(amps_k, axes=axes)
+    for axis in range(n, 0, -1):
+        amps_k = ifft(amps_k, axis=axis)
+    return amps_k
 
 
 @lru_cache(maxsize=16)
@@ -566,12 +572,13 @@ def run_grid_chunk(
     The trajectories are the rows of one (R, *grid) array: each step takes
     one phase exp and one FFT round trip over every live row, and one
     marginal and one collapse over each block of neighbouring rows that
-    collapse the same particle (all of them when N = 1).  Row r draws from streams[r] exactly as a lone run does,
-    per event the waiting time, the particle (only when N > 1), the uniform
-    and the normal, so every record equals its chunk-of-one record bit for
-    bit.  A row leaves at its horizon, or aborted with a diagnostic at a
-    zero-probability collapse, keeping the state it reached.  Rows whose
-    step is dt = 0 skip the free step.
+    collapse the same particle (all of them when N = 1).  Row r draws from
+    streams[r] exactly as a lone run does, per event the waiting time, the
+    particle (only when N > 1), the uniform and the normal, so every record
+    equals its chunk-of-one record bit for bit.  A row leaves at its
+    horizon, or aborted with a diagnostic at a zero-probability collapse,
+    keeping the state it reached.  Rows whose step is dt = 0 skip the free
+    step.
     """
     spec = initial_state.spec
     n = spec.num_particles
