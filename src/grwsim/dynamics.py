@@ -80,8 +80,9 @@ _KERNEL_REACH = 9.0
 
 # Grid cells run_grid_chunk advances at once: 16 trajectories at 512 points,
 # one on a 512^2 grid.  Each row costs a few copies of its amplitudes, so
-# the chunk is kept small: with 16, 32 and 64 rows at 512 points peak RSS
-# rose by 0.9, 2.7 and 6 MB over 37.3 MB.
+# the chunk is kept small: on the grid_free benchmark config, 16, 32 and 64
+# rows raised peak RSS by 1.1, 2.3 and 4.8 MB over 36.4 MB, and 32 or 64
+# rows were at most 3% faster than 16.
 GRID_CHUNK_CELLS = 8192
 
 
