@@ -68,7 +68,7 @@ from numpy.fft import fft, fftfreq, ifft
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
-from .state import BranchState, GridSpec, GridWaveFunction, marginal_density
+from .state import BranchState, GridSpec, GridWaveFunction, check_particle, marginal_density, marginal_rows
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -179,8 +179,7 @@ class BranchSystems:
         return len(self._owners)
 
     def locate(self, particle: int) -> tuple[int, int]:
-        if not 0 <= particle < len(self._owners):
-            raise ConfigError(f"particle index {particle} out of range for N={self.num_particles}")
+        check_particle(particle, len(self._owners))
         return self._owners[particle]
 
     def copy(self) -> "BranchSystems":
@@ -228,20 +227,17 @@ class TrajectoryRecord:
                 CollapseEvent(t, k, x, _grid_summary(before, k), _grid_summary(after, k))
                 for (t, k, x), (before, after) in zip(collapses, replay)
             ]
-        system_of, weights, posts = self.weight_columns()
-        events = []
-        for t, k, x, system, post in zip(self.times, self.particles, self.centers, system_of, posts):
-            events.append(CollapseEvent(t, k, x, weights[system], post))
-            weights[system] = post
-        return events
+        weights, pre = self.weight_columns()
+        posts = weights[len(weights) - len(pre) :]
+        rows = zip(self.times, self.particles, self.centers, pre, posts)
+        return [CollapseEvent(t, k, x, weights[p], post) for t, k, x, p, post in rows]
 
-    def weight_columns(self) -> tuple[list[int], list[tuple], list[tuple]]:
-        """A branch record's weights: (each event's system, each system's initial
-        weights, each event's post-collapse weights of its system).
-
-        An event's pre-weights are its system's previous post-weights, or its
-        initial weights.  A weight column that does not match the times, or a
-        particle out of range (a hand-built record), raises ConfigError.
+    def weight_columns(self) -> tuple[list[tuple], list[int]]:
+        """(weights, pre): each system's initial weights, then each event's post-collapse
+        weights of its system; and where each event's pre-weights sit in weights,
+        its system's previous post-weights or initial weights.  A weight column that
+        does not match the times, or a particle out of range (a hand-built record),
+        raises ConfigError.
         """
         if len(self.post_log_weights) != len(self.times):
             raise ConfigError(
@@ -251,9 +247,14 @@ class TrajectoryRecord:
         owners = self.initial_state._owners
         if self.particles and not (0 <= min(self.particles) and max(self.particles) < len(owners)):
             raise ConfigError(f"branch record has a particle index out of range for N={len(owners)}")
-        initial = [tuple([math.exp(v) for v in s.log_weights.tolist()]) for s in self.initial_state.systems]
-        posts = [tuple([math.exp(v) for v in lw]) for lw in self.post_log_weights]
-        return [owners[k][0] for k in self.particles], initial, posts
+        log_w = [s.log_weights.tolist() for s in self.initial_state.systems]
+        weights = [tuple([math.exp(v) for v in lw]) for lw in log_w + self.post_log_weights]
+        latest, pre = list(range(len(log_w))), []  # each system's latest position in weights
+        for i, k in enumerate(self.particles, start=len(log_w)):
+            system = owners[k][0]
+            pre.append(latest[system])
+            latest[system] = i
+        return weights, pre
 
 
 def sample_waiting_time(num_particles: int, lambda_eff: float, rng: np.random.Generator) -> float:
@@ -285,9 +286,7 @@ def apply_collapse_grid(
     psi: GridWaveFunction, particle: int, center: float, sigma: float
 ) -> GridWaveFunction:
     """Multiply by g(x_k - center) along the particle's axis and renormalize."""
-    n = psi.spec.num_particles
-    if not 0 <= particle < n:
-        raise ConfigError(f"particle index {particle} out of range for N={n}")
+    check_particle(particle, psi.spec.num_particles)
     spec, collapsed = psi.spec, np.empty_like(psi.amplitudes)
     norms = _collapse_rows(psi.amplitudes[None], particle, np.array([center]), spec, sigma, collapsed[None])
     norm = float(norms[0])
@@ -329,10 +328,7 @@ def branch_collapse_update(
     Computed in log space, so any finite number of updates leaves every
     initially positive weight positive.  Zero weights are absorbing.
     """
-    if not 0 <= particle < state.num_particles:
-        raise ConfigError(
-            f"particle index {particle} out of range for N={state.num_particles}"
-        )
+    check_particle(particle, state.num_particles)
     _warn_if_close(state, sigma)
     anchors = state.anchors[:, particle].tolist()
     log_w = _posterior(state.log_weights.tolist(), anchors, center, 1.0 / (sigma * sigma))
@@ -353,23 +349,13 @@ def sample_collapse_center(
     model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
     system's branches.
     """
-    if not 0 <= particle < state.num_particles:
-        raise ConfigError(
-            f"particle index {particle} out of range for N={state.num_particles}"
-        )
+    check_particle(particle, state.num_particles)
     if isinstance(state, GridWaveFunction):
-        marginal = _marginal_rows(np.abs(state.amplitudes[None]) ** 2, particle, state.spec)
-        cell = _pick_cells(marginal, np.array([rng.random()]))[0]
+        cell = _pick_cells(marginal_density(state, particle)[None], np.array([rng.random()]))[0]
         return float(rng.normal(state.spec.points()[cell], sigma * _INV_SQRT2))
     return _draw_center(
         state.log_weights.tolist(), state.anchors[:, particle].tolist(), sigma * _INV_SQRT2, rng
     )
-
-
-def _marginal_rows(density: np.ndarray, particle: int, spec: GridSpec) -> np.ndarray:
-    """One particle's marginal of each row of density (R, *grid), as marginal_density sums it."""
-    axes = tuple(ax + 1 for ax in range(spec.num_particles) if ax != particle)
-    return density.sum(axis=axes) * spec.dx ** len(axes) if axes else density
 
 
 def _pick_cells(marginals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -461,9 +447,10 @@ def _free_step(amps: np.ndarray, dts: Sequence[float], spec: GridSpec, mass: flo
     (fftfreq is sign-symmetric) and gathered onto the FFT axis.
     """
     n = spec.num_particles
-    phase = _minus_i_k_squared(spec)[: spec.points_per_axis // 2 + 1] * np.array(dts)[:, None]
+    rate, index = _free_rates(spec)
+    phase = rate * np.array(dts)[:, None]
     phase /= 2.0 * mass
-    phase = np.exp(phase, out=phase)[:, _k_squared_index(spec)]
+    phase = np.exp(phase, out=phase)[:, index]
     # fftn and ifftn over the grid axes, last axis first as they run it,
     # without their per-call argument handling
     amps_k = amps
@@ -479,29 +466,20 @@ def _free_step(amps: np.ndarray, dts: Sequence[float], spec: GridSpec, mass: flo
 
 
 @lru_cache(maxsize=16)
-def _minus_i_k_squared(spec: GridSpec) -> np.ndarray:
-    """-1j * k^2 over the FFT wave numbers k of spec's axis; read-only, one array per spec.
+def _free_rates(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(rate, index): -1j * k^2 at the distinct k^2 of spec's FFT axis, and position j's
+    entry min(j, points - j) in rate; read-only, one pair per spec.
 
-    _free_step scales it as (rate * dt) / (2 mass), left to right like
+    fftfreq puts -m exactly at points - m, so rate[index] is -1j * k**2 bit for
+    bit.  _free_step scales rate as (rate * dt) / (2 mass), left to right like
     -1j * k**2 * dt / (2 mass); another order moves the phase's last bits.
     """
-    k = 2.0 * np.pi * fftfreq(spec.points_per_axis, d=spec.dx)
+    points = spec.points_per_axis
+    k = 2.0 * np.pi * fftfreq(points, d=spec.dx)[: points // 2 + 1]
     rate = -1j * k**2
-    rate.flags.writeable = False
-    return rate
-
-
-@lru_cache(maxsize=16)
-def _k_squared_index(spec: GridSpec) -> np.ndarray:
-    """Position j of the FFT axis -> min(j, points - j), the first position with the same k^2.
-
-    fftfreq puts -m exactly at points - m, so the gather through this
-    index reproduces the full -1j * k^2 bit for bit; read-only, one per spec.
-    """
-    j = np.arange(spec.points_per_axis)
-    index = np.minimum(j, spec.points_per_axis - j)
-    index.flags.writeable = False
-    return index
+    index = np.minimum(np.arange(points), points - np.arange(points))
+    rate.flags.writeable = index.flags.writeable = False
+    return rate, index
 
 
 def _grid_summary(psi: GridWaveFunction, particle: int) -> tuple[float, float]:
@@ -624,7 +602,7 @@ def run_grid_chunk(
         lo = 0
         for particle, block in groupby(particles):
             hi = lo + len(list(block))
-            cells = _pick_cells(_marginal_rows(density[lo:hi], particle, spec), uniforms[lo:hi])
+            cells = _pick_cells(marginal_rows(density[lo:hi], particle, spec), uniforms[lo:hi])
             x = points[cells].tolist()
             centers[lo:hi] = [rngs[r].normal(x[j], spread) for j, r in enumerate(rows[lo:hi])]
             norms[lo:hi] = _collapse_rows(
@@ -743,8 +721,7 @@ def replay_state_at(
     log_w, anchors, system_of = _branch_lists(initial_state)
     inv_var = 1.0 / (params.sigma * params.sigma)
     for _, particle, center in upto_t:
-        if not 0 <= particle < len(anchors):
-            raise ConfigError(f"particle index {particle} out of range for N={len(anchors)}")
+        check_particle(particle, len(anchors))
         system = system_of[particle]
         log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
     return _branch_systems(initial_state, log_w)

@@ -17,7 +17,8 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -28,6 +29,7 @@ from .ensemble import EnsembleSummary, StatRecord
 from .errors import ConfigError
 from .ontology import MatterDensityField
 from .scenarios import History, Ontology, ScenarioConfig, ScenarioKind
+from .state import Region
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:
@@ -140,31 +142,20 @@ def write_summary_csv(path: str | Path, records: Iterable[StatRecord]) -> None:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "kind": config.kind.value,
-        "c1_sq": config.c1_sq,
-        "n_marbles": config.n_marbles,
-        "box": [config.box.lower, config.box.upper],
-        "ontology": config.ontology.value,
-        "history": config.history.value,
-        "theta_m": config.theta_m,
-        "theta_f": config.theta_f,
-        "window": config.window,
-        "window_flashes": config.window_flashes,
-        "backend": config.backend,
-        "inside_anchor": config.inside_anchor,
-        "outside_anchor": config.outside_anchor,
-        "packet_width": config.packet_width,
-        "grid_points": config.grid_points,
-        "x_min": config.x_min,
-        "x_max": config.x_max,
-        "density_times": list(config.density_times),
-        "lambda_eff": config.params.lambda_eff,
-        "sigma": config.params.sigma,
-        "total_time": config.params.total_time,
-        "hamiltonian": config.params.hamiltonian.kind,
-        "mass": config.params.hamiltonian.mass,
-    }
+    """The fields as JSON values, in declaration order but params last, as its five keys."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, Region):
+            value = [value.lower, value.upper]
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    p = out.pop("params")
+    process = dict(lambda_eff=p.lambda_eff, sigma=p.sigma, total_time=p.total_time)
+    return out | process | {"hamiltonian": p.hamiltonian.kind, "mass": p.hamiltonian.mass}
 
 
 def _jsonable(x: float | None):
@@ -215,18 +206,14 @@ def write_events_jsonl(path: str | Path, record: TrajectoryRecord) -> None:
     """One JSON object per collapse event: {t, particle, center, pre_weights, post_weights}.
 
     Each line is what json.dumps(event, separators=(",", ":")) writes.  A
-    branch record's lines come straight from its columns, and each weight
-    tuple is spelled once: an event's pre-weights are its system's previous
-    post-weights.
+    branch record's lines come straight from its weight_columns, and each
+    weight tuple is spelled once.
     """
     if isinstance(record.initial_state, BranchSystems):
-        system_of, initial, post_weights = record.weight_columns()
-        current = [_json_array(w) for w in initial]
-        posts = [_json_array(w) for w in post_weights]
-        pres = []
-        for system, post in zip(system_of, posts):
-            pres.append(current[system])
-            current[system] = post
+        weights, pre = record.weight_columns()
+        spelled = [_json_array(w) for w in weights]
+        posts = spelled[len(spelled) - len(pre) :]
+        pres = [spelled[p] for p in pre]
     else:
         events = record.events
         pres = [_json_array(e.pre_weights) for e in events]
@@ -277,9 +264,16 @@ def read_summary_json(path: str | Path) -> dict:
         and isinstance(summary["diagnostics"], list)
         and isinstance(summary["records"], list)
         and all(_has_keys(r, _RECORD_KEYS) for r in summary["records"])
+        # the types report formats; null marks a non-finite value, and a bool is no number
+        and all(
+            isinstance(r["statistic"], str) and isinstance(r["pass"], bool)
+            and all(r[k] is None or type(r[k]) in (int, float) for k in ("estimate", "target", "z"))
+            for r in summary["records"]
+        )
     ):
         raise ConfigError(
             f"malformed summary {path}: expected a JSON object with the keys "
-            f"{', '.join(_SUMMARY_KEYS)} and records holding {', '.join(_RECORD_KEYS)}"
+            f"{', '.join(_SUMMARY_KEYS)} and records holding {', '.join(_RECORD_KEYS)} "
+            "(a string, numbers or null, and a bool)"
         )
     return summary

@@ -134,6 +134,9 @@ class ScenarioConfig:
             raise ConfigError("window_flashes must be >= 1")
         if not all(0.0 <= t <= self.params.total_time for t in self.density_times):
             raise ConfigError(f"density_times must lie in [0, total_time = {self.params.total_time:g}]")
+        names = [f"{t:g}" for t in self.density_times]  # the snapshot files are density-t<name>.csv
+        if len(set(names)) < len(names):
+            raise ConfigError(f"density_times {self.density_times} repeat a snapshot name: {', '.join(names)}")
         expected = self.num_particles * self.params.lambda_eff * self.params.total_time
         if expected > MAX_EXPECTED_EVENTS:
             raise ConfigError(

@@ -174,20 +174,26 @@ def make_grid_wavefunction(spec: GridSpec, packets: Sequence[Packet]) -> GridWav
     return normalize(psi)
 
 
+def check_particle(particle: int, n: int) -> None:
+    """Raise ConfigError unless particle is a 0-based index of n particles."""
+    if not 0 <= particle < n:
+        raise ConfigError(f"particle index {particle} out of range for N={n}")
+
+
+def marginal_rows(density: np.ndarray, particle: int, spec: GridSpec) -> np.ndarray:
+    """One particle's marginal of each row of density (R, *grid): the other axes summed, times dx each."""
+    axes = tuple(ax + 1 for ax in range(spec.num_particles) if ax != particle)
+    return density.sum(axis=axes) * spec.dx ** len(axes) if axes else density
+
+
 def marginal_density(psi: GridWaveFunction, particle: int) -> np.ndarray:
     """Position density of one particle, the others integrated out.
 
     Returns an array over the 1-D grid; its Riemann integral equals
     ``norm_squared(psi)``.  Particle indices are 0-based.
     """
-    n = psi.spec.num_particles
-    if not 0 <= particle < n:
-        raise ConfigError(f"particle index {particle} out of range for N={n}")
-    density = np.abs(psi.amplitudes) ** 2
-    axes = tuple(ax for ax in range(n) if ax != particle)
-    if axes:
-        density = density.sum(axis=axes) * psi.spec.dx ** len(axes)
-    return density
+    check_particle(particle, psi.spec.num_particles)
+    return marginal_rows(np.abs(psi.amplitudes[None]) ** 2, particle, psi.spec)[0]
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:

@@ -36,6 +36,17 @@ density_times = 0, 10
 """
 
 
+def _summary_text(**record) -> str:
+    """A summary.json that grwsim report reads, its one record updated with record."""
+    row = {"statistic": "event_count_mean", "estimate": 20.1, "target": 20.0, "z": 0.5, "pass": True}
+    summary = {
+        "config": {"kind": "cat", "ontology": "grwm", "history": "fresh_preparation"},
+        "n_trajectories": 40, "master_seed": 0, "failures": 0, "diagnostics": [],
+        "records": [row | record],
+    }
+    return json.dumps(summary)
+
+
 def _failing_logs(error, out, config, index, record, prehistory):
     # stands in for write_trajectory_logs; trajectory 8 belongs to the last block
     if index == 8:
@@ -227,9 +238,10 @@ class TestConfigErrors:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("times", ["-1", "0, 20.5"])
+    @pytest.mark.parametrize("times", ["-1", "0, 20.5", "2, 2.0"])
     def test_density_time_outside_run_rejected(self, tmp_path, capsys, times):
-        # the grid backend used to fail at t = -1 only after writing its logs
+        # the grid backend used to fail at t = -1 only after writing its logs;
+        # 2 and 2.0 used to write one density-t2.csv over the other
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(f"kind = cat\nbackend = grid\ntotal_time = 20.0\ndensity_times = {times}\n")
         out = tmp_path / "o"
@@ -416,15 +428,33 @@ class TestOtherCommands:
         assert first[24:38].strip() == "" and first[38:52].strip()  # blank estimate
         assert second[24:38].strip() and second[38:52].strip() == ""  # blank target
 
+    @pytest.mark.parametrize("record", [{}, {"estimate": 20, "target": None, "z": None, "pass": False}])
+    def test_report_reads_hand_written_summary(self, tmp_path, capsys, record):
+        # an integer estimate and null values are well typed
+        (tmp_path / "summary.json").write_text(_summary_text(**record))
+        assert main(["report", str(tmp_path)]) == 0
+        assert "event_count_mean" in capsys.readouterr().out
+
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
 
-    @pytest.mark.parametrize("text", ['{"config": {}}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"config": {}}',
+            "[1, 2]",
+            # a record whose values report cannot format used to die mid-table
+            pytest.param(_summary_text(estimate="abc"), id="string-estimate"),
+            pytest.param(_summary_text(statistic=None), id="null-statistic"),
+        ],
+    )
     def test_report_malformed_summary(self, tmp_path, capsys, text):
         # valid JSON that is not a summary: a config error, not a traceback
         (tmp_path / "summary.json").write_text(text)
         assert main(["report", str(tmp_path)]) == 2
-        assert "malformed summary" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "malformed summary" in err
+        assert out == ""
 
 
 def test_readme_config_example_parses():

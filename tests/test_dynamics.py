@@ -354,30 +354,31 @@ class TestEvolveUnitary:
                 assert np.array_equal(out.amplitudes, expected)
 
     def test_cached_wave_numbers_read_only(self, spec512):
-        rate = dynamics._minus_i_k_squared(spec512)
+        rate, index = dynamics._free_rates(spec512)
         with pytest.raises(ValueError):
             rate[0] = 1.0
-        assert dynamics._minus_i_k_squared(spec512) is rate
+        assert dynamics._free_rates(spec512)[0] is rate
 
     @pytest.mark.parametrize("points", [512, 511, 2, 3])
     def test_distinct_k_squared_gather_bitwise(self, points):
         # fftfreq puts -m at points - m, so the phase needs one exp per distinct k^2
         spec = GridSpec(-12.0, 14.0, points, 1)
-        rate = dynamics._minus_i_k_squared(spec)
-        index = dynamics._k_squared_index(spec)
+        rate, index = dynamics._free_rates(spec)
+        k = 2.0 * np.pi * np.fft.fftfreq(points, d=spec.dx)
         assert index.max() == points // 2
-        assert np.array_equal(rate[: points // 2 + 1][index], rate)
+        assert np.array_equal(rate[index], -1j * k**2)
         with pytest.raises(ValueError):
             index[0] = 1
-        assert dynamics._k_squared_index(spec) is index
+        assert dynamics._free_rates(spec)[1] is index
 
     def test_specs_keep_their_own_wave_numbers(self):
         specs = [GridSpec(-8.0, 8.0, 64), GridSpec(-8.0, 8.0, 128), GridSpec(-4.0, 8.0, 64),
                  GridSpec(-8.0, 8.0, 64, 2)]
         for spec in specs:
             k = 2.0 * np.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.dx)
-            assert np.array_equal(dynamics._minus_i_k_squared(spec), -1j * k**2)
-        rates = [dynamics._minus_i_k_squared(spec) for spec in specs]
+            rate, index = dynamics._free_rates(spec)
+            assert np.array_equal(rate[index], -1j * k**2)
+        rates = [dynamics._free_rates(spec)[0] for spec in specs]
         assert len({id(r) for r in rates}) == len(specs)
 
 

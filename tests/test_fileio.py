@@ -1,18 +1,19 @@
-"""The log writers spell every value as json and repr spell it."""
+"""The log writers spell every value as json and repr spell it; the summary's config keys follow the fields."""
 
 import json
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grwsim import BranchState, GridSpec, GrwParams, Packet, make_grid_wavefunction
+from grwsim import BranchState, GridSpec, GrwParams, Packet, fileio, make_grid_wavefunction
 from grwsim.dynamics import BranchSystems, CollapseEvent, TrajectoryRecord
-from grwsim.fileio import write_events_jsonl, write_flashes_csv
+from grwsim.fileio import config_to_dict, write_events_jsonl, write_flashes_csv
+from grwsim.scenarios import ScenarioConfig
 
 ENCODER = json.JSONEncoder(separators=(",", ":"))
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, math.inf, -math.inf, math.nan]
@@ -112,3 +113,15 @@ def test_flashes_csv_from_arrays_equals_from_lists(rows):
     # each value spelled as repr(float(x)), the file's spelling since its first version
     expected = ["time,position,particle"] + [f"{float(t)!r},{float(x)!r},{k}" for t, k, x in rows]
     assert from_lists.splitlines() == expected
+
+
+def test_config_keys_match_fields_and_schema():
+    # summary.json's config keys: the ScenarioConfig fields in declaration
+    # order with params last as its five keys; the parser reads the same
+    # keys with the box split, so a new field reaches both or neither
+    process = ["lambda_eff", "sigma", "total_time", "hamiltonian", "mass"]
+    scenario = [f.name for f in fields(ScenarioConfig) if f.name != "params"]
+    keys = list(config_to_dict(ScenarioConfig()))
+    assert keys == scenario + process
+    split = [part for key in keys for part in (["box_lower", "box_upper"] if key == "box" else [key])]
+    assert list(fileio._SCHEMA) == split

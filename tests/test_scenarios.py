@@ -66,6 +66,8 @@ class TestScenarioConfig:
             dict(packet_width=math.nan),  # would fill the grid with nan amplitudes
             dict(packet_width=-0.5),
             dict(params=GrwParams(lambda_eff=1e9)),  # 10^10 expected collapses
+            dict(density_times=(2.0, 2.0)),  # both would write density-t2.csv
+            dict(density_times=(1.0000001, 1.0000002)),  # both spell 1 under :g
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
