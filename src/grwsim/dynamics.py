@@ -349,10 +349,10 @@ def sample_collapse_center(
     model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
     system's branches.
     """
-    check_particle(particle, state.num_particles)
-    if isinstance(state, GridWaveFunction):
+    if isinstance(state, GridWaveFunction):  # marginal_density checks the particle
         cell = _pick_cells(marginal_density(state, particle)[None], np.array([rng.random()]))[0]
         return float(rng.normal(state.spec.points()[cell], sigma * _INV_SQRT2))
+    check_particle(particle, state.num_particles)
     return _draw_center(
         state.log_weights.tolist(), state.anchors[:, particle].tolist(), sigma * _INV_SQRT2, rng
     )
