@@ -354,7 +354,7 @@ class TestEvolveUnitary:
                 assert np.array_equal(out.amplitudes, expected)
 
     def test_cached_wave_numbers_read_only(self, spec512):
-        rate, index = dynamics._free_rates(spec512)
+        rate = dynamics._free_rates(spec512)[0]
         with pytest.raises(ValueError):
             rate[0] = 1.0
         assert dynamics._free_rates(spec512)[0] is rate
