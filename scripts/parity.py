@@ -102,6 +102,14 @@ CASES = _benchmark_cases([("cat_grw0", 500, 0), ("marbles_grwf", 30, 30), ("grid
         50,
         log_trajectories=1,
     ),
+    # matter-density snapshots replayed from a branch run, rastered on density_grid
+    Case(
+        "marbles3_grwm_density",
+        "kind = marbles\nn_marbles = 3\nc1_sq = 0.9\nontology = grwm\n"
+        "history = collapsed_past\ntotal_time = 10\ndensity_times = 0, 2.5, 10\n",
+        60,
+        threads=2,
+    ),
     # two fresh GRWf marbles with count windows: census chi-square and exact law
     Case(
         "marbles2_grwf_count_window",

@@ -69,7 +69,7 @@ def write_density_snapshots(
     flashes = flashes_of(record)
     for t in config.density_times:
         state = replay_state_at(initial, config.params, flashes, t)
-        write_density_csv(out / f"density-t{t:g}.csv", matter_density(state, grid=grid))
+        write_density_csv(out / config.snapshot_name(t), matter_density(state, grid=grid))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -107,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from .acceptance import parse_criteria, run_criteria
 
-    wanted = parse_criteria(args.criteria) if args.criteria else None
+    wanted = parse_criteria(args.criteria) if args.criteria is not None else None
     results = run_criteria(numbers=wanted)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

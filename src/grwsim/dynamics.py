@@ -43,8 +43,9 @@ reads them row by row as ``Flash`` objects, for ``replay_state_at`` and for
 users.  A branch run keeps a fourth column: the collapsed system's
 log-weights after each collapse, the list ``_posterior`` returned, so the
 weights are kept by the run and never recomputed.  ``TrajectoryRecord.events``
-and the event log read them off that column; a grid record rebuilds its
-marginal summaries by replaying its columns.
+and the event log read their weight rows off ``weight_columns``: a branch
+record's come from that column, and a grid record rebuilds its marginal
+summaries by replaying its columns.
 The per-event primitives ``sample_collapse_center`` and
 ``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
 one ``BranchState``) and a particle of it; on a ``BranchState`` they are
@@ -213,41 +214,38 @@ class TrajectoryRecord:
 
     @property
     def events(self) -> list[CollapseEvent]:
-        """The CollapseEvent log.
-
-        A branch record reads its weights off post_log_weights (see
-        weight_columns).  A grid record replays its columns from the initial
-        state, so its summaries are those of the states the run passed through.
-        """
-        initial = self.initial_state
-        if isinstance(initial, GridWaveFunction):
-            collapses = list(zip(self.times, self.particles, self.centers))
-            replay = _replay_grid(initial, self.params, collapses)
-            return [
-                CollapseEvent(t, k, x, _grid_summary(before, k), _grid_summary(after, k))
-                for (t, k, x), (before, after) in zip(collapses, replay)
-            ]
+        """The CollapseEvent log, read off weight_columns."""
         weights, pre = self.weight_columns()
         posts = weights[len(weights) - len(pre) :]
         rows = zip(self.times, self.particles, self.centers, pre, posts)
         return [CollapseEvent(t, k, x, weights[p], post) for t, k, x, p, post in rows]
 
     def weight_columns(self) -> tuple[list[tuple], list[int]]:
-        """(weights, pre): each system's initial weights, then each event's post-collapse
-        weights of its system; and where each event's pre-weights sit in weights,
-        its system's previous post-weights or initial weights.  A weight column that
-        does not match the times, or a particle out of range (a hand-built record),
-        raises ConfigError.
+        """(weights, pre): weight rows ending in each event's post-collapse row, and
+        where each event's pre-collapse row sits in weights.
+
+        A branch record's rows are each system's initial weights, then each
+        event's post-collapse weights of its system; an event's pre row is its
+        system's previous post row or initial row.  A weight column that does
+        not match the times, or a particle out of range (a hand-built record),
+        raises ConfigError.  A grid record replays its columns from the initial
+        state: its rows are each event's pre-collapse marginal (mean, std), then
+        each event's post-collapse one, and pre is range(n).
         """
+        initial = self.initial_state
+        if isinstance(initial, GridWaveFunction):
+            replay = _replay_grid(initial, self.params, zip(self.times, self.particles, self.centers))
+            rows = [(_grid_summary(b, k), _grid_summary(a, k)) for k, (b, a) in zip(self.particles, replay)]
+            return [pre for pre, _ in rows] + [post for _, post in rows], list(range(len(rows)))
         if len(self.post_log_weights) != len(self.times):
             raise ConfigError(
                 f"branch record holds {len(self.post_log_weights)} post-collapse weight rows "
                 f"for {len(self.times)} collapses"
             )
-        owners = self.initial_state._owners
+        owners = initial._owners
         if self.particles and not (0 <= min(self.particles) and max(self.particles) < len(owners)):
             raise ConfigError(f"branch record has a particle index out of range for N={len(owners)}")
-        log_w = [s.log_weights.tolist() for s in self.initial_state.systems]
+        log_w = [s.log_weights.tolist() for s in initial.systems]
         weights = [tuple([math.exp(v) for v in lw]) for lw in log_w + self.post_log_weights]
         latest, pre = list(range(len(log_w))), []  # each system's latest position in weights
         for i, k in enumerate(self.particles, start=len(log_w)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,6 +82,12 @@ def z_record(name: str, estimate: float, se: float, target: float, provenance: s
     else:
         z = (estimate - target) / se
     return StatRecord(name, estimate, se, target, z, abs(z) <= Z_MAX, provenance)
+
+
+def frequency_record(name: str, hits: Sequence, target: float, provenance: str) -> StatRecord:
+    """The share of hits, judged against a Bernoulli(target) frequency over len(hits) trials."""
+    se = math.sqrt(target * (1.0 - target) / len(hits))
+    return z_record(name, float(np.mean(hits)), se, target, provenance)
 
 
 def gof_record(name: str, p_value: float, provenance: str) -> StatRecord:
@@ -595,16 +601,10 @@ def martingale_test(summary: EnsembleSummary) -> StatRecord:
 
 def selection_frequency_test(summary: EnsembleSummary) -> StatRecord:
     """Winner frequency vs the initial first-branch weight."""
-    winners = [int(np.argmax(w)) for t in summary.trajectories for w in t.final_weights]
-    n = len(winners)
-    freq = float(np.mean([w == 0 for w in winners]))
-    target = summary.config.c1_sq
-    se = math.sqrt(target * (1.0 - target) / n)
-    return z_record(
+    return frequency_record(
         "selection_frequency",
-        freq,
-        se,
-        target,
+        [int(np.argmax(w)) == 0 for t in summary.trajectories for w in t.final_weights],
+        summary.config.c1_sq,
         "limit selection probabilities equal initial branch weights",
     )
 
@@ -626,14 +626,10 @@ def census_mean_test(summary: EnsembleSummary) -> StatRecord:
 def census_all_inside_test(summary: EnsembleSummary) -> StatRecord:
     config = summary.config
     inside = np.array([t.census[0] for t in summary.trajectories if t.census is not None])
-    target = config.c1_sq**config.n_marbles
-    freq = float(np.mean(inside == config.n_marbles))
-    se = math.sqrt(target * (1.0 - target) / inside.size)
-    return z_record(
+    return frequency_record(
         "census_all_inside",
-        freq,
-        se,
-        target,
+        inside == config.n_marbles,
+        config.c1_sq**config.n_marbles,
         "all-inside probability c1_sq ** n_marbles",
     )
 
@@ -655,14 +651,10 @@ def resurrection_rate_test(summary: EnsembleSummary) -> StatRecord:
     flags = [t.flipped for t in summary.trajectories if t.flipped is not None]
     if not flags:
         raise ConfigError("no trajectories with definite initial and final verdicts")
-    freq = float(np.mean(flags))
-    target = min(config.c1_sq, 1.0 - config.c1_sq)
-    se = math.sqrt(target * (1.0 - target) / len(flags))
-    return z_record(
+    return frequency_record(
         "resurrection_rate",
-        freq,
-        se,
-        target,
+        flags,
+        min(config.c1_sq, 1.0 - config.c1_sq),
         "flip probability = weight of the minority branch (martingale limit)",
     )
 
@@ -713,15 +705,10 @@ def first_window_inside_probability(config: ScenarioConfig) -> float:
 def grwf_inside_rate_test(summary: EnsembleSummary) -> StatRecord:
     """First-window Inside frequency vs the exact law at the configured horizon."""
     config = summary.config
-    p_star = first_window_inside_probability(config)
-    verdicts = [t.first_window_verdict for t in summary.trajectories]
-    n = len(verdicts)
-    freq = float(np.mean([v == Verdict.INSIDE.value for v in verdicts]))
-    return z_record(
+    return frequency_record(
         "grwf_inside_rate",
-        freq,
-        math.sqrt(p_star * (1.0 - p_star) / n),
-        p_star,
+        [t.first_window_verdict == Verdict.INSIDE.value for t in summary.trajectories],
+        first_window_inside_probability(config),
         f"exact first-window law: branch mixture of Binomial(min(k={config.window_flashes}, N), q_i)",
     )
 
@@ -757,8 +744,7 @@ def center_histogram_test(
     cell_bins = np.minimum(np.arange(density.size) // cells_per_bin, bins - 1)
     probs = np.bincount(cell_bins, weights=density * dx, minlength=bins)
     probs = probs / probs.sum()
-    sample_bins = np.minimum(idx // cells_per_bin, bins - 1)
-    counts = np.bincount(sample_bins, minlength=bins)
+    counts = np.bincount(cell_bins[idx], minlength=bins)
     emp = counts / counts.sum()
     tv = 0.5 * float(np.abs(emp - probs).sum())
     tol = 0.9 * math.sqrt(bins / n_samples)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dynamics import BranchSystems, GrwParams, Hamiltonian, TrajectoryRecord
+from .dynamics import GrwParams, Hamiltonian, TrajectoryRecord
 from .ensemble import EnsembleSummary, StatRecord
 from .errors import ConfigError
 from .ontology import MatterDensityField
@@ -205,19 +205,14 @@ def _json_array(values: Iterable[float]) -> str:
 def write_events_jsonl(path: str | Path, record: TrajectoryRecord) -> None:
     """One JSON object per collapse event: {t, particle, center, pre_weights, post_weights}.
 
-    Each line is what json.dumps(event, separators=(",", ":")) writes.  A
-    branch record's lines come straight from its weight_columns, and each
-    weight tuple is spelled once.
+    Each line is what json.dumps(event, separators=(",", ":")) writes.  The
+    lines come straight from the record's weight_columns, and each weight row
+    is spelled once.
     """
-    if isinstance(record.initial_state, BranchSystems):
-        weights, pre = record.weight_columns()
-        spelled = [_json_array(w) for w in weights]
-        posts = spelled[len(spelled) - len(pre) :]
-        pres = [spelled[p] for p in pre]
-    else:
-        events = record.events
-        pres = [_json_array(e.pre_weights) for e in events]
-        posts = [_json_array(e.post_weights) for e in events]
+    weights, pre = record.weight_columns()
+    spelled = [_json_array(w) for w in weights]
+    posts = spelled[len(spelled) - len(pre) :]
+    pres = [spelled[p] for p in pre]
     rows = zip(_json_floats(record.times), record.particles, _json_floats(record.centers), pres, posts)
     lines = [
         f'{{"t":{t},"particle":{k},"center":{x},"pre_weights":{pre},"post_weights":{post}}}\n'

@@ -134,7 +134,7 @@ class ScenarioConfig:
             raise ConfigError("window_flashes must be >= 1")
         if not all(0.0 <= t <= self.params.total_time for t in self.density_times):
             raise ConfigError(f"density_times must lie in [0, total_time = {self.params.total_time:g}]")
-        names = [f"{t:g}" for t in self.density_times]  # the snapshot files are density-t<name>.csv
+        names = [self.snapshot_name(t) for t in self.density_times]
         if len(set(names)) < len(names):
             raise ConfigError(f"density_times {self.density_times} repeat a snapshot name: {', '.join(names)}")
         expected = self.num_particles * self.params.lambda_eff * self.params.total_time
@@ -152,6 +152,11 @@ class ScenarioConfig:
                     f"so a collapsed-past prehistory of {flashes:g} expected flashes may draw a center "
                     f"{PREHISTORY_TRIES} times outside it; widen the box or move inside_anchor into it"
                 )
+
+    @staticmethod
+    def snapshot_name(t: float) -> str:
+        """The file name of the density snapshot at time t; -0.0 spells 0, as 0.0 does."""
+        return f"density-t{t + 0.0:g}.csv"
 
     @property
     def labels(self) -> tuple[str, str]:

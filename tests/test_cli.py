@@ -8,7 +8,7 @@ import pytest
 
 from grwsim import ConfigError, History, NumericsError, Ontology, ScenarioKind
 from grwsim.cli import main
-from grwsim.fileio import parse_scenario_text
+from grwsim.fileio import parse_scenario_file, parse_scenario_text
 
 CAT_CFG = """\
 # two-branch superposition watched through the matter density
@@ -180,6 +180,9 @@ class TestRunCommand:
         out = tmp_path / "results"
         code = main(["run", "--config", str(cfg), "--trajectories", "40", "--out", str(out)])
         assert code == 0
+        config = parse_scenario_file(cfg)
+        written = {p.name for p in out.glob("density-*")}
+        assert written == {config.snapshot_name(t) for t in config.density_times}
         density = (out / "density-t20.csv").read_text().splitlines()
         assert density[0] == "x,m"
         assert len(density) > 100
@@ -238,10 +241,11 @@ class TestConfigErrors:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("times", ["-1", "0, 20.5", "2, 2.0"])
+    @pytest.mark.parametrize("times", ["-1", "0, 20.5", "2, 2.0", "0, -0.0"])
     def test_density_time_outside_run_rejected(self, tmp_path, capsys, times):
         # the grid backend used to fail at t = -1 only after writing its logs;
-        # 2 and 2.0 used to write one density-t2.csv over the other
+        # 2 and 2.0 used to write one density-t2.csv over the other, and 0 and
+        # -0.0 wrote both density-t0.csv and density-t-0.csv
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(f"kind = cat\nbackend = grid\ntotal_time = 20.0\ndensity_times = {times}\n")
         out = tmp_path / "o"
@@ -395,10 +399,14 @@ class TestOtherCommands:
             "criterion  1 [PASS] ", "criterion  9 [PASS] ", "criterion 12 [PASS] "
         ]
 
-    @pytest.mark.parametrize("criteria", ["13", "0,1", "1,x", "1,,9"])
-    def test_check_rejects_unknown_criteria(self, capsys, criteria):
+    @pytest.mark.parametrize("criteria", ["13", "0,1", "1,x", "1,,9", ""])
+    def test_check_rejects_unknown_criteria(self, capsys, monkeypatch, criteria):
         # an unknown number used to run nothing and exit 0; a non-integer
-        # died with a traceback and exit code 1
+        # died with a traceback and exit code 1; an empty list ran all twelve
+        def run_criteria(numbers=None):
+            raise AssertionError(f"run_criteria called with numbers={numbers}")
+
+        monkeypatch.setattr("grwsim.acceptance.run_criteria", run_criteria)
         assert main(["check", "--criteria", criteria]) == 2
         captured = capsys.readouterr()
         assert "valid criteria are 1-12" in captured.err

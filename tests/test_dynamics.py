@@ -740,6 +740,23 @@ class TestEventLog:
         assert rec.num_events > 0
         assert rec.events == _stepwise_events(two_packet_state, params, rec, _grid_summary)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("hamiltonian", [Hamiltonian(), Hamiltonian("free", 2.0)], ids=["zero", "free"])
+    def test_grid_weight_columns(self, n, hamiltonian):
+        # weight_columns used to read a branch attribute off a grid state, or
+        # report a grid record's empty post_log_weights as a broken branch record
+        initial, params = _grid_case(n, hamiltonian)
+        rec = run_trajectory(initial, params, RngStream(97, n))
+        assert rec.num_events > 0
+        weights, pre = rec.weight_columns()
+        assert pre == list(range(rec.num_events))
+        stepwise = _stepwise_events(initial, params, rec, _grid_summary)
+        assert [weights[p] for p in pre] == [e.pre_weights for e in stepwise]
+        assert weights[len(weights) - len(pre) :] == [e.post_weights for e in stepwise]
+        assert rec.events == stepwise
+        empty = TrajectoryRecord(params, [], [], [], initial_state=initial, final_state=initial)
+        assert empty.weight_columns() == ([], [])
+
 
 def _posterior_oracle(record):
     """(post_log_weights, events) of a branch record, rebuilt by replaying its

@@ -27,6 +27,7 @@ from grwsim.ensemble import (
     CONVERGENCE_WEIGHT,
     _unconverged_share,
     first_window_inside_probability,
+    frequency_record,
     gof_record,
     grwf_inside_rate_test,
     inside_count_threshold,
@@ -461,6 +462,10 @@ class TestRecords:
         assert rec.passed and rec.z == 0.0
         rec2 = z_record("x", 1.1, 0.0, 1.0, "t")
         assert not rec2.passed and math.isinf(rec2.z)
+
+    def test_frequency_record(self):
+        rec = frequency_record("f", [True, False, True, True], 0.5, "t")
+        assert (rec.estimate, rec.se, rec.z, rec.passed) == (0.75, 0.25, 1.0, True)
 
     def test_gof_record(self):
         assert gof_record("p", 0.5, "t").passed

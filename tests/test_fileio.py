@@ -75,13 +75,13 @@ def test_branch_event_lines_match_json(initial, rows):
 
 @dataclass
 class _GivenEvents(TrajectoryRecord):
-    """A record whose event log is given instead of replayed."""
+    """A record whose weight rows come from given events instead of a replay."""
 
     given_events: list = field(default_factory=list)
 
-    @property
-    def events(self):
-        return self.given_events
+    def weight_columns(self):
+        rows = [e.pre_weights for e in self.given_events] + [e.post_weights for e in self.given_events]
+        return rows, list(range(len(self.given_events)))
 
 
 _GRID = make_grid_wavefunction(GridSpec(-20.0, 20.0, 128, 1), [Packet((0.0,), 1.0, 1.0)])

@@ -68,11 +68,15 @@ class TestScenarioConfig:
             dict(params=GrwParams(lambda_eff=1e9)),  # 10^10 expected collapses
             dict(density_times=(2.0, 2.0)),  # both would write density-t2.csv
             dict(density_times=(1.0000001, 1.0000002)),  # both spell 1 under :g
+            dict(density_times=(0.0, -0.0)),  # both would write density-t0.csv
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_snapshot_name_spells_negative_zero_as_zero(self):
+        assert ScenarioConfig.snapshot_name(-0.0) == ScenarioConfig.snapshot_name(0.0) == "density-t0.csv"
 
     def test_prehistory_box_too_narrow_rejected(self):
         # [-0.001, 0.001] holds about 0.1% of the in-box flash law Normal(0, 1/2):
