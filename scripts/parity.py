@@ -102,6 +102,15 @@ CASES = _benchmark_cases([("cat_grw0", 500, 0), ("marbles_grwf", 30, 30), ("grid
         50,
         log_trajectories=1,
     ),
+    # GRWf verdicts of a grid tail after a collapsed-past prehistory: the grid's
+    # flash path, read off the particle column, and its prehistory and flash logs
+    Case(
+        "grid_tail_grwf_prehistory",
+        "kind = tail\nc1_sq = 0.99\nontology = grwf\nhistory = collapsed_past\nbackend = grid\n"
+        "window = 5\ntotal_time = 10\n",
+        60,
+        log_trajectories=3,
+    ),
     # matter-density snapshots replayed from a branch run, rastered on density_grid
     Case(
         "marbles3_grwm_density",
