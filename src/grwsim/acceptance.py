@@ -43,15 +43,15 @@ def _random_state(rng: np.random.Generator, spec: GridSpec):
     n_packets = int(rng.integers(1, 4))
     packets = []
     for _ in range(n_packets):
-        centers = tuple(float(rng.uniform(-12.0, 12.0)) for _ in range(spec.num_particles))
+        center = float(rng.uniform(-12.0, 12.0))
         width = float(rng.uniform(0.3, 2.0))
         coeff = complex(rng.normal(), rng.normal())
-        packets.append(Packet(centers, width, coeff))
+        packets.append(Packet(center, width, coeff))
     return make_grid_wavefunction(spec, packets)
 
 
 def criterion_1_completeness():
-    spec = GridSpec(-25.6, 25.6, 512, 1)
+    spec = GridSpec(-25.6, 25.6, 512)
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(20):
@@ -62,7 +62,7 @@ def criterion_1_completeness():
 
 
 def criterion_2_norm_preservation():
-    spec = GridSpec(-25.6, 25.6, 512, 1)
+    spec = GridSpec(-25.6, 25.6, 512)
     rng_states = np.random.default_rng(102)
     stream_rng = RngStream(102, 1).generator()
     worst = 0.0
@@ -147,10 +147,10 @@ def criterion_6_poisson():
 
 
 def criterion_7_center_tv():
-    spec = GridSpec(-25.6, 25.6, 512, 1)
+    spec = GridSpec(-25.6, 25.6, 512)
     psi = make_grid_wavefunction(
         spec,
-        [Packet((-6.0,), 1.0, math.sqrt(0.6)), Packet((6.0,), 1.5, math.sqrt(0.4))],
+        [Packet(-6.0, 1.0, math.sqrt(0.6)), Packet(6.0, 1.5, math.sqrt(0.4))],
     )
     r = center_histogram_test(psi, 0, 1.0, 100_000, RngStream(1007))
     ok = r.passed and r.estimate <= 0.02
@@ -175,10 +175,10 @@ def criterion_9_tail_fact():
     field = matter_density(state, grid=density_grid(cfg))
     branch_err = abs((1.0 - mass_fraction_in_region(field, box)) - c2)
     # grid model
-    spec = GridSpec(-25.0, 55.0, 2048, 1)
+    spec = GridSpec(-25.0, 55.0, 2048)
     psi = make_grid_wavefunction(
         spec,
-        [Packet((0.0,), 1.0, math.sqrt(1.0 - c2)), Packet((30.0,), 1.0, math.sqrt(c2))],
+        [Packet(0.0, 1.0, math.sqrt(1.0 - c2)), Packet(30.0, 1.0, math.sqrt(c2))],
     )
     grid_field = matter_density(psi)
     grid_err = abs((1.0 - mass_fraction_in_region(grid_field, box)) - c2)

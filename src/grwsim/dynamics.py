@@ -5,17 +5,17 @@ propagation for free particles).  Jumps arrive as a Poisson process with
 total rate ``N * lambda_eff``; each jump picks a particle uniformly at
 random, draws a collapse center X from the operator-completeness density
 ``p(X) = ||L_{k,X} psi||^2``, and applies the collapse.  On the grid, p is
-the particle's marginal convolved with ``g^2``, so X is drawn as a marginal
-sample (a cell center) plus Normal(0, sigma^2 / 2) noise: a point of the
-real line, and no convolution runs.  ``collapse_center_density`` tabulates
+the particle's position density convolved with ``g^2``, so X is drawn as a
+sample of that density (a cell center) plus Normal(0, sigma^2 / 2) noise: a
+point of the real line, and no convolution runs.  ``collapse_center_density`` tabulates
 p at the cell centers for the acceptance checks and for users.
 
-Grid trajectories run in lockstep chunks (``run_grid_chunk``): the rows of
-one ``(R, points**N)`` array share each step's phase ``exp`` and FFT round
-trip, and (for N = 1; else per run of rows that collapse the same
-particle) its marginal and collapse, which pays numpy's per-call cost once
-per chunk instead of once per trajectory.  R is ``GRID_CHUNK_CELLS // points**N``
-(16 rows at 512 points), a bound on the chunk's memory.  The stream
+The grid holds one particle, so a grid jump collapses it.  Grid
+trajectories run in lockstep chunks (``run_grid_chunk``): the rows of one
+``(R, points)`` array share each step's phase ``exp``, FFT round trip,
+density and collapse, which pays numpy's per-call cost once per chunk
+instead of once per trajectory.  R is ``GRID_CHUNK_CELLS // points`` (16
+rows at 512 points), a bound on the chunk's memory.  The stream
 contract is unchanged: trajectory i draws from ``RngStream(seed, i)`` in a
 lone run's order, and ``run_trajectory``'s grid arm is a chunk of one.
 ``evolve_unitary`` and ``apply_collapse_grid``, the replay's primitives,
@@ -61,7 +61,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, takewhile
+from itertools import takewhile
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -69,7 +69,7 @@ from numpy.fft import fft, fftfreq, ifft
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, NumericsError, ZeroProbabilityCollapseError
-from .state import BranchState, GridSpec, GridWaveFunction, check_particle, marginal_density, marginal_rows
+from .state import BranchState, GridSpec, GridWaveFunction, check_particle, marginal_density
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -79,8 +79,8 @@ UNDERFLOW_FLOOR = 1e-150
 # g^2 is truncated at this many sigmas when tabulated on a grid.
 _KERNEL_REACH = 9.0
 
-# Grid cells run_grid_chunk advances at once: 16 trajectories at 512 points,
-# one on a 512^2 grid.  Each row costs a few copies of its amplitudes, so
+# Grid cells run_grid_chunk advances at once: 16 trajectories at 512 points.
+# Each row costs a few copies of its amplitudes, so
 # the chunk is kept small: on the grid_free benchmark config, 16, 32 and 64
 # rows raised peak RSS by 1.1, 2.3 and 4.8 MB over 36.4 MB, and 32 or 64
 # rows were at most 3% faster than 16.
@@ -283,10 +283,10 @@ def collapse_center_density(psi: GridWaveFunction, particle: int, sigma: float) 
 def apply_collapse_grid(
     psi: GridWaveFunction, particle: int, center: float, sigma: float
 ) -> GridWaveFunction:
-    """Multiply by g(x_k - center) along the particle's axis and renormalize."""
-    check_particle(particle, psi.spec.num_particles)
+    """Multiply by g(x - center) and renormalize."""
+    check_particle(particle, 1)
     spec, collapsed = psi.spec, np.empty_like(psi.amplitudes)
-    norms = _collapse_rows(psi.amplitudes[None], particle, np.array([center]), spec, sigma, collapsed[None])
+    norms = _collapse_rows(psi.amplitudes[None], np.array([center]), spec, sigma, collapsed[None])
     norm = float(norms[0])
     if norm <= UNDERFLOW_FLOOR:
         raise ZeroProbabilityCollapseError(_zero_norm_message(center, norm))
@@ -294,21 +294,18 @@ def apply_collapse_grid(
 
 
 def _collapse_rows(
-    amps: np.ndarray, particle: int, centers: np.ndarray, spec: GridSpec, sigma: float, out: np.ndarray
+    amps: np.ndarray, centers: np.ndarray, spec: GridSpec, sigma: float, out: np.ndarray
 ) -> np.ndarray:
-    """Write each row of amps (R, *grid) times g(x_particle - centers[r]) to out;
+    """Write each row of amps (R, points) times g(x - centers[r]) to out;
     return each product's norm.
 
     The products are not renormalized: the caller checks the norms against
     UNDERFLOW_FLOOR before dividing by them.
     """
-    n = spec.num_particles
     u = spec.points() - centers[:, None]
     g = (np.pi * sigma**2) ** (-0.25) * np.exp(-(u**2) / (2.0 * sigma**2))
-    shape = [len(centers)] + [1] * n
-    shape[particle + 1] = -1
-    np.multiply(amps, g.reshape(shape), out=out)
-    return np.sqrt(np.sum(np.abs(out) ** 2, axis=tuple(range(1, n + 1))) * spec.dx**n)
+    np.multiply(amps, g, out=out)
+    return np.sqrt(np.sum(np.abs(out) ** 2, axis=1) * spec.dx)
 
 
 def _zero_norm_message(center: float, norm: float) -> str:
@@ -439,28 +436,18 @@ def evolve_unitary(psi: GridWaveFunction, dt: float, hamiltonian: Hamiltonian) -
 
 
 def _free_step(amps: np.ndarray, dts: Sequence[float], spec: GridSpec, mass: float) -> np.ndarray:
-    """Each row of amps (R, *grid) evolved freely for its own time dts[r] > 0; a new array.
+    """Each row of amps (R, points) evolved freely for its own time dts[r] > 0; a new array.
 
     The phase exp(-1j k^2 dt / (2 mass)) is taken once per distinct k^2
     (fftfreq is sign-symmetric) and gathered onto the FFT axis.
     """
-    n = spec.num_particles
     rate, index = _free_rates(spec)
     phase = rate * np.array(dts)[:, None]
     phase /= 2.0 * mass
     phase = np.exp(phase, out=phase)[:, index]
-    # fftn and ifftn over the grid axes, last axis first as they run it,
-    # without their per-call argument handling
-    amps_k = amps
-    for axis in range(n, 0, -1):
-        amps_k = fft(amps_k, axis=axis)
-    for axis in range(1, n + 1):
-        shape = [len(dts)] + [1] * n
-        shape[axis] = -1
-        amps_k *= phase.reshape(shape)
-    for axis in range(n, 0, -1):
-        amps_k = ifft(amps_k, axis=axis)
-    return amps_k
+    amps_k = fft(amps, axis=1)
+    amps_k *= phase
+    return ifft(amps_k, axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -538,7 +525,7 @@ def run_trajectory(
 
 def grid_chunk_rows(spec: GridSpec) -> int:
     """How many trajectories on spec's grid run_grid_chunk advances at once."""
-    return max(1, GRID_CHUNK_CELLS // spec.points_per_axis**spec.num_particles)
+    return max(1, GRID_CHUNK_CELLS // spec.points_per_axis)
 
 
 def run_grid_chunk(
@@ -546,21 +533,18 @@ def run_grid_chunk(
 ) -> list[TrajectoryRecord]:
     """run_trajectory from one grid state for each stream, in lockstep.
 
-    The trajectories are the rows of one (R, *grid) array: each step takes
-    one phase exp and one FFT round trip over every live row, and one
-    marginal and one collapse over each block of neighbouring rows that
-    collapse the same particle (all of them when N = 1).  Row r draws from
-    streams[r] exactly as a lone run does, per event the waiting time, the
-    particle (only when N > 1), the uniform and the normal, so every record
-    equals its chunk-of-one record bit for bit.  A row leaves at its
-    horizon, or aborted with a diagnostic at a zero-probability collapse,
-    keeping the state it reached.  Rows whose step is dt = 0 skip the free
-    step.
+    The trajectories are the rows of one (R, points) array: each step takes
+    one phase exp, one FFT round trip, one density and one collapse over
+    every live row.  Row r draws from streams[r] exactly as a lone run does,
+    per event the waiting time, the uniform and the normal, so every record
+    equals its chunk-of-one record bit for bit; its particle column is all
+    0.  A row leaves at its horizon, or aborted with a diagnostic at a
+    zero-probability collapse, keeping the state it reached.  Rows whose
+    step is dt = 0 skip the free step.
     """
     spec = initial_state.spec
-    n = spec.num_particles
     total_time, sigma, hamiltonian = params.total_time, params.sigma, params.hamiltonian
-    wait_scale = 1.0 / (n * params.lambda_eff)
+    wait_scale = 1.0 / params.lambda_eff
     spread = sigma * _INV_SQRT2
     points = spec.points()
     rngs = [s.generator() for s in streams]
@@ -589,24 +573,12 @@ def run_grid_chunk(
             rows, t_next, amps = [rows[j] for j in live], [t_next[j] for j in live], amps[live]
             if not rows:
                 break
-        # integers(1) consumes no bits, so skipping it leaves the stream unchanged
-        particles = [int(rngs[r].integers(n)) if n > 1 else 0 for r in rows]
+        # no particle draw: the grid's one particle collapses at every event
         uniforms = np.array([rngs[r].random() for r in rows])
-        density = np.abs(amps) ** 2
-        centers = np.empty(len(rows))
+        x = points[_pick_cells(np.abs(amps) ** 2, uniforms)].tolist()
+        centers = np.array([rngs[r].normal(x[j], spread) for j, r in enumerate(rows)])
         collapsed = np.empty_like(amps)
-        norms = np.empty(len(rows))
-        # each run of neighbouring rows that collapse the same particle is one block
-        lo = 0
-        for particle, block in groupby(particles):
-            hi = lo + len(list(block))
-            cells = _pick_cells(marginal_rows(density[lo:hi], particle, spec), uniforms[lo:hi])
-            x = points[cells].tolist()
-            centers[lo:hi] = [rngs[r].normal(x[j], spread) for j, r in enumerate(rows[lo:hi])]
-            norms[lo:hi] = _collapse_rows(
-                amps[lo:hi], particle, centers[lo:hi], spec, sigma, collapsed[lo:hi]
-            )
-            lo = hi
+        norms = _collapse_rows(amps, centers, spec, sigma, collapsed)
         kept = []
         for j, (r, center, norm) in enumerate(zip(rows, centers.tolist(), norms.tolist())):
             times, parts, xs = columns[r]
@@ -616,13 +588,13 @@ def run_grid_chunk(
                 diagnostics[r] = f"event {len(times)} at t={t_next[j]:.6g}: {message}"
                 continue
             times.append(t_next[j])
-            parts.append(particles[j])
+            parts.append(0)
             xs.append(center)
             kept.append(j)
         if len(kept) < len(rows):
             rows, t_next = [rows[j] for j in kept], [t_next[j] for j in kept]
             collapsed, norms = collapsed[kept], norms[kept]
-        amps = np.divide(collapsed, norms.reshape((-1,) + (1,) * n), out=collapsed)
+        amps = np.divide(collapsed, norms[:, None], out=collapsed)
         t = t_next
     return [
         TrajectoryRecord(

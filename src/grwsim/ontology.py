@@ -71,22 +71,18 @@ def matter_density(
     """Mass-weighted density: m(x) = sum_k m_k * (position density of particle k).
 
     The particles carry equal shares m_k = 1 / N of a unit total mass.
-    Branch anchors rasterize as single-cell spikes; grid states use their own
-    marginals (and their own grid).  Rejects a grid that captures less than
-    1 - 1e-6 of the total mass.
+    Branch anchors rasterize as single-cell spikes; a grid state's one
+    particle carries all of it, on the state's own grid.  Rejects a grid
+    that captures less than 1 - 1e-6 of the total mass.
     """
-    n = state.num_particles
-    mass = 1.0 / n
-
     if isinstance(state, GridWaveFunction):
         if grid is not None and not np.array_equal(grid, state.spec.points()):
             raise ConfigError("grid states emit density on their own grid; pass grid=None")
         grid = state.spec.points()
         dx = state.spec.dx
-        values = np.zeros_like(grid)
-        for k in range(n):
-            values += mass * marginal_density(state, k)
+        values = marginal_density(state, 0)
     else:
+        mass = 1.0 / state.num_particles
         if grid is None:
             raise ConfigError("branch states need an explicit density grid")
         grid = np.asarray(grid, dtype=float)

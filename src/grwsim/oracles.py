@@ -55,12 +55,12 @@ def grid_branch_crosscheck(n_cases: int = 100, seed: int = 0) -> float:
         margin = 12.0
         dx_target = width / 3.0
         n_points = int(np.ceil((d + 2.0 * margin) / dx_target))
-        spec = GridSpec(-margin, d + margin, n_points, 1)
+        spec = GridSpec(-margin, d + margin, n_points)
         psi = make_grid_wavefunction(
             spec,
             [
-                Packet((0.0,), width, np.sqrt(weights[0])),
-                Packet((d,), width, np.sqrt(weights[1])),
+                Packet(0.0, width, np.sqrt(weights[0])),
+                Packet(d, width, np.sqrt(weights[1])),
             ],
         )
         collapsed = apply_collapse_grid(psi, 0, x_center, sigma)

@@ -267,12 +267,12 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
         width = config.packet_width if config.packet_width is not None else 0.5 * sigma
         lo = config.x_min if config.x_min is not None else min(a_in, config.box.lower) - 15.0 * sigma
         hi = config.x_max if config.x_max is not None else max(a_out, config.box.upper) + 15.0 * sigma
-        spec = GridSpec(lo, hi, config.grid_points, 1)
+        spec = GridSpec(lo, hi, config.grid_points)
         state = make_grid_wavefunction(
             spec,
             [
-                Packet((a_in,), width, np.sqrt(weights[0])),
-                Packet((a_out,), width, np.sqrt(weights[1])),
+                Packet(a_in, width, np.sqrt(weights[0])),
+                Packet(a_out, width, np.sqrt(weights[1])),
             ],
         )
     else:

@@ -2,10 +2,10 @@
 
 Two interoperable representations:
 
-* ``GridWaveFunction`` -- exact complex amplitudes of ``N`` particles on a
-  discretized configuration grid (one spatial dimension per particle,
-  midpoint cells).  The exact-dynamics substrate; capped at ``N <= 3``
-  because the grid grows as ``points**N``.
+* ``GridWaveFunction`` -- exact complex amplitudes of one particle on a
+  discretized 1-D grid (midpoint cells).  The exact-dynamics substrate of
+  one-particle GRW dynamics; macroscopic superpositions of many particles
+  are branch states.
 * ``BranchState`` -- finitely many macroscopically distinct branches, each a
   weight plus one point anchor per particle.  The analytic fast path for
   superpositions with widely separated components; weights are kept in log
@@ -30,38 +30,31 @@ from .errors import ConfigError
 
 # Cells beyond this total are rejected outright (memory guard).
 MAX_GRID_CELLS = 2**24
-MAX_GRID_PARTICLES = 3
 
 WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of the configuration grid: N particles on a shared 1-D axis."""
+    """Geometry of the one-particle grid: a 1-D axis of midpoint cells."""
 
     x_min: float
     x_max: float
     points_per_axis: int
-    num_particles: int = 1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and self.x_min < self.x_max and math.isfinite(self.x_max)):
             raise ConfigError(f"grid needs finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.points_per_axis < 2:
             raise ConfigError("points_per_axis must be >= 2")
-        if self.num_particles < 1:
-            raise ConfigError("num_particles must be >= 1")
-        if self.num_particles > MAX_GRID_PARTICLES:
+        if self.points_per_axis > MAX_GRID_CELLS:
             raise ConfigError(
-                f"grid model supports at most {MAX_GRID_PARTICLES} particles; "
-                "use BranchState for larger systems"
+                f"grid of {self.points_per_axis} points exceeds the cap of {MAX_GRID_CELLS} cells"
             )
-        # points**N, computed in log space so the check itself cannot overflow
-        if self.num_particles * np.log2(self.points_per_axis) > np.log2(MAX_GRID_CELLS):
-            raise ConfigError(
-                f"configuration grid {self.points_per_axis}^{self.num_particles} "
-                f"exceeds the cap of {MAX_GRID_CELLS} cells"
-            )
+
+    @property
+    def num_particles(self) -> int:
+        return 1
 
     @property
     def dx(self) -> float:
@@ -85,18 +78,14 @@ def _cell_centers(spec: GridSpec) -> np.ndarray:
 
 @dataclass
 class GridWaveFunction:
-    """Complex amplitudes over the N-particle configuration grid."""
+    """Complex amplitudes of one particle over the grid's cells."""
 
     spec: GridSpec
     amplitudes: np.ndarray
 
     @property
     def num_particles(self) -> int:
-        return self.spec.num_particles
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spec.dx**self.spec.num_particles
+        return 1
 
     def copy(self) -> "GridWaveFunction":
         return GridWaveFunction(self.spec, self.amplitudes.copy())
@@ -104,9 +93,9 @@ class GridWaveFunction:
 
 @dataclass(frozen=True)
 class Packet:
-    """One product-Gaussian component: |phi_k|^2 is Normal(center_k, width^2)."""
+    """One Gaussian component: |phi|^2 is Normal(center, width^2)."""
 
-    centers: tuple[float, ...]
+    center: float
     width: float
     coefficient: complex = 1.0
 
@@ -127,8 +116,8 @@ class Region:
 
 
 def norm_squared(psi: GridWaveFunction) -> float:
-    """Riemann sum of |psi|^2 times the cell volume."""
-    return float(np.sum(np.abs(psi.amplitudes) ** 2) * psi.cell_volume)
+    """Riemann sum of |psi|^2 times the cell width."""
+    return float(np.sum(np.abs(psi.amplitudes) ** 2) * psi.spec.dx)
 
 
 def normalize(psi: GridWaveFunction) -> GridWaveFunction:
@@ -139,37 +128,28 @@ def normalize(psi: GridWaveFunction) -> GridWaveFunction:
 
 
 def make_grid_wavefunction(spec: GridSpec, packets: Sequence[Packet]) -> GridWaveFunction:
-    """Build a normalized superposition of product-Gaussian packets.
+    """Build a normalized superposition of Gaussian packets.
 
-    Each packet contributes ``coefficient * prod_k exp(-(x_k - c_k)^2 / (4 w^2))``
-    so that its single-particle position density has standard deviation ``w``.
-    Packets narrower than 2 grid cells are unresolvable and rejected.
+    Each packet contributes ``coefficient * exp(-(x - c)^2 / (4 w^2))`` so
+    that its position density has standard deviation ``w``.  Packets
+    narrower than 2 grid cells are unresolvable and rejected.
     """
     if not packets:
         raise ConfigError("packet list is empty")
     if all(p.coefficient == 0 for p in packets):
         raise ConfigError("all packet coefficients are zero")
     x = spec.points()
-    amps = np.zeros((spec.points_per_axis,) * spec.num_particles, dtype=np.complex128)
+    amps = np.zeros(spec.points_per_axis, dtype=np.complex128)
     for p in packets:
-        if len(p.centers) != spec.num_particles:
-            raise ConfigError(
-                f"packet has {len(p.centers)} centers for {spec.num_particles} particles"
-            )
         if p.width <= 0:
             raise ConfigError("packet width must be positive")
         if p.width < 2 * spec.dx:
             raise ConfigError(
                 f"packet width {p.width} is below 2 grid cells ({2 * spec.dx}); unresolvable"
             )
-        for c in p.centers:
-            if not (spec.x_min <= c <= spec.x_max):
-                raise ConfigError(f"packet center {c} outside [{spec.x_min}, {spec.x_max}]")
-        factors = [np.exp(-((x - c) ** 2) / (4.0 * p.width**2)) for c in p.centers]
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = np.multiply.outer(prod, f)
-        amps += p.coefficient * prod
+        if not (spec.x_min <= p.center <= spec.x_max):
+            raise ConfigError(f"packet center {p.center} outside [{spec.x_min}, {spec.x_max}]")
+        amps += p.coefficient * np.exp(-((x - p.center) ** 2) / (4.0 * p.width**2))
     psi = GridWaveFunction(spec, amps)
     return normalize(psi)
 
@@ -180,20 +160,14 @@ def check_particle(particle: int, n: int) -> None:
         raise ConfigError(f"particle index {particle} out of range for N={n}")
 
 
-def marginal_rows(density: np.ndarray, particle: int, spec: GridSpec) -> np.ndarray:
-    """One particle's marginal of each row of density (R, *grid): the other axes summed, times dx each."""
-    axes = tuple(ax + 1 for ax in range(spec.num_particles) if ax != particle)
-    return density.sum(axis=axes) * spec.dx ** len(axes) if axes else density
-
-
 def marginal_density(psi: GridWaveFunction, particle: int) -> np.ndarray:
-    """Position density of one particle, the others integrated out.
+    """Position density |psi|^2 of the grid's particle (index 0).
 
     Returns an array over the 1-D grid; its Riemann integral equals
-    ``norm_squared(psi)``.  Particle indices are 0-based.
+    ``norm_squared(psi)``.
     """
-    check_particle(particle, psi.spec.num_particles)
-    return marginal_rows(np.abs(psi.amplitudes[None]) ** 2, particle, psi.spec)[0]
+    check_particle(particle, 1)
+    return np.abs(psi.amplitudes) ** 2
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:

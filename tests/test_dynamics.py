@@ -95,8 +95,8 @@ class TestCollapseCenterDensity:
         # g^2 is Normal(0, sigma^2/2 + width^2); at width = sigma/200 that is
         # within 1e-5 of Normal(0, 1/2) pointwise
         sigma, width = 1.0, 1.0 / 200.0
-        spec = GridSpec(-20.0, 20.0, 2**14, 1)
-        psi = make_grid_wavefunction(spec, [Packet((0.0,), width, 1.0)])
+        spec = GridSpec(-20.0, 20.0, 2**14)
+        psi = make_grid_wavefunction(spec, [Packet(0.0, width, 1.0)])
         density = collapse_center_density(psi, 0, sigma)
         x = spec.points()
         target = np.exp(-(x**2) / (2.0 * 0.5)) / np.sqrt(2.0 * np.pi * 0.5)
@@ -120,8 +120,8 @@ class TestCollapseCenterDensity:
 
 class TestApplyCollapseGrid:
     def test_symmetric_collapse_keeps_mean(self):
-        spec = GridSpec(-20.0, 20.0, 2**13, 1)
-        psi = make_grid_wavefunction(spec, [Packet((0.0,), 0.01, 1.0)])
+        spec = GridSpec(-20.0, 20.0, 2**13)
+        psi = make_grid_wavefunction(spec, [Packet(0.0, 0.01, 1.0)])
         post = apply_collapse_grid(psi, 0, 0.0, 1.0)
         marg = marginal_density(post, 0)
         mean = float((marg * spec.points()).sum() * spec.dx)
@@ -133,12 +133,12 @@ class TestApplyCollapseGrid:
 
     def test_equal_branches_collapse_kills_far_branch(self):
         # posterior factor oracle: exp(-(a_i - X)^2 / sigma^2) and renormalize
-        spec = GridSpec(-12.0, 22.0, 2**14, 1)
+        spec = GridSpec(-12.0, 22.0, 2**14)
         psi = make_grid_wavefunction(
             spec,
             [
-                Packet((0.0,), 0.01, np.sqrt(0.5)),
-                Packet((10.0,), 0.01, np.sqrt(0.5)),
+                Packet(0.0, 0.01, np.sqrt(0.5)),
+                Packet(10.0, 0.01, np.sqrt(0.5)),
             ],
         )
         post = apply_collapse_grid(psi, 0, 0.0, 1.0)
@@ -147,19 +147,16 @@ class TestApplyCollapseGrid:
         far_mass = float(marg[x > 5.0].sum() * spec.dx)
         assert far_mass < 1e-40  # exact value is ~exp(-100)
 
-    @pytest.mark.parametrize("n,points,particle", [(1, 512, 0), (2, 64, 0), (2, 64, 1), (3, 16, 2)])
-    def test_matches_two_pass_formula_bitwise(self, n, points, particle):
+    def test_matches_two_pass_formula_bitwise(self):
         # the collapse as written with a throwaway state for its norm
-        spec = GridSpec(-12.0, 14.0, points, n)
-        psi = make_grid_wavefunction(spec, [Packet((-3.0,) * n, 4.0, 0.8), Packet((4.0,) * n, 3.5, 0.6j)])
+        spec = GridSpec(-12.0, 14.0, 512)
+        psi = make_grid_wavefunction(spec, [Packet(-3.0, 4.0, 0.8), Packet(4.0, 3.5, 0.6j)])
         for center in (-3.2, 0.0, 4.7, 15.0):
             x = spec.points()
             g = (np.pi * 1.3**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (2.0 * 1.3**2))
-            shape = [1] * n
-            shape[particle] = -1
-            new_amps = psi.amplitudes * g.reshape(shape)
+            new_amps = psi.amplitudes * g
             norm = math.sqrt(norm_squared(dynamics.GridWaveFunction(spec, new_amps)))
-            post = apply_collapse_grid(psi, particle, center, 1.3)
+            post = apply_collapse_grid(psi, 0, center, 1.3)
             assert np.array_equal(post.amplitudes, new_amps / norm)
 
     def test_far_center_raises_zero_probability(self, two_packet_state):
@@ -191,12 +188,12 @@ class TestBranchCollapseUpdate:
         state = BranchState.from_weights(("a", "b"), (0.6, 0.4), [[0.0], [d]])
         post_branch = branch_collapse_update(state, 0, x_center, sigma).weights
 
-        spec = GridSpec(-10.0, d + 10.0, 2**14, 1)
+        spec = GridSpec(-10.0, d + 10.0, 2**14)
         psi = make_grid_wavefunction(
             spec,
             [
-                Packet((0.0,), sigma / 100.0, np.sqrt(0.6)),
-                Packet((d,), sigma / 100.0, np.sqrt(0.4)),
+                Packet(0.0, sigma / 100.0, np.sqrt(0.6)),
+                Packet(d, sigma / 100.0, np.sqrt(0.4)),
             ],
         )
         post_grid = apply_collapse_grid(psi, 0, x_center, sigma)
@@ -273,9 +270,9 @@ class TestSampleCollapseCenter:
     def test_grid_sampler_law_chi_square(self):
         # 10^5 draws on criterion 7's state against the tabulated density,
         # cell by cell; a sampler whose noise is 1.3 times too wide fails
-        spec = GridSpec(-25.6, 25.6, 512, 1)
+        spec = GridSpec(-25.6, 25.6, 512)
         psi = make_grid_wavefunction(
-            spec, [Packet((-6.0,), 1.0, math.sqrt(0.6)), Packet((6.0,), 1.5, math.sqrt(0.4))]
+            spec, [Packet(-6.0, 1.0, math.sqrt(0.6)), Packet(6.0, 1.5, math.sqrt(0.4))]
         )
         probs = collapse_center_density(psi, 0, 1.0) * spec.dx
         probs = probs / probs.sum()
@@ -314,9 +311,9 @@ class TestEvolveUnitary:
 
     def test_free_packet_spreading(self):
         # analytic law: var(t) = w^2 + (t / (2 m w))^2 for a width-w packet
-        spec = GridSpec(-40.0, 40.0, 2**11, 1)
+        spec = GridSpec(-40.0, 40.0, 2**11)
         w, m, t = 1.0, 1.0, 2.0
-        psi = make_grid_wavefunction(spec, [Packet((0.0,), w, 1.0)])
+        psi = make_grid_wavefunction(spec, [Packet(0.0, w, 1.0)])
         out = evolve_unitary(psi, t, Hamiltonian("free", m))
         marg = marginal_density(out, 0)
         x = spec.points()
@@ -333,23 +330,18 @@ class TestEvolveUnitary:
         with pytest.raises(ConfigError):
             evolve_unitary(two_packet_state, -1.0, Hamiltonian("zero"))
 
-    @pytest.mark.parametrize("n,points", [(1, 512), (2, 64), (3, 32), (1, 511)])
-    def test_matches_uncached_formula_bitwise(self, n, points):
+    @pytest.mark.parametrize("points", [512, 511])
+    def test_matches_uncached_formula_bitwise(self, points):
         # the free step as written before its constants were cached: fftfreq,
-        # the phase in one expression, fftn and a per-axis phase product
-        spec = GridSpec(-12.0, 14.0, points, n)
-        packets = [Packet((-3.0,) * n, 2.0, 0.8), Packet((4.0,) * n, 2.5, 0.6j)]
+        # the phase in one expression, and an FFT round trip
+        spec = GridSpec(-12.0, 14.0, points)
+        packets = [Packet(-3.0, 2.0, 0.8), Packet(4.0, 2.5, 0.6j)]
         psi = make_grid_wavefunction(spec, packets)
         for dt in (1e-3, 0.37, 2.5):
             for mass in (0.5, 1.0, 5.0):
                 k = 2.0 * np.pi * np.fft.fftfreq(points, d=spec.dx)
-                phase_1d = np.exp(-1j * k**2 * dt / (2.0 * mass))
-                amps_k = np.fft.fftn(psi.amplitudes)
-                for axis in range(n):
-                    shape = [1] * n
-                    shape[axis] = -1
-                    amps_k = amps_k * phase_1d.reshape(shape)
-                expected = np.fft.ifftn(amps_k)
+                phase = np.exp(-1j * k**2 * dt / (2.0 * mass))
+                expected = np.fft.ifft(np.fft.fft(psi.amplitudes) * phase)
                 out = evolve_unitary(psi, dt, Hamiltonian("free", mass))
                 assert np.array_equal(out.amplitudes, expected)
 
@@ -362,7 +354,7 @@ class TestEvolveUnitary:
     @pytest.mark.parametrize("points", [512, 511, 2, 3])
     def test_distinct_k_squared_gather_bitwise(self, points):
         # fftfreq puts -m at points - m, so the phase needs one exp per distinct k^2
-        spec = GridSpec(-12.0, 14.0, points, 1)
+        spec = GridSpec(-12.0, 14.0, points)
         rate, index = dynamics._free_rates(spec)
         k = 2.0 * np.pi * np.fft.fftfreq(points, d=spec.dx)
         assert index.max() == points // 2
@@ -372,8 +364,7 @@ class TestEvolveUnitary:
         assert dynamics._free_rates(spec)[1] is index
 
     def test_specs_keep_their_own_wave_numbers(self):
-        specs = [GridSpec(-8.0, 8.0, 64), GridSpec(-8.0, 8.0, 128), GridSpec(-4.0, 8.0, 64),
-                 GridSpec(-8.0, 8.0, 64, 2)]
+        specs = [GridSpec(-8.0, 8.0, 64), GridSpec(-8.0, 8.0, 128), GridSpec(-4.0, 8.0, 64)]
         for spec in specs:
             k = 2.0 * np.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.dx)
             rate, index = dynamics._free_rates(spec)
@@ -740,13 +731,12 @@ class TestEventLog:
         assert rec.num_events > 0
         assert rec.events == _stepwise_events(two_packet_state, params, rec, _grid_summary)
 
-    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("hamiltonian", [Hamiltonian(), Hamiltonian("free", 2.0)], ids=["zero", "free"])
-    def test_grid_weight_columns(self, n, hamiltonian):
+    def test_grid_weight_columns(self, hamiltonian):
         # weight_columns used to read a branch attribute off a grid state, or
         # report a grid record's empty post_log_weights as a broken branch record
-        initial, params = _grid_case(n, hamiltonian)
-        rec = run_trajectory(initial, params, RngStream(97, n))
+        initial, params = _grid_case(hamiltonian)
+        rec = run_trajectory(initial, params, RngStream(97, 1))
         assert rec.num_events > 0
         weights, pre = rec.weight_columns()
         assert pre == list(range(rec.num_events))
@@ -884,42 +874,31 @@ def _reference_grid_run(initial, params, stream):
     out in plain numpy: (times, particles, centers, final amplitudes, diagnostic)."""
     rng = stream.generator()
     spec, sigma = initial.spec, params.sigma
-    n, x = spec.num_particles, spec.points()
+    x = spec.points()
     amps = initial.amplitudes.copy()
     times, particles, centers = [], [], []
     t = 0.0
     while True:
-        t_next = t + float(rng.exponential(1.0 / (n * params.lambda_eff)))
+        t_next = t + float(rng.exponential(1.0 / params.lambda_eff))
         dt = min(t_next, params.total_time) - t
         if dt > 0 and params.hamiltonian.kind == "free":
             k = 2.0 * np.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.dx)
-            phase_1d = np.exp(-1j * k**2 * dt / (2.0 * params.hamiltonian.mass))
-            amps_k = np.fft.fftn(amps)
-            for axis in range(n):
-                shape = [1] * n
-                shape[axis] = -1
-                amps_k = amps_k * phase_1d.reshape(shape)
-            amps = np.fft.ifftn(amps_k)
+            phase = np.exp(-1j * k**2 * dt / (2.0 * params.hamiltonian.mass))
+            amps = np.fft.ifft(np.fft.fft(amps) * phase)
         if t_next > params.total_time:
             return times, particles, centers, amps, None
-        particle = int(rng.integers(n)) if n > 1 else 0
-        density = np.abs(amps) ** 2
-        others = tuple(ax for ax in range(n) if ax != particle)
-        marg = density.sum(axis=others) * spec.dx ** len(others) if others else density
-        cdf = np.cumsum(marg)
+        cdf = np.cumsum(np.abs(amps) ** 2)
         idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         center = float(rng.normal(x[min(idx, cdf.size - 1)], sigma * (1.0 / math.sqrt(2.0))))
         g = (np.pi * sigma**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-        shape = [1] * n
-        shape[particle] = -1
-        new_amps = amps * g.reshape(shape)
-        norm = math.sqrt(float(np.sum(np.abs(new_amps) ** 2) * spec.dx**n))
+        new_amps = amps * g
+        norm = math.sqrt(float(np.sum(np.abs(new_amps) ** 2) * spec.dx))
         if norm <= dynamics.UNDERFLOW_FLOOR:
             message = f"collapse at X={center} has norm {norm:.3e} (zero-probability collapse)"
             return times, particles, centers, amps, f"event {len(times)} at t={t_next:.6g}: {message}"
         amps = new_amps / norm
         times.append(t_next)
-        particles.append(particle)
+        particles.append(0)
         centers.append(center)
         t = t_next
 
@@ -953,13 +932,9 @@ class _RiggedStream:
         return _Rigged(self.stream.generator(), self.zero_waits, self.far_normal)
 
 
-def _grid_case(n, hamiltonian):
-    if n == 1:
-        spec = GridSpec(-12.0, 14.0, 256, 1)
-        packets = [Packet((-3.0,), 1.0, 0.8), Packet((4.0,), 1.5, 0.6j)]
-    else:
-        spec = GridSpec(-12.0, 14.0, 32, 2)
-        packets = [Packet((-3.0, 4.0), 2.0, 0.8), Packet((4.0, -2.0), 2.5, 0.6j)]
+def _grid_case(hamiltonian):
+    spec = GridSpec(-12.0, 14.0, 256)
+    packets = [Packet(-3.0, 1.0, 0.8), Packet(4.0, 1.5, 0.6j)]
     return make_grid_wavefunction(spec, packets), GrwParams(total_time=3.0, hamiltonian=hamiltonian)
 
 
@@ -975,18 +950,15 @@ def _same_record(rec, times, particles, centers, final, diagnostic):
 
 
 class TestGridChunk:
-    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("hamiltonian", [Hamiltonian("zero"), Hamiltonian("free", 2.0)],
                              ids=["zero", "free"])
-    def test_rows_match_lone_runs(self, n, hamiltonian):
-        initial, params = _grid_case(n, hamiltonian)
+    def test_rows_match_lone_runs(self, hamiltonian):
+        initial, params = _grid_case(hamiltonian)
         rows = dynamics.grid_chunk_rows(initial.spec)
-        assert rows == (32 if n == 1 else 8)
+        assert rows == 32
         streams = [RngStream(61, i) for i in range(rows)]
         chunk = dynamics.run_grid_chunk(initial, params, streams)
         assert len({rec.num_events for rec in chunk}) > 1  # rows leave at different steps
-        if n == 2:
-            assert {p for rec in chunk for p in rec.particles} == {0, 1}
         for rec, stream in zip(chunk, streams):
             lone = run_trajectory(initial, params, stream)
             assert _same_record(rec, lone.times, lone.particles, lone.centers,
@@ -1007,7 +979,7 @@ class TestGridChunk:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_zero_probability_collapse_aborts_its_row_only(self, k):
-        initial, params = _grid_case(1, Hamiltonian("free", 2.0))
+        initial, params = _grid_case(Hamiltonian("free", 2.0))
         streams = [RngStream(62, i) for i in range(5)]
         streams[2] = _RiggedStream(streams[2], far_normal=k)
         chunk = self._check_against_lone_runs(initial, params, streams)
@@ -1020,7 +992,7 @@ class TestGridChunk:
     def test_zero_step_skips_the_free_step(self, monkeypatch):
         # rows 1 and 3 wait 0 for their first two events, so those steps
         # evolve only the other rows; each row still equals its lone run
-        initial, params = _grid_case(1, Hamiltonian("free", 2.0))
+        initial, params = _grid_case(Hamiltonian("free", 2.0))
         streams = [RngStream(64, i) for i in range(4)]
         for i in (1, 3):
             streams[i] = _RiggedStream(streams[i], zero_waits=2)
@@ -1036,9 +1008,8 @@ class TestGridChunk:
         assert chunk[1].times[:2] == [0.0, 0.0] and chunk[3].times[:2] == [0.0, 0.0]
         assert evolved_rows[:2] == [2, 2]
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_replay_reproduces_final_state_bitwise(self, n):
-        initial, params = _grid_case(n, Hamiltonian("free", 2.0))
+    def test_replay_reproduces_final_state_bitwise(self):
+        initial, params = _grid_case(Hamiltonian("free", 2.0))
         chunk = dynamics.run_grid_chunk(initial, params, [RngStream(63, i) for i in range(4)])
         assert max(rec.num_events for rec in chunk) > 0
         for rec in chunk:

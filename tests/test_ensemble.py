@@ -563,7 +563,7 @@ class TestCenterHistogram:
     def test_centers_beyond_the_grid_count_in_edge_cells(self, spec512):
         # a packet 0.6 sigma inside each edge puts centers beyond both ends of
         # the grid; they count in the edge cells instead of breaking the count
-        packets = [Packet((-25.0,), 1.0, 1.0), Packet((25.0,), 1.0, 1.0)]
+        packets = [Packet(-25.0, 1.0, 1.0), Packet(25.0, 1.0, 1.0)]
         psi = make_grid_wavefunction(spec512, packets)
         rng = RngStream(4).generator()
         draws = np.array([sample_collapse_center(psi, 0, 1.0, rng) for _ in range(2000)])

@@ -84,7 +84,7 @@ class _GivenEvents(TrajectoryRecord):
         return rows, list(range(len(self.given_events)))
 
 
-_GRID = make_grid_wavefunction(GridSpec(-20.0, 20.0, 128, 1), [Packet((0.0,), 1.0, 1.0)])
+_GRID = make_grid_wavefunction(GridSpec(-20.0, 20.0, 128), [Packet(0.0, 1.0, 1.0)])
 
 
 @given(rows=st.lists(st.tuples(floats, floats, floats, floats, floats, floats), max_size=12))

@@ -66,8 +66,8 @@ class TestFlashes:
 
 class TestMatterDensity:
     def test_single_particle_equals_marginal(self):
-        spec = GridSpec(-25.6, 25.6, 512, 1)
-        psi = make_grid_wavefunction(spec, [Packet((0.0,), 1.0, 1.0)])
+        spec = GridSpec(-25.6, 25.6, 512)
+        psi = make_grid_wavefunction(spec, [Packet(0.0, 1.0, 1.0)])
         field = matter_density(psi)
         assert np.allclose(field.values, marginal_density(psi, 0), atol=1e-14)
         assert field.total_mass == pytest.approx(1.0, abs=1e-9)
@@ -80,15 +80,6 @@ class TestMatterDensity:
         assert abs(mass_fraction_in_region(field, near_in) - 0.9) < 1e-9
         assert abs(mass_fraction_in_region(field, near_out) - 0.1) < 1e-9
         assert field.values.min() >= 0.0
-
-    def test_mass_additivity_two_particles(self):
-        spec = GridSpec(-25.6, 25.6, 256, 2)
-        psi = make_grid_wavefunction(spec, [Packet((-5.0, 5.0), 1.0, 1.0)])
-        field = matter_density(psi)
-        # a total mass of 1, split equally between the two particles
-        assert field.total_mass == pytest.approx(1.0, abs=1e-9)
-        halves = 0.5 * (marginal_density(psi, 0) + marginal_density(psi, 1))
-        assert np.allclose(field.values, halves, atol=1e-14)
 
     def test_equal_masses_default(self):
         # each of the two particles carries half of the unit total mass

@@ -32,18 +32,22 @@ class TestGridSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(x_min=1.0, x_max=0.0, points_per_axis=16, num_particles=1),
-            dict(x_min=0.0, x_max=1.0, points_per_axis=1, num_particles=1),
-            dict(x_min=0.0, x_max=1.0, points_per_axis=16, num_particles=0),
-            dict(x_min=0.0, x_max=1.0, points_per_axis=16, num_particles=4),
-            dict(x_min=0.0, x_max=1.0, points_per_axis=4096, num_particles=3),
-            dict(x_min=-math.inf, x_max=1.0, points_per_axis=16, num_particles=1),
-            dict(x_min=0.0, x_max=math.inf, points_per_axis=16, num_particles=1),
+            dict(x_min=1.0, x_max=0.0, points_per_axis=16),
+            dict(x_min=0.0, x_max=1.0, points_per_axis=1),
+            dict(x_min=1.0, x_max=1.0, points_per_axis=16),
+            dict(x_min=0.0, x_max=math.nan, points_per_axis=16),
+            # past the cell cap; GridSpec only validates, so nothing is allocated
+            dict(x_min=0.0, x_max=1.0, points_per_axis=2**24 + 1),
+            dict(x_min=-math.inf, x_max=1.0, points_per_axis=16),
+            dict(x_min=0.0, x_max=math.inf, points_per_axis=16),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             GridSpec(**kwargs)
+
+    def test_holds_one_particle(self, spec512, two_packet_state):
+        assert spec512.num_particles == two_packet_state.num_particles == 1
 
     def test_points_cached_read_only(self, spec512):
         x = spec512.points()
@@ -53,7 +57,7 @@ class TestGridSpec:
 
     def test_specs_keep_their_own_points(self):
         specs = [GridSpec(-1.0, 1.0, 8), GridSpec(-1.0, 1.0, 16), GridSpec(-2.0, 1.0, 8),
-                 GridSpec(-1.0, 3.0, 8), GridSpec(-1.0, 1.0, 8, 2)]
+                 GridSpec(-1.0, 3.0, 8)]
         for spec in specs:
             expected = spec.x_min + (np.arange(spec.points_per_axis) + 0.5) * spec.dx
             assert np.array_equal(spec.points(), expected)
@@ -63,7 +67,7 @@ class TestGridSpec:
 class TestMakeGridWavefunction:
     def test_single_packet_any_coefficient_normalized(self, spec512):
         for coeff in (1.0, -3.5, 0.2 - 2.0j, 17j):
-            psi = make_grid_wavefunction(spec512, [Packet((0.0,), 1.0, coeff)])
+            psi = make_grid_wavefunction(spec512, [Packet(0.0, 1.0, coeff)])
             assert norm_squared(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_packet_left_half_mass(self, two_packet_state, spec512):
@@ -82,15 +86,15 @@ class TestMakeGridWavefunction:
 
     def test_all_zero_coefficients_rejected(self, spec512):
         with pytest.raises(ConfigError):
-            make_grid_wavefunction(spec512, [Packet((0.0,), 1.0, 0.0)])
+            make_grid_wavefunction(spec512, [Packet(0.0, 1.0, 0.0)])
 
     def test_subcell_width_rejected(self, spec512):
         with pytest.raises(ConfigError):
-            make_grid_wavefunction(spec512, [Packet((0.0,), 1.5 * spec512.dx, 1.0)])
+            make_grid_wavefunction(spec512, [Packet(0.0, 1.5 * spec512.dx, 1.0)])
 
     def test_center_outside_domain_rejected(self, spec512):
         with pytest.raises(ConfigError):
-            make_grid_wavefunction(spec512, [Packet((30.0,), 1.0, 1.0)])
+            make_grid_wavefunction(spec512, [Packet(30.0, 1.0, 1.0)])
 
     def test_scaling_is_quadratic(self, two_packet_state):
         doubled = GridWaveFunction(two_packet_state.spec, 2.0 * two_packet_state.amplitudes)
@@ -102,30 +106,6 @@ class TestMarginalDensity:
         marg = marginal_density(two_packet_state, 0)
         direct = np.abs(two_packet_state.amplitudes) ** 2
         assert np.allclose(marg, direct, atol=1e-14)
-
-    def test_product_state_factorizes(self):
-        spec = GridSpec(-25.6, 25.6, 256, 2)
-        psi = make_grid_wavefunction(spec, [Packet((-5.0, 5.0), 1.0, 1.0)])
-        marg1 = marginal_density(psi, 1)
-        # |phi|^2 of a width-1 packet is a unit-variance Gaussian
-        density = np.exp(-((spec.points() - 5.0) ** 2) / 2.0)
-        density = density / density.sum() / spec.dx
-        assert np.allclose(marg1, density, atol=1e-10)
-
-    def test_entangled_state_marginal_is_mixture(self):
-        # oracle: analytic Gaussian mixture 0.7 N(-8, 1) + 0.3 N(8, 1)
-        spec = GridSpec(-25.6, 25.6, 256, 2)
-        psi = make_grid_wavefunction(
-            spec,
-            [
-                Packet((-8.0, -8.0), 1.0, np.sqrt(0.7)),
-                Packet((8.0, 8.0), 1.0, np.sqrt(0.3)),
-            ],
-        )
-        x = spec.points()
-        gauss = lambda c: np.exp(-((x - c) ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
-        expected = 0.7 * gauss(-8.0) + 0.3 * gauss(8.0)
-        assert np.max(np.abs(marginal_density(psi, 0) - expected)) < 1e-6
 
     def test_marginal_integrates_to_norm(self, two_packet_state, spec512):
         marg = marginal_density(two_packet_state, 0)
@@ -181,12 +161,12 @@ class TestGridBranchAgreement:
         # separation 20 sigma, width sigma/100: marginal branch masses must
         # equal the BranchState weights to 1e-6
         sigma = 1.0
-        spec = GridSpec(-12.0, 32.0, 2**14, 1)
+        spec = GridSpec(-12.0, 32.0, 2**14)
         psi = make_grid_wavefunction(
             spec,
             [
-                Packet((0.0,), sigma / 100.0, np.sqrt(0.73)),
-                Packet((20.0,), sigma / 100.0, np.sqrt(0.27)),
+                Packet(0.0, sigma / 100.0, np.sqrt(0.73)),
+                Packet(20.0, sigma / 100.0, np.sqrt(0.27)),
             ],
         )
         x = spec.points()
@@ -231,12 +211,12 @@ def test_branch_weights_always_sum_to_one(raw):
 )
 @settings(max_examples=25, deadline=None)
 def test_constructed_states_are_normalized(c1, width, center):
-    spec = GridSpec(-25.6, 25.6, 256, 1)
+    spec = GridSpec(-25.6, 25.6, 256)
     psi = make_grid_wavefunction(
         spec,
         [
-            Packet((center,), width, np.sqrt(c1)),
-            Packet((-center,), width, 1j * np.sqrt(1.0 - c1)),
+            Packet(center, width, np.sqrt(c1)),
+            Packet(-center, width, 1j * np.sqrt(1.0 - c1)),
         ],
     )
     assert abs(norm_squared(psi) - 1.0) < 1e-10
