@@ -585,11 +585,15 @@ def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
 
 
 def martingale_test(summary: EnsembleSummary) -> StatRecord:
-    """Mean first-branch weight at the horizon vs its start value."""
-    config = summary.config
+    """Mean first-branch weight at the horizon vs its start value.
+
+    The SE is the target law's, sqrt(c1_sq (1 - c1_sq) / n): w1 lies in
+    [0, 1] with mean c1_sq, so c1_sq (1 - c1_sq) bounds its variance.  The
+    sample SD would read 0 when every run ends in one branch.
+    """
     values = np.array([t.final_weights[0][0] for t in summary.trajectories])
-    target = config.c1_sq
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    target = summary.config.c1_sq
+    se = math.sqrt(target * (1.0 - target) / values.size)
     return z_record(
         "martingale_w1_final",
         float(values.mean()),

@@ -2,6 +2,8 @@ import concurrent.futures
 import functools
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,19 @@ class TestRunEnsemble:
                 "selection_frequency"} <= names
         assert summary.failures == 0
         assert "event_count" in summary.histograms
+
+    def test_martingale_passes_the_readme_example_at_every_seed(self):
+        # c1_sq = 0.99: about 0.99^100 = 37% of 100-run ensembles end with
+        # every run in the in-box branch, where a sample-SD SE read 0 and z inf
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```\n(# cat\.cfg\n.*?)```", readme, re.DOTALL).group(1)
+        config = parse_scenario_text(block, source="README")
+        assert config.c1_sq == 0.99
+        for seed in range(10):
+            summary = run_ensemble(config, 100, master_seed=seed)
+            rec = next(r for r in summary.records if r.name == "martingale_w1_final")
+            assert rec.se == math.sqrt(0.99 * (1.0 - 0.99) / 100)
+            assert math.isfinite(rec.z) and rec.passed, seed
 
     def test_symmetric_selection(self):
         summary = run_ensemble(_cat_config(c1=0.5), 2000, master_seed=51)
