@@ -7,8 +7,9 @@ random, draws a collapse center X from the operator-completeness density
 ``p(X) = ||L_{k,X} psi||^2``, and applies the collapse.  On the grid, p is
 the particle's position density convolved with ``g^2``, so X is drawn as a
 sample of that density (a cell center) plus Normal(0, sigma^2 / 2) noise: a
-point of the real line, and no convolution runs.  ``collapse_center_density`` tabulates
-p at the cell centers for the acceptance checks and for users.
+point of the real line, and no convolution runs.
+``collapse_center_density`` tabulates p at the cell centers for the
+acceptance checks and for users.
 
 The grid holds one particle, so a grid jump collapses it.  Grid
 trajectories run in lockstep chunks (``run_grid_chunk``): the rows of one
@@ -80,10 +81,10 @@ UNDERFLOW_FLOOR = 1e-150
 _KERNEL_REACH = 9.0
 
 # Grid cells run_grid_chunk advances at once: 16 trajectories at 512 points.
-# Each row costs a few copies of its amplitudes, so
-# the chunk is kept small: on the grid_free benchmark config, 16, 32 and 64
-# rows raised peak RSS by 1.1, 2.3 and 4.8 MB over 36.4 MB, and 32 or 64
-# rows were at most 3% faster than 16.
+# Each row costs a few copies of its amplitudes, so the chunk is kept small:
+# on the grid_free benchmark config, 16, 32 and 64 rows raised peak RSS by
+# 1.1, 2.3 and 4.8 MB over 36.4 MB, and 32 or 64 rows were at most 3%
+# faster than 16.
 GRID_CHUNK_CELLS = 8192
 
 

@@ -54,6 +54,7 @@ class GridSpec:
 
     @property
     def num_particles(self) -> int:
+        """Always 1; kept so that code written for both state kinds can read it."""
         return 1
 
     @property

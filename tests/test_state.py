@@ -46,9 +46,6 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(**kwargs)
 
-    def test_holds_one_particle(self, spec512, two_packet_state):
-        assert spec512.num_particles == two_packet_state.num_particles == 1
-
     def test_points_cached_read_only(self, spec512):
         x = spec512.points()
         assert spec512.points() is x
