@@ -166,9 +166,7 @@ def criterion_9_tail_fact():
     box = Region(-10.0, 10.0)
     c2 = 0.1
     # branch model
-    state = BranchSystems(
-        [BranchState.from_weights(("inside", "outside"), (1.0 - c2, c2), [[0.0], [30.0]])]
-    )
+    state = BranchSystems([BranchState.from_weights(("inside", "outside"), (1.0 - c2, c2), [0.0, 30.0])])
     cfg = ScenarioConfig(
         kind=ScenarioKind.MARBLES, c1_sq=1.0 - c2, box=box, ontology=Ontology.GRWM
     )

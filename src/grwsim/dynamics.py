@@ -29,12 +29,12 @@ coordinate by ``g(u) = (pi sigma^2)^(-1/4) exp(-u^2 / (2 sigma^2))`` with
 variance ``sigma^2 / 2``, so ``int p(X) dX = 1`` exactly and the expected
 branch weights are conserved event by event (the Born martingale).
 
-For point-anchored branches the same rule reduces to the closed form
-``w_i' proportional to w_i * exp(-(a_ik - X)^2 / sigma^2)``, applied here in
-log space, and X is drawn from ``sum_i w_i Normal(a_ik, sigma^2 / 2)``.
+A branch system is one particle with one point anchor a_i per branch.  The
+rule reduces there to ``w_i' proportional to w_i * exp(-(a_i - X)^2 / sigma^2)``,
+applied in log space, and X is drawn from ``sum_i w_i Normal(a_i, sigma^2 / 2)``.
 Both steps are written once, on plain Python floats (``_draw_center`` and
-``_posterior``, the branch kernel), over one system's log-weight list and
-the collapsed particle's anchor list.
+``_posterior``, the branch kernel), over one system's log-weight and anchor
+lists.
 
 A trajectory is recorded as columns, one entry per collapse: the event
 times, the collapsed particles and the collapse centers.  They are its
@@ -49,11 +49,11 @@ record's come from that column, and a grid record rebuilds its marginal
 summaries by replaying its columns.
 The per-event primitives ``sample_collapse_center`` and
 ``branch_collapse_update`` act on one system (a ``GridWaveFunction`` or
-one ``BranchState``) and a particle of it; on a ``BranchState`` they are
+one ``BranchState``) and its particle 0; on a ``BranchState`` they are
 thin wrappers over the branch kernel.  The run loop and the replay call
 the kernel directly, on the lists that ``_branch_lists`` reads once per
-trajectory, and they alone map a global particle to its system (through
-``BranchSystems._owners``).
+trajectory.  Every system is one particle, so a trajectory's particle k is
+its system k.
 """
 
 from __future__ import annotations
@@ -162,27 +162,20 @@ class BranchSystems:
     """Non-interacting branch systems sharing one collapse clock.
 
     The trajectory state of every branch scenario: a cat or a tail is one
-    system, n marbles are n systems.  Global particle indices run over the
-    systems in order; with one particle per system the particle index is the
-    system index.
+    system, n marbles are n systems.  Each system is one particle, so the
+    particle index is the system index.
     """
 
     systems: list[BranchState]
-    # global particle -> (system, local particle); fixed at construction
-    _owners: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._owners = [
-            (i, k) for i, s in enumerate(self.systems) for k in range(s.num_particles)
-        ]
 
     @property
     def num_particles(self) -> int:
-        return len(self._owners)
+        return len(self.systems)
 
+    # (system, local particle) = (particle, 0); kept only for grwbench, which counts it by name
     def locate(self, particle: int) -> tuple[int, int]:
-        check_particle(particle, len(self._owners))
-        return self._owners[particle]
+        check_particle(particle, len(self.systems))
+        return particle, 0
 
     def copy(self) -> "BranchSystems":
         return BranchSystems([s.copy() for s in self.systems])
@@ -243,16 +236,14 @@ class TrajectoryRecord:
                 f"branch record holds {len(self.post_log_weights)} post-collapse weight rows "
                 f"for {len(self.times)} collapses"
             )
-        owners = initial._owners
-        if self.particles and not (0 <= min(self.particles) and max(self.particles) < len(owners)):
-            raise ConfigError(f"branch record has a particle index out of range for N={len(owners)}")
         log_w = [s.log_weights.tolist() for s in initial.systems]
+        if self.particles and not (0 <= min(self.particles) and max(self.particles) < len(log_w)):
+            raise ConfigError(f"branch record has a particle index out of range for N={len(log_w)}")
         weights = [tuple([math.exp(v) for v in lw]) for lw in log_w + self.post_log_weights]
         latest, pre = list(range(len(log_w))), []  # each system's latest position in weights
         for i, k in enumerate(self.particles, start=len(log_w)):
-            system = owners[k][0]
-            pre.append(latest[system])
-            latest[system] = i
+            pre.append(latest[k])
+            latest[k] = i
         return weights, pre
 
 
@@ -319,15 +310,14 @@ def branch_collapse_update(
     center: float,
     sigma: float,
 ) -> BranchState:
-    """Closed-form posterior for point anchors: w_i' ~ w_i exp(-(a_ik - X)^2 / sigma^2).
+    """Closed-form posterior for point anchors: w_i' ~ w_i exp(-(a_i - X)^2 / sigma^2).
 
     Computed in log space, so any finite number of updates leaves every
     initially positive weight positive.  Zero weights are absorbing.
     """
-    check_particle(particle, state.num_particles)
+    check_particle(particle, 1)
     _warn_if_close(state, sigma)
-    anchors = state.anchors[:, particle].tolist()
-    log_w = _posterior(state.log_weights.tolist(), anchors, center, 1.0 / (sigma * sigma))
+    log_w = _posterior(state.log_weights.tolist(), state.anchors.tolist(), center, 1.0 / (sigma * sigma))
     return BranchState(state.labels, np.array(log_w), state.anchors)
 
 
@@ -342,16 +332,14 @@ def sample_collapse_center(
     normal adds the noise; X is a point of the real line, not a cell center,
     and may fall outside the grid.  Its law is the continuous density whose
     values at the cell centers collapse_center_density tabulates.  Branch
-    model: the Gaussian mixture sum_i w_i Normal(a_ik, sigma^2 / 2) of the
+    model: the Gaussian mixture sum_i w_i Normal(a_i, sigma^2 / 2) of the
     system's branches.
     """
     if isinstance(state, GridWaveFunction):  # marginal_density checks the particle
         cell = _pick_cells(marginal_density(state, particle)[None], np.array([rng.random()]))[0]
         return float(rng.normal(state.spec.points()[cell], sigma * _INV_SQRT2))
-    check_particle(particle, state.num_particles)
-    return _draw_center(
-        state.log_weights.tolist(), state.anchors[:, particle].tolist(), sigma * _INV_SQRT2, rng
-    )
+    check_particle(particle, 1)
+    return _draw_center(state.log_weights.tolist(), state.anchors.tolist(), sigma * _INV_SQRT2, rng)
 
 
 def _pick_cells(marginals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -373,7 +361,7 @@ def _pick_cells(marginals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 def _draw_center(
     log_weights: list[float], anchors: list[float], spread: float, rng: np.random.Generator
 ) -> float:
-    """X from sum_i w_i Normal(a_i, spread^2), with a_i the collapsed particle's anchors.
+    """X from sum_i w_i Normal(a_i, spread^2), with a_i the system's anchors.
 
     One uniform picks a branch by weight, then one normal draws X.
     """
@@ -408,12 +396,9 @@ def _posterior(
     return [v - total for v in new_log]
 
 
-def _branch_lists(state: BranchSystems) -> tuple[list[list[float]], list[list[float]], list[int]]:
-    """The kernel's view of branch systems: each system's log-weights, each global
-    particle's anchors (one per branch of its system) and each global particle's system."""
-    log_w = [s.log_weights.tolist() for s in state.systems]
-    anchors = [col for s in state.systems for col in s.anchors.T.tolist()]
-    return log_w, anchors, [system for system, _ in state._owners]
+def _branch_lists(state: BranchSystems) -> tuple[list[list[float]], list[list[float]]]:
+    """The kernel's view of branch systems: each system's log-weights and anchors."""
+    return [s.log_weights.tolist() for s in state.systems], [s.anchors.tolist() for s in state.systems]
 
 
 def _branch_systems(template: BranchSystems, log_w: list[list[float]]) -> BranchSystems:
@@ -507,9 +492,9 @@ def run_trajectory(
         return run_grid_chunk(initial_state, params, [stream])[0]
     for s in initial_state.systems:
         _warn_if_close(s, params.sigma)
-    log_w, anchors, system_of = _branch_lists(initial_state)
+    log_w, anchors = _branch_lists(initial_state)
     times, particles, centers, post_log_weights, diagnostic = _run_branches(
-        log_w, anchors, system_of, params, stream.generator()
+        log_w, anchors, params, stream.generator()
     )
     return TrajectoryRecord(
         params=params,
@@ -613,8 +598,7 @@ def run_grid_chunk(
 
 
 def _run_branches(
-    log_w: list[list[float]], anchors: list[list[float]], system_of: list[int],
-    params: GrwParams, rng: np.random.Generator,
+    log_w: list[list[float]], anchors: list[list[float]], params: GrwParams, rng: np.random.Generator
 ) -> tuple:
     """run_trajectory's branch arm on _branch_lists' view:
     (times, particles, centers, post_log_weights, diagnostic).
@@ -639,17 +623,16 @@ def _run_branches(
         if t_next > total_time:
             return times, particles, centers, post_log_weights, None
         particle = int(integers(n)) if n > 1 else 0
-        system = system_of[particle]
         try:
-            center = _draw_center(log_w[system], anchors[particle], spread, rng)
-            log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
+            center = _draw_center(log_w[particle], anchors[particle], spread, rng)
+            log_w[particle] = _posterior(log_w[particle], anchors[particle], center, inv_var)
         except NumericsError as exc:
             diagnostic = f"event {len(times)} at t={t_next:.6g}: {exc}"
             return times, particles, centers, post_log_weights, diagnostic
         times.append(t_next)
         particles.append(particle)
         centers.append(center)
-        post_log_weights.append(log_w[system])
+        post_log_weights.append(log_w[particle])
         t = t_next
 
 
@@ -689,12 +672,11 @@ def replay_state_at(
             pass
         t_prev = upto_t[-1][0] if upto_t else 0.0
         return evolve_unitary(state, t - t_prev, params.hamiltonian)
-    log_w, anchors, system_of = _branch_lists(initial_state)
+    log_w, anchors = _branch_lists(initial_state)
     inv_var = 1.0 / (params.sigma * params.sigma)
     for _, particle, center in upto_t:
         check_particle(particle, len(anchors))
-        system = system_of[particle]
-        log_w[system] = _posterior(log_w[system], anchors[particle], center, inv_var)
+        log_w[particle] = _posterior(log_w[particle], anchors[particle], center, inv_var)
     return _branch_systems(initial_state, log_w)
 
 

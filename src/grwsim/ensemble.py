@@ -149,9 +149,8 @@ def _flash_columns(record: TrajectoryRecord, prehistory: FlashColumns) -> list[t
     systems = _systems(record.initial_state)
     if len(systems) == 1:
         return [(times, centers)]
-    # global particle -> system; a stable sort by system keeps each system's flashes in time order
-    owner = np.repeat(np.arange(len(systems)), [s.num_particles for s in systems])
-    system = owner[np.concatenate((prehistory[1], np.asarray(record.particles, dtype=int)))]
+    # particle k is system k; a stable sort by system keeps each system's flashes in time order
+    system = np.concatenate((prehistory[1], np.asarray(record.particles, dtype=int)))
     order = np.argsort(system, kind="stable")
     times, centers = times[order], centers[order]
     ends = np.cumsum(np.bincount(system, minlength=len(systems))).tolist()

@@ -3,8 +3,9 @@
 Scenario configs are flat ``key = value`` text; ``#`` or ``;`` starts a
 comment.  Every key maps one-to-one onto a field of ScenarioConfig,
 GrwParams, Hamiltonian or the box, and unknown keys are hard errors with
-line numbers (typos must not become silent defaults).  Keys a file leaves
-out take those classes' own defaults.
+line numbers (typos must not become silent defaults).  So are the grid
+keys (GRID_KEYS) unless ``backend = grid``: no branch run reads them.  Keys
+a file leaves out take those classes' own defaults.
 
 Outputs: collapse events as JSON Lines, flashes and matter-density
 snapshots as flat CSV, ensemble summaries as a six-column CSV plus a richer
@@ -67,11 +68,14 @@ _SCHEMA: dict[str, Callable[[str], object]] = {
     "hamiltonian": lambda s: s.strip().lower(),
     "mass": float,
 }
+# the keys only build_scenario's grid arm reads
+GRID_KEYS = ("packet_width", "grid_points", "x_min", "x_max")
 
 
 def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse flat key=value scenario text into a validated ScenarioConfig."""
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = re.split("[#;]", raw_line, maxsplit=1)[0].strip()
         if not line:
@@ -90,6 +94,11 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(
                 f"{source}:{lineno}: bad value for {key!r}: {raw_value.strip()!r} ({exc})"
             ) from exc
+        line_of[key] = lineno
+    grid_keys = sorted((line_of[key], key) for key in GRID_KEYS if key in values)
+    if grid_keys and values.get("backend", ScenarioConfig.backend) != "grid":
+        lineno, key = grid_keys[0]
+        raise ConfigError(f"{source}:{lineno}: key {key!r} applies only to backend = grid")
 
     def take(**keys: str) -> dict[str, object]:
         # field name -> value, for the fields whose config key the file sets

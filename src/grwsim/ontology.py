@@ -58,11 +58,10 @@ def _rasterize_branches(
     """Add each branch anchor as a single-cell spike; off-grid anchors add nothing."""
     w = state.weights
     for i in range(state.num_branches):
-        for k in range(state.num_particles):
-            a = state.anchors[i, k]
-            idx = int(np.round((a - grid[0]) / dx))
-            if 0 <= idx < grid.size and abs(a - grid[idx]) <= 0.5 * dx + 1e-12:
-                values[idx] += w[i] * mass / dx
+        a = state.anchors[i]
+        idx = int(np.round((a - grid[0]) / dx))
+        if 0 <= idx < grid.size and abs(a - grid[idx]) <= 0.5 * dx + 1e-12:
+            values[idx] += w[i] * mass / dx
 
 
 def matter_density(

@@ -48,7 +48,7 @@ def grid_branch_crosscheck(n_cases: int = 100, seed: int = 0) -> float:
         anchors = np.array([0.0, d])
         x_center = _sample_mixture_center(weights, anchors, sigma, rng)
 
-        branch = BranchState.from_weights(("a", "b"), weights, [[0.0], [d]])
+        branch = BranchState.from_weights(("a", "b"), weights, [0.0, d])
         post_branch = branch_collapse_update(branch, 0, x_center, sigma).weights
 
         # grid path: two narrow packets, posterior mass on each side of the midpoint

@@ -277,10 +277,7 @@ def build_scenario(config: ScenarioConfig, rng: np.random.Generator | None = Non
         )
     else:
         state = BranchSystems(
-            [
-                BranchState.from_weights(config.labels, weights, [[a_in], [a_out]])
-                for _ in range(config.n_marbles)
-            ]
+            [BranchState.from_weights(config.labels, weights, [a_in, a_out]) for _ in range(config.n_marbles)]
         )
 
     if config.history is not History.COLLAPSED_PAST:
@@ -309,10 +306,10 @@ def branch_box_fraction(state: BranchState, box: Region) -> float:
     """Mass fraction in the box for point anchors, without rasterizing.
 
     Equals mass_fraction_in_region over a covering grid: each branch puts
-    weight w_i on its anchors, averaged over the equal-mass particles.
+    weight w_i on its anchor.
     """
     inside = (state.anchors >= box.lower) & (state.anchors <= box.upper)
-    return float(np.sum(state.weights[:, None] * inside) / state.num_particles)
+    return float(np.sum(state.weights * inside))
 
 
 def classify_branch_grwm(state: BranchState, box: Region, theta_m: float) -> Verdict:

@@ -6,8 +6,8 @@ Two interoperable representations:
   discretized 1-D grid (midpoint cells).  The exact-dynamics substrate of
   one-particle GRW dynamics; macroscopic superpositions of many particles
   are branch states.
-* ``BranchState`` -- finitely many macroscopically distinct branches, each a
-  weight plus one point anchor per particle.  The analytic fast path for
+* ``BranchState`` -- one particle in finitely many macroscopically distinct
+  branches, each a weight plus one point anchor.  The analytic fast path for
   superpositions with widely separated components; weights are kept in log
   space so that no finite number of collapses can drive a positive weight to
   exactly zero.
@@ -198,7 +198,7 @@ def _normalized_log_weights(log_w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BranchState:
-    """Weights and point anchors of macroscopically distinct branches.
+    """Weights and point anchors of one particle's macroscopically distinct branches.
 
     ``log_weights`` is the canonical storage (normalized so the exponentials
     sum to 1); the ``weights`` property is a float64 view that may underflow
@@ -207,19 +207,16 @@ class BranchState:
 
     labels: tuple[str, ...]
     log_weights: np.ndarray
-    anchors: np.ndarray  # shape (num_branches, num_particles)
+    anchors: np.ndarray  # shape (num_branches,): the particle's point in each branch
 
     @classmethod
     def from_weights(
-        cls,
-        labels: Sequence[str],
-        weights: Sequence[float],
-        anchors: Sequence[Sequence[float]],
+        cls, labels: Sequence[str], weights: Sequence[float], anchors: Sequence[float]
     ) -> "BranchState":
         w = np.asarray(weights, dtype=float)
-        a = np.atleast_2d(np.asarray(anchors, dtype=float))
-        if len(labels) != w.size or a.shape[0] != w.size:
-            raise ConfigError("labels, weights and anchors must have matching lengths")
+        a = np.asarray(anchors, dtype=float)
+        if len(labels) != w.size or a.shape != (w.size,):
+            raise ConfigError(f"need one label, weight and anchor per branch; anchors have shape {a.shape}")
         if np.any(w < 0):
             raise ConfigError("branch weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -236,17 +233,10 @@ class BranchState:
     def num_branches(self) -> int:
         return len(self.labels)
 
-    @property
-    def num_particles(self) -> int:
-        return self.anchors.shape[1]
-
     def separation(self) -> float:
-        """Min over branch pairs and particles of the anchor distance (inf below 2 branches)."""
+        """Min over branch pairs of the anchor distance (inf below 2 branches)."""
         # plain floats: run_trajectory asks this of every system of every trajectory
-        return min(
-            (abs(a - b) for col in self.anchors.T.tolist() for a, b in combinations(col, 2)),
-            default=math.inf,
-        )
+        return min((abs(a - b) for a, b in combinations(self.anchors.tolist(), 2)), default=math.inf)
 
     def copy(self) -> "BranchState":
         return BranchState(self.labels, self.log_weights.copy(), self.anchors.copy())

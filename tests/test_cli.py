@@ -237,6 +237,18 @@ class TestConfigErrors:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["grid_points = 0", "x_min = 40", "x_max = 55", "packet_width = 1e-9"])
+    def test_grid_key_on_branch_config_rejected(self, tmp_path, capsys, line):
+        # no branch run reads the grid keys; a cat that set them used to exit 0
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kind = cat\nbackend = branch\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--trajectories", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.cfg:3: key {key!r}" in err and "backend = grid" in err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -170,13 +170,13 @@ class TestApplyCollapseGrid:
 
 class TestBranchCollapseUpdate:
     def test_midpoint_center_is_symmetric(self):
-        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [10.0]])
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 10.0])
         post = branch_collapse_update(state, 0, 5.0, 1.0)
         assert np.allclose(post.weights, (0.5, 0.5), atol=1e-12)
 
     def test_posterior_formula(self):
         # direct evaluation: w1' = 0.7 / (0.7 + 0.3 exp(-100))
-        state = BranchState.from_weights(("a", "b"), (0.7, 0.3), [[0.0], [10.0]])
+        state = BranchState.from_weights(("a", "b"), (0.7, 0.3), [0.0, 10.0])
         post = branch_collapse_update(state, 0, 0.0, 1.0)
         expected_w2 = 0.3 * math.exp(-100.0) / (0.7 + 0.3 * math.exp(-100.0))
         assert post.weights[1] == pytest.approx(expected_w2, rel=1e-9)
@@ -185,7 +185,7 @@ class TestBranchCollapseUpdate:
     def test_cross_check_against_grid(self):
         # same collapse through both models at a center between the branches
         sigma, d, x_center = 1.0, 15.0, 6.0
-        state = BranchState.from_weights(("a", "b"), (0.6, 0.4), [[0.0], [d]])
+        state = BranchState.from_weights(("a", "b"), (0.6, 0.4), [0.0, d])
         post_branch = branch_collapse_update(state, 0, x_center, sigma).weights
 
         spec = GridSpec(-10.0, d + 10.0, 2**14)
@@ -203,30 +203,37 @@ class TestBranchCollapseUpdate:
         assert abs(left - post_branch[0]) < 1e-6
 
     def test_zero_weight_is_absorbing(self):
-        state = BranchState.from_weights(("a", "b"), (1.0, 0.0), [[0.0], [20.0]])
+        state = BranchState.from_weights(("a", "b"), (1.0, 0.0), [0.0, 20.0])
         post = branch_collapse_update(state, 0, 17.3, 1.0)
         assert post.weights[1] == 0.0
 
     def test_no_extinction_after_many_updates(self):
-        state = BranchState.from_weights(("a", "b"), (0.7, 0.3), [[0.0], [20.0]])
+        state = BranchState.from_weights(("a", "b"), (0.7, 0.3), [0.0, 20.0])
         for _ in range(200):
             state = branch_collapse_update(state, 0, 0.0, 1.0)
         assert np.all(np.isfinite(state.log_weights))  # loser survives in log space
 
     def test_overflowing_center_raises(self):
-        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [20.0]])
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 20.0])
         with pytest.raises(NumericsError):
             branch_collapse_update(state, 0, 1e200, 1.0)
 
     def test_close_branches_warn(self):
-        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [2.0]])
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 2.0])
         with pytest.warns(UserWarning, match="separation"):
             branch_collapse_update(state, 0, 1.0, 1.0)
+
+    def test_particle_out_of_range(self):
+        # a branch system is one particle
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 20.0])
+        for particle in (-1, 1):
+            with pytest.raises(ConfigError):
+                branch_collapse_update(state, particle, 0.0, 1.0)
 
 
 class TestSampleCollapseCenter:
     def test_single_branch_variance(self):
-        state = BranchState.from_weights(("only",), (1.0,), [[0.0]])
+        state = BranchState.from_weights(("only",), (1.0,), [0.0])
         rng = _rng(11)
         draws = np.array(
             [sample_collapse_center(state, 0, 1.0, rng) for _ in range(1_000_000)]
@@ -234,7 +241,7 @@ class TestSampleCollapseCenter:
         assert abs(draws.var() - 0.5) < 0.01
 
     def test_mixture_fractions(self):
-        state = BranchState.from_weights(("a", "b"), (0.9, 0.1), [[-20.0], [20.0]])
+        state = BranchState.from_weights(("a", "b"), (0.9, 0.1), [-20.0, 20.0])
         rng = _rng(12)
         n = 100_000
         draws = np.array([sample_collapse_center(state, 0, 1.0, rng) for _ in range(n)])
@@ -243,7 +250,7 @@ class TestSampleCollapseCenter:
         assert abs(frac - 0.9) < 4.0 * se
 
     def test_particle_out_of_range(self):
-        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [20.0]])
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 20.0])
         for particle in (-1, 1):
             with pytest.raises(ConfigError):
                 sample_collapse_center(state, particle, 1.0, _rng(14))
@@ -374,7 +381,7 @@ class TestEvolveUnitary:
 
 
 def _branch_state(c1=0.7):
-    return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [[0.0], [30.0]])
+    return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [0.0, 30.0])
 
 
 def _branch_pair(c1=0.7):
@@ -422,7 +429,7 @@ class TestRunTrajectory:
 
     def test_close_initial_branches_warn(self):
         # 2 sigma apart: the warning names the caller of run_trajectory
-        state = BranchSystems([BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [2.0]])])
+        state = BranchSystems([BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 2.0])])
         with pytest.warns(UserWarning, match="separation") as caught:
             run_trajectory(state, GrwParams(total_time=1.0), RngStream(0, 0))
         assert caught[0].filename == __file__
@@ -441,6 +448,9 @@ class TestRunTrajectory:
     def test_marble_systems_independent(self):
         systems = BranchSystems([_branch_state(0.9) for _ in range(4)])
         params = GrwParams(total_time=30.0)
+        assert [systems.locate(p) for p in range(4)] == [(p, 0) for p in range(4)]
+        with pytest.raises(ConfigError):
+            systems.locate(4)
         rec = run_trajectory(systems, params, RngStream(91, 0))
         assert rec.final_state.num_particles == 4
         particles = {e.particle for e in rec.events}
@@ -487,28 +497,24 @@ class TestRunTrajectory:
         for s, before in zip(initial.systems, log_weights_before):
             assert np.array_equal(s.log_weights, before)
 
-    def test_mixed_particle_counts(self):
-        # one 2-particle system (particles 0, 1) and one 1-particle system (2)
-        pair = BranchState.from_weights(("a", "b"), (0.6, 0.4), [[0.0, 100.0], [30.0, 130.0]])
-        initial = BranchSystems([pair, _branch_state(0.8)])
-        assert [initial.locate(p) for p in range(3)] == [(0, 0), (0, 1), (1, 0)]
-        with pytest.raises(ConfigError):
-            initial.locate(3)
-        params = GrwParams(total_time=20.0)
-        rec = run_trajectory(initial, params, RngStream(94, 0))
-        assert rec.final_state.num_particles == 3
-        assert {e.particle for e in rec.events} == {0, 1, 2}
-        for e in rec.events:
-            assert len(e.pre_weights) == 2 and len(e.post_weights) == 2
-        replayed = replay_state_at(initial, params, rec.events, params.total_time)
-        for a, b in zip(replayed.systems, rec.final_state.systems):
-            assert np.array_equal(a.log_weights, b.log_weights)
-        no_prehistory = (np.empty(0), np.empty(0, dtype=int), np.empty(0))
-        (times_0, centers_0), (times_1, centers_1) = _flash_columns(rec, no_prehistory)
-        assert times_0.tolist() == [e.time for e in rec.events if e.particle < 2]
-        assert centers_0.tolist() == [e.center for e in rec.events if e.particle < 2]
-        assert times_1.tolist() == [e.time for e in rec.events if e.particle == 2]
-        assert centers_1.tolist() == [e.center for e in rec.events if e.particle == 2]
+    def test_flash_columns_split_by_system(self):
+        # two marbles after a collapsed past: particle k is system k, and each
+        # system's column is its prehistory, then its run flashes, in time order
+        config = ScenarioConfig(
+            kind=ScenarioKind.MARBLES, n_marbles=2, ontology=Ontology.GRWF,
+            history=History.COLLAPSED_PAST, params=GrwParams(total_time=20.0),
+        )
+        scenario = build_scenario(config, RngStream(94, 2**48).generator())
+        rec = run_trajectory(scenario.initial_state, config.params, RngStream(94, 0))
+        pre_times, pre_particles, pre_centers = scenario.prehistory
+        columns = _flash_columns(rec, scenario.prehistory)
+        assert len(columns) == 2
+        for k, (times, centers) in enumerate(columns):
+            run = [(t, x) for t, p, x in zip(rec.times, rec.particles, rec.centers) if p == k]
+            assert 0 < len(run) and 0 < np.count_nonzero(pre_particles == k)
+            assert times.tolist() == pre_times[pre_particles == k].tolist() + [t for t, _ in run]
+            assert centers.tolist() == pre_centers[pre_particles == k].tolist() + [x for _, x in run]
+            assert np.all(np.diff(times) >= 0)
 
 
 # The first 8 (time, particle, center) triples of RngStream(2024, 7), recorded
@@ -572,14 +578,14 @@ class TestRandomStream:
 
 
 
-# The per-event branch code from before the plain-float kernel, verbatim:
-# numpy-backed BranchState updates, the mixture sampler and the step loop.
-# The kernel must reproduce it bit for bit.
-def _reference_update(state, particle, center, sigma):
+# The per-event branch code from before the plain-float kernel: numpy-backed
+# BranchState updates, the mixture sampler and the step loop, on one-particle
+# systems.  The kernel must reproduce it bit for bit.
+def _reference_update(state, center, sigma):
     inv = 1.0 / (sigma * sigma)
     new_log = [
         lw - (a - center) * (a - center) * inv
-        for lw, a in zip(state.log_weights.tolist(), state.anchors[:, particle].tolist())
+        for lw, a in zip(state.log_weights.tolist(), state.anchors.tolist())
     ]
     peak = max(new_log)
     if not math.isfinite(peak):
@@ -590,7 +596,7 @@ def _reference_update(state, particle, center, sigma):
     return BranchState(state.labels, np.array([v - total for v in new_log]), state.anchors)
 
 
-def _reference_center(state, particle, sigma, rng):
+def _reference_center(state, sigma, rng):
     weights = [math.exp(v) for v in state.log_weights.tolist()]
     u = rng.random() * sum(weights)
     idx = len(weights) - 1
@@ -600,7 +606,7 @@ def _reference_center(state, particle, sigma, rng):
         if u <= acc:
             idx = j
             break
-    return float(rng.normal(state.anchors[idx, particle], sigma * (1.0 / math.sqrt(2.0))))
+    return float(rng.normal(state.anchors[idx], sigma * (1.0 / math.sqrt(2.0))))
 
 
 def _reference_weights(system):
@@ -621,11 +627,10 @@ def _reference_run(initial_state, params, stream):
             break
         # integers(1) consumes no bits, so skipping it leaves the stream unchanged
         particle = int(rng.integers(n)) if n > 1 else 0
-        sys_idx, local = state.locate(particle)
-        system = state.systems[sys_idx]
-        center = _reference_center(system, local, sigma, rng)
-        after = _reference_update(system, local, center, sigma)
-        state.systems[sys_idx] = after
+        system = state.systems[particle]
+        center = _reference_center(system, sigma, rng)
+        after = _reference_update(system, center, sigma)
+        state.systems[particle] = after
         events.append(
             CollapseEvent(t_next, particle, center, _reference_weights(system), _reference_weights(after))
         )
@@ -637,11 +642,9 @@ def _reference_run(initial_state, params, stream):
 
 
 def _hand_built_systems():
-    # 3 branches of 2 particles (global 0, 1) and a 2-branch marble (global 2)
-    pair = BranchState.from_weights(
-        ("a", "b", "c"), (0.5, 0.3, 0.2), [[0.0, 100.0], [15.0, 140.0], [-20.0, 160.0]]
-    )
-    return BranchSystems([pair, _branch_state(0.8)]), GrwParams(lambda_eff=0.7, sigma=1.3, total_time=15.0)
+    # a 3-branch system (particle 0) and a 2-branch marble (particle 1)
+    triple = BranchState.from_weights(("a", "b", "c"), (0.5, 0.3, 0.2), [0.0, 15.0, -20.0])
+    return BranchSystems([triple, _branch_state(0.8)]), GrwParams(lambda_eff=0.7, sigma=1.3, total_time=15.0)
 
 
 def _scenario_case(config):
@@ -661,7 +664,7 @@ _REFERENCE_CASES = {
             kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=3, params=GrwParams(total_time=20.0)
         )
     ),
-    "three_branches_two_particles": _hand_built_systems,
+    "three_branches": _hand_built_systems,
 }
 
 
@@ -690,15 +693,14 @@ class TestBranchKernelMatchesReference:
     def test_primitives(self):
         rng = _rng(31)
         state, _ = _hand_built_systems()
-        pair = state.systems[0]
+        triple = state.systems[0]
         for _ in range(200):
-            particle = int(rng.integers(2))
             draw_seed = int(rng.integers(2**32))
-            center = sample_collapse_center(pair, particle, 1.3, _rng(draw_seed))
-            assert center == _reference_center(pair, particle, 1.3, _rng(draw_seed))
-            post = branch_collapse_update(pair, particle, center, 1.3)
-            assert post.log_weights.tolist() == _reference_update(pair, particle, center, 1.3).log_weights.tolist()
-            pair = post
+            center = sample_collapse_center(triple, 0, 1.3, _rng(draw_seed))
+            assert center == _reference_center(triple, 1.3, _rng(draw_seed))
+            post = branch_collapse_update(triple, 0, center, 1.3)
+            assert post.log_weights.tolist() == _reference_update(triple, center, 1.3).log_weights.tolist()
+            triple = post
 
 def _stepwise_events(initial, params, rec, summary):
     """The event log read off replay_state_at one event at a time."""
@@ -721,7 +723,7 @@ class TestEventLog:
         assert rec.num_events > 10
 
         def weights(state, particle):
-            return tuple(state.systems[state.locate(particle)[0]].weights.tolist())
+            return tuple(state.systems[particle].weights.tolist())
 
         assert rec.events == _stepwise_events(initial, params, rec, weights)
 
@@ -756,15 +758,14 @@ def _posterior_oracle(record):
     inv_var = 1.0 / (record.params.sigma * record.params.sigma)
     posts, events = [], []
     for t, particle, center in zip(record.times, record.particles, record.centers):
-        system, local = systems.locate(particle)
-        anchors = systems.systems[system].anchors[:, local].tolist()
-        pre = log_w[system]
-        log_w[system] = dynamics._posterior(pre, anchors, center, inv_var)
-        posts.append(log_w[system])
+        anchors = systems.systems[particle].anchors.tolist()
+        pre = log_w[particle]
+        log_w[particle] = dynamics._posterior(pre, anchors, center, inv_var)
+        posts.append(log_w[particle])
         events.append(
             CollapseEvent(
                 t, particle, center,
-                tuple([math.exp(v) for v in pre]), tuple([math.exp(v) for v in log_w[system]]),
+                tuple([math.exp(v) for v in pre]), tuple([math.exp(v) for v in log_w[particle]]),
             )
         )
     return posts, events
@@ -1052,7 +1053,7 @@ class TestOneStepMartingale:
 )
 @settings(max_examples=50, deadline=None)
 def test_branch_update_preserves_normalization(w1, x_center):
-    state = BranchState.from_weights(("a", "b"), (w1, 1.0 - w1), [[0.0], [20.0]])
+    state = BranchState.from_weights(("a", "b"), (w1, 1.0 - w1), [0.0, 20.0])
     post = branch_collapse_update(state, 0, x_center, 1.0)
     assert abs(post.weights.sum() - 1.0) < 1e-12
     assert np.all(np.isfinite(post.log_weights))

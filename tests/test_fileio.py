@@ -49,7 +49,7 @@ def _written(write, *args) -> str:
 
 
 def _branch_state(log_w):
-    return BranchState(("in", "out"), np.array(log_w), np.array([[0.0], [30.0]]))
+    return BranchState(("in", "out"), np.array(log_w), np.array([0.0, 30.0]))
 
 
 @given(

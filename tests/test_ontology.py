@@ -33,7 +33,7 @@ def _grid(lo=-40.0, hi=50.0, n=2048):
 
 
 def _marble_state(c1=0.9, a_out=30.0):
-    return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [[0.0], [a_out]])
+    return BranchState.from_weights(("in", "out"), (c1, 1.0 - c1), [0.0, a_out])
 
 
 def _marble(c1=0.9, a_out=30.0):

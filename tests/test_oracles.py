@@ -66,7 +66,7 @@ class TestOneStepOracle:
         weights = (0.2, 0.3, 0.5)
         anchors = (-12.0, 0.0, 15.0)
         r = one_step_posterior_oracle(weights, anchors, 1.0)
-        state = BranchState.from_weights(("a", "b", "c"), weights, [[a] for a in anchors])
+        state = BranchState.from_weights(("a", "b", "c"), weights, anchors)
         rng = np.random.default_rng(18)
         n = 20_000
         centers = np.array([sample_collapse_center(state, 0, 1.0, rng) for _ in range(n)])
@@ -87,7 +87,7 @@ class TestCrosscheck:
 
     def test_symmetric_midpoint_case(self):
         # X exactly between equal branches: both paths give (0.5, 0.5)
-        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [[0.0], [12.0]])
+        state = BranchState.from_weights(("a", "b"), (0.5, 0.5), [0.0, 12.0])
         post = branch_collapse_update(state, 0, 6.0, 1.0)
         assert np.allclose(post.weights, (0.5, 0.5), atol=1e-12)
 

@@ -243,17 +243,12 @@ class TestClassifyGrwf:
 
 class TestBranchBoxFraction:
     def test_matches_rasterized_density(self):
-        state = BranchState.from_weights(("in", "out"), (0.73, 0.27), [[0.0], [30.0]])
+        state = BranchState.from_weights(("in", "out"), (0.73, 0.27), [0.0, 30.0])
         config = ScenarioConfig(kind=ScenarioKind.MARBLES, c1_sq=0.73)
         box = Region(-10.0, 10.0)
         direct = branch_box_fraction(state, box)
         field = matter_density(BranchSystems([state]), grid=density_grid(config))
         assert direct == pytest.approx(mass_fraction_in_region(field, box), abs=1e-12)
-
-    def test_multi_particle_average(self):
-        # one anchor in, one out within the same branch: half the branch mass counts
-        state = BranchState.from_weights(("mixed",), (1.0,), [[0.0, 30.0]])
-        assert branch_box_fraction(state, Region(-10.0, 10.0)) == pytest.approx(0.5)
 
 
 def _fabricated_record(w_path, times=None):
@@ -262,10 +257,10 @@ def _fabricated_record(w_path, times=None):
     One flash at the in-anchor per step; reduce_trajectory reads only the
     flashes and the final state.
     """
-    state0 = BranchState.from_weights(("in", "out"), (w_path[0], 1 - w_path[0]), [[0.0], [30.0]])
+    state0 = BranchState.from_weights(("in", "out"), (w_path[0], 1 - w_path[0]), [0.0, 30.0])
     times = times or [float(i + 1) for i in range(len(w_path) - 1)]
     final = BranchState.from_weights(
-        ("in", "out"), (w_path[-1], 1 - w_path[-1]), [[0.0], [30.0]]
+        ("in", "out"), (w_path[-1], 1 - w_path[-1]), [0.0, 30.0]
     )
     return TrajectoryRecord(
         params=GrwParams(total_time=times[-1] + 1 if times else 1.0),
@@ -322,7 +317,7 @@ def _marble_record(final_w1, flashes=(), total_time=20.0):
     """
     def systems(ws):
         return BranchSystems(
-            [BranchState.from_weights(("in", "out"), (w, 1.0 - w), [[0.0], [30.0]]) for w in ws]
+            [BranchState.from_weights(("in", "out"), (w, 1.0 - w), [0.0, 30.0]) for w in ws]
         )
 
     times, particles, centers = (list(c) for c in zip(*flashes)) if flashes else ([], [], [])

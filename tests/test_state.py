@@ -119,36 +119,44 @@ class TestMarginalDensity:
 class TestBranchState:
     def test_construction_echo(self):
         state = BranchState.from_weights(
-            ("inside", "outside"), (0.9, 0.1), [[0.0], [30.0]]
+            ("inside", "outside"), (0.9, 0.1), [0.0, 30.0]
         )
         assert state.labels == ("inside", "outside")
         assert state.weights.tolist() == [pytest.approx(0.9), pytest.approx(0.1)]
 
     def test_single_branch_degenerate(self):
-        state = BranchState.from_weights(("only",), (1.0,), [[2.0]])
+        state = BranchState.from_weights(("only",), (1.0,), [2.0])
         assert state.labels == ("only",)
         assert state.weights.tolist() == [pytest.approx(1.0)]
         assert state.separation() == np.inf
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ConfigError):
-            BranchState.from_weights(("a", "b"), (0.6, 0.3), [[0.0], [1.0]])
+            BranchState.from_weights(("a", "b"), (0.6, 0.3), [0.0, 1.0])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            BranchState.from_weights(("a", "b"), (1.2, -0.2), [[0.0], [1.0]])
+            BranchState.from_weights(("a", "b"), (1.2, -0.2), [0.0, 1.0])
 
-    def test_separation_min_over_pairs_and_particles(self):
-        state = BranchState.from_weights(
-            ("a", "b", "c"),
-            (0.5, 0.3, 0.2),
-            [[0.0, 0.0], [12.0, 40.0], [25.0, 43.0]],
-        )
-        # closest coordinates: 43 - 40 = 3 between branches b and c
+    @pytest.mark.parametrize(
+        "anchors",
+        [
+            [[0.0], [30.0]],  # one column per particle: a branch system is one particle
+            [0.0],
+            [0.0, 30.0, 60.0],
+        ],
+    )
+    def test_one_anchor_per_branch(self, anchors):
+        with pytest.raises(ConfigError):
+            BranchState.from_weights(("a", "b"), (0.5, 0.5), anchors)
+
+    def test_separation_min_over_pairs(self):
+        state = BranchState.from_weights(("a", "b", "c"), (0.5, 0.3, 0.2), [40.0, 0.0, 43.0])
+        # the closest pair is a and c, which are not neighbours in the list
         assert state.separation() == pytest.approx(3.0)
 
     def test_zero_weight_allowed(self):
-        state = BranchState.from_weights(("a", "b"), (1.0, 0.0), [[0.0], [20.0]])
+        state = BranchState.from_weights(("a", "b"), (1.0, 0.0), [0.0, 20.0])
         assert state.weights[1] == 0.0
         assert state.log_weights[1] == -np.inf
 
@@ -193,7 +201,7 @@ class TestRegion:
 @settings(max_examples=60, deadline=None)
 def test_branch_weights_always_sum_to_one(raw):
     weights = np.asarray(raw) / np.sum(raw)
-    anchors = [[30.0 * i] for i in range(len(raw))]
+    anchors = [30.0 * i for i in range(len(raw))]
     state = BranchState.from_weights(
         tuple(f"b{i}" for i in range(len(raw))), weights, anchors
     )
