@@ -139,8 +139,8 @@ CASES = _benchmark_cases([("cat_grw0", 500, 0), ("marbles_grwf", 30, 30), ("grid
     Case(
         "readme_example",
         "kind = tail\nc1_sq = 0.99\nn_marbles = 1\nbox_lower = -10\nbox_upper = 10\n"
-        "ontology = grwm\nhistory = collapsed_past\ntheta_m = 0.5\ntheta_f = 0.99\n"
-        "window = 10.0\nwindow_flashes = 100\nbackend = branch\ninside_anchor = 0.0\n"
+        "ontology = grwm\nhistory = collapsed_past\ntheta_m = 0.5\n"
+        "window = 10.0\nbackend = branch\ninside_anchor = 0.0\n"
         "outside_anchor = 30.0\ndensity_times = 0.0, 20.0\nlambda_eff = 1.0\nsigma = 1.0\n"
         "total_time = 20.0\nhamiltonian = zero\nmass = 1.0\n",
         100,

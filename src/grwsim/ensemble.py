@@ -3,9 +3,12 @@
 Each trajectory runs on its own seeded substream (stream id = trajectory
 index), so summaries are deterministic no matter how many workers run them.
 Workers are processes: the indices split into contiguous blocks, the
-calling process runs the first and a process pool the rest, and the
-per-trajectory results fold back in index order.  Within a block, grid
-trajectories run in lockstep chunks of consecutive indices.
+calling process runs the first and a process pool the rest.  Within a
+block, grid trajectories run in lockstep chunks of consecutive indices.
+A block reduces its trajectories to numpy columns, one row per trajectory,
+and the blocks concatenate in index order.  scenario_plan decides what a
+run measures: a run fills only the columns its planned statistics read
+(plan_columns), and each statistic is an array expression over them.
 Every statistic record carries its analytic target and the provenance of
 that target; nothing is fitted.
 """
@@ -18,9 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import ontology
 from .dynamics import (
-    BranchSystems,
     GridWaveFunction,
     GrwParams,
     RngStream,
@@ -47,9 +48,9 @@ from .scenarios import (
     build_scenario,
     classify_branch_grwm,
     classify_grwf,
-    classify_grwm,
     seed_prehistory,
 )
+from .state import BranchState
 
 Z_MAX = 4.0
 P_MIN = 1e-3
@@ -60,6 +61,19 @@ MAX_UNCONVERGED = 0.01
 # processes; each costs a process's memory, so a mistyped count must not
 # start thousands of them
 MAX_THREADS = 64
+
+# A verdict's code is its position in Verdict.
+CODES = {verdict: code for code, verdict in enumerate(Verdict)}
+INSIDE, OUTSIDE = CODES[Verdict.INSIDE], CODES[Verdict.OUTSIDE]
+
+# The columns a run may fill, row i for trajectory i of S systems:
+#   events   (n,)    collapse count
+#   w1       (n,)    system 0's final first-branch weight
+#   winner   (n, S)  each system's largest-weight branch at the horizon
+#   initial  (n,)    system 0's verdict code at t = 0
+#   final    (n, S)  each system's verdict code at the horizon
+#   first    (n,)    system 0's verdict code over its first flash window
+VERDICT_COLUMNS = frozenset({"initial", "final", "first"})
 
 
 @dataclass(frozen=True)
@@ -91,140 +105,110 @@ def frequency_record(name: str, hits: Sequence, target: float, provenance: str) 
 
 
 def gof_record(name: str, p_value: float, provenance: str) -> StatRecord:
-    return StatRecord(
-        name,
-        estimate=p_value,
-        se=float("nan"),
-        target=P_MIN,
-        z=float("nan"),
-        passed=p_value >= P_MIN,
-        provenance=provenance,
-        p_value=p_value,
-    )
-
-
-@dataclass
-class TrajectoryStats:
-    """Reduced per-trajectory record, small enough for 1e5-run ensembles.
-
-    The verdict fields stay None where the ontology gives no such verdict.
-    """
-
-    index: int
-    status: str
-    diagnostic: str | None
-    num_events: int
-    final_weights: tuple[tuple[float, ...], ...]  # per branch system; empty on the grid
-    initial_verdict: str | None = None
-    final_verdict: str | None = None
-    flipped: bool | None = None
-    census: tuple[int, int, int, int] | None = None  # (inside, outside, partial, undefined)
-    first_window_verdict: str | None = None
+    """A goodness-of-fit p-value, passed when it reaches P_MIN; it has no SE or z."""
+    nan = float("nan")
+    return StatRecord(name, p_value, nan, P_MIN, nan, p_value >= P_MIN, provenance, p_value=p_value)
 
 
 @dataclass
 class EnsembleSummary:
     config: ScenarioConfig
     master_seed: int
-    trajectories: list[TrajectoryStats]
+    columns: dict[str, np.ndarray]  # the planned columns (plan_columns), row i for trajectory i
     records: list[StatRecord]
     histograms: dict[str, list[int]]
     failures: int
     diagnostics: list[str]
+
+    def column(self, name: str) -> np.ndarray:
+        """A column of the run; ConfigError if no statistic of its plan read it, so it was never filled."""
+        if name not in self.columns:
+            raise ConfigError(f"this run filled no {name!r} column: no statistic of its plan reads it")
+        return self.columns[name]
 
 
 # what run_ensemble hands a logged trajectory to: (index, record, prehistory)
 LogHook = Callable[[int, TrajectoryRecord, FlashColumns], None]
 
 
-def _systems(state: TrajectoryState) -> list:
-    """The state of each system: a grid wavefunction is one system."""
-    return [state] if isinstance(state, GridWaveFunction) else state.systems
-
-
 def _flash_columns(record: TrajectoryRecord, prehistory: FlashColumns) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each system's (times, centers) columns, its prehistory then its run flashes, in time order."""
     times = np.concatenate((prehistory[0], record.times))
     centers = np.concatenate((prehistory[2], record.centers))
-    systems = _systems(record.initial_state)
-    if len(systems) == 1:
+    systems = len(record.initial_state.systems)
+    if systems == 1:
         return [(times, centers)]
     # particle k is system k; a stable sort by system keeps each system's flashes in time order
     system = np.concatenate((prehistory[1], np.asarray(record.particles, dtype=int)))
     order = np.argsort(system, kind="stable")
     times, centers = times[order], centers[order]
-    ends = np.cumsum(np.bincount(system, minlength=len(systems))).tolist()
+    ends = np.cumsum(np.bincount(system, minlength=systems)).tolist()
     return [(times[lo:hi], centers[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _verdict_at(config: ScenarioConfig, state: TrajectoryState | None, flashes: tuple | None, t: float) -> str:
-    """One system's verdict at time t, read off the configured ontology.
+def _verdict_at(config: ScenarioConfig, state: BranchState | None, flashes: tuple | None, t: float) -> int:
+    """One branch system's verdict code at time t, read off the configured ontology.
 
     Matter density reads the system's state at t; flashes read the centers
     in config.flash_window of the system's (times, centers) columns.
     """
     if config.ontology is Ontology.GRWM:
-        if isinstance(state, GridWaveFunction):
-            verdict = classify_grwm(ontology.matter_density(state), config.box, config.theta_m)
-        else:
-            verdict = classify_branch_grwm(state, config.box, config.theta_m)
-        return verdict.value
+        return CODES[classify_branch_grwm(state, config.box, config.theta_m)]
     times, centers = flashes
-    return classify_grwf(centers[config.flash_window(times, t)], config.box, config.theta_f).value
+    return CODES[classify_grwf(centers[config.flash_window(times, t)], config.box, config.theta_f)]
 
 
 def reduce_trajectory(
-    record: TrajectoryRecord, scenario: Scenario, index: int, initial_verdict: str | None = None
-) -> TrajectoryStats:
-    """One trajectory's verdicts, census and final weights.
+    record: TrajectoryRecord,
+    scenario: Scenario,
+    index: int,
+    initial_verdict: int | None = None,
+    *,
+    reads: set[str] | None = None,
+) -> dict[str, object]:
+    """Trajectory index's row: a value for each column that the scenario's plan reads.
 
-    initial_verdict, when given, is the verdict at t = 0 read by the caller
-    (an ensemble's matter-density verdict of its shared initial state);
-    otherwise it is read here.
+    A column no planned statistic reads is left out, so a run computes no
+    verdict that nothing reports.  The caller may pass what it already
+    knows: reads, the plan's columns (plan_columns), and initial_verdict,
+    the code of the verdict at t = 0 (an ensemble's matter-density verdict
+    of its shared initial state); otherwise each is worked out here.
     """
     config = scenario.config
-    finals = _systems(record.final_state)
-    final_weights = ()
-    if isinstance(record.final_state, BranchSystems):
-        final_weights = tuple(tuple(float(x) for x in s.weights) for s in finals)
-    stats = TrajectoryStats(index, record.status, record.diagnostic, record.num_events, final_weights)
-    if config.ontology is Ontology.GRW0:
-        return stats
+    reads = plan_columns(config) if reads is None else reads
+    row: dict[str, object] = {"events": record.num_events}
+    if "w1" in reads:
+        row["w1"] = float(record.final_state.systems[0].weights[0])
+    if "winner" in reads:
+        row["winner"] = [int(np.argmax(s.weights)) for s in record.final_state.systems]
+    if not reads & VERDICT_COLUMNS:
+        return row
 
-    horizon = record.params.total_time
+    systems, horizon = record.final_state.systems, record.params.total_time
     grwf = config.ontology is Ontology.GRWF
-    flashes = _flash_columns(record, scenario.prehistory) if grwf else [None] * len(finals)
-    if initial_verdict is None:
-        initial_verdict = _verdict_at(config, _systems(scenario.initial_state)[0], flashes[0], 0.0)
-    verdicts = [_verdict_at(config, s, fl, horizon) for s, fl in zip(finals, flashes)]
-    stats.initial_verdict, stats.final_verdict = initial_verdict, verdicts[0]
-    definite = (Verdict.INSIDE.value, Verdict.OUTSIDE.value)
-    if initial_verdict in definite and verdicts[0] in definite:
-        stats.flipped = initial_verdict != verdicts[0]
-    if grwf:
-        # the first window reads run flashes only and closes when it is
-        # full: at time w, or at the window_flashes-th flash
-        times, centers = flashes[0]
-        start = int(np.searchsorted(times, 0.0, side="right"))
-        run = (times[start:], centers[start:])
-        k = config.window_flashes
-        if k is None:
-            closes = config.window_length()
-        else:
-            closes = run[0][k - 1] if run[0].size >= k else horizon
-        stats.first_window_verdict = _verdict_at(config, None, run, closes)
-    if config.kind is ScenarioKind.MARBLES:
-        stats.census = tuple(verdicts.count(v.value) for v in Verdict)
-    return stats
+    flashes = _flash_columns(record, scenario.prehistory) if grwf else [None] * len(systems)
+    if "initial" in reads:
+        if initial_verdict is None:
+            initial_verdict = _verdict_at(config, scenario.initial_state.systems[0], flashes[0], 0.0)
+        row["initial"] = initial_verdict
+    if "final" in reads:
+        row["final"] = [_verdict_at(config, s, f, horizon) for s, f in zip(systems, flashes)]
+    if "first" in reads:
+        # planned for a fresh preparation's count windows only: the window of
+        # system 0's first window_flashes flashes, closed at the last of them
+        times, k = flashes[0][0], config.window_flashes
+        row["first"] = _verdict_at(config, None, flashes[0], times[k - 1] if times.size >= k else horizon)
+    return row
 
 
 def _run_block(
     config: ScenarioConfig, master_seed: int, log_first: int, on_logged: LogHook | None, lo: int, hi: int
-) -> list[TrajectoryStats]:
-    """Run and reduce trajectories lo..hi-1; each i < log_first also goes to on_logged.
+) -> tuple[dict[str, np.ndarray], list[tuple[int, str]]]:
+    """Trajectories lo..hi-1 run and reduced: their columns, and (index, diagnostic) of each aborted one.
 
-    Module-level and fed only picklable arguments, so a worker process runs
-    a block exactly as the calling process does.
+    Each i < log_first also goes to on_logged.  Module-level and fed only
+    picklable arguments, so a worker process runs a block exactly as the
+    calling process does.
     """
 
     def prehistory_rng(i: int) -> np.random.Generator:
@@ -235,22 +219,25 @@ def _run_block(
     # a disjoint block, and build_scenario draws trajectory lo's.
     first = build_scenario(config, prehistory_rng(lo))
     redraw = config.history is History.COLLAPSED_PAST
+    reads = plan_columns(config)
     # matter density reads only that shared state, so one initial verdict
     # serves every trajectory; flash verdicts read each prehistory
     initial_verdict = None
-    if config.ontology is Ontology.GRWM:
-        initial_verdict = _verdict_at(config, _systems(first.initial_state)[0], None, 0.0)
+    if config.ontology is Ontology.GRWM and "initial" in reads:
+        initial_verdict = _verdict_at(config, first.initial_state.systems[0], None, 0.0)
 
-    stats = []
+    rows, aborted = [], []
     records = _run_records(first.initial_state, config.params, master_seed, lo, hi)
     for i, record in zip(range(lo, hi), records):
         scenario = first
         if redraw and i > lo:
             scenario = replace(first, prehistory=seed_prehistory(config, prehistory_rng(i)))
-        stats.append(reduce_trajectory(record, scenario, i, initial_verdict))
+        rows.append(reduce_trajectory(record, scenario, i, initial_verdict, reads=reads))
+        if record.status != "completed":
+            aborted.append((i, record.diagnostic))
         if i < log_first and on_logged is not None:
             on_logged(i, record, scenario.prehistory)
-    return stats
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}, aborted
 
 
 def _run_records(
@@ -285,7 +272,7 @@ def run_ensemble(
     this process runs the first, a pool of worker processes the rest.
     Deterministic given the master seed irrespective of N: trajectory i
     always runs on RngStream(master_seed, i) (its prehistory on a disjoint
-    stream block) and aggregation folds in index order.  Each trajectory
+    stream block) and the blocks' columns concatenate in index order.  Each trajectory
     i < log_first is handed to on_logged, a picklable hook, in the process
     that ran it, as soon as it finishes (a grid trajectory: its chunk).
     Any aborted trajectory is counted and fails the ensemble.  A worker process that dies raises WorkerError,
@@ -307,7 +294,7 @@ def run_ensemble(
     bounds = [n_trajectories * b // blocks for b in range(blocks + 1)]
     block_args = (config, master_seed, log_first, on_logged)
     if blocks == 1:
-        trajectories = _run_block(*block_args, 0, n_trajectories)
+        done = [_run_block(*block_args, 0, n_trajectories)]
     else:
         # imported here: a one-worker run loads no multiprocessing
         import multiprocessing
@@ -320,59 +307,68 @@ def run_ensemble(
         with ProcessPoolExecutor(max_workers=blocks - 1, mp_context=spawn) as pool:
             spans = list(zip(bounds[1:-1], bounds[2:]))
             rest = [pool.submit(_run_block, *block_args, lo, hi) for lo, hi in spans]
-            trajectories = _run_block(*block_args, bounds[0], bounds[1])
+            done = [_run_block(*block_args, bounds[0], bounds[1])]
             for block, (lo, hi) in zip(rest, spans):
                 try:
-                    trajectories += block.result()
+                    done.append(block.result())
                 except BrokenProcessPool as exc:
                     raise WorkerError(
                         f"trajectories {lo}-{hi - 1} did not finish: a worker process died"
                     ) from exc
 
-    failures = sum(1 for t in trajectories if t.status != "completed")
-    diagnostics = [
-        f"trajectory {t.index}: {t.diagnostic}" for t in trajectories if t.diagnostic
-    ]
-    histograms = {"event_count": np.bincount([t.num_events for t in trajectories]).tolist()}
-    if census_chi2_test in plan:
-        inside = [t.census[0] for t in trajectories]
-        histograms["inside_count"] = np.bincount(inside, minlength=config.n_marbles + 1).tolist()
+    columns = {name: np.concatenate([cols[name] for cols, _ in done]) for name in done[0][0]}
+    aborted = [a for _, block_aborted in done for a in block_aborted]
     summary = EnsembleSummary(
-        config=config, master_seed=master_seed, trajectories=trajectories, records=[],
-        histograms=histograms, failures=failures, diagnostics=diagnostics,
+        config=config, master_seed=master_seed, columns=columns, records=[],
+        histograms={"event_count": np.bincount(columns["events"]).tolist()},
+        failures=len(aborted), diagnostics=[f"trajectory {i}: {d}" for i, d in aborted],
     )
+    if census_chi2_test in plan:
+        inside = _inside_counts(summary)
+        summary.histograms["inside_count"] = np.bincount(inside, minlength=config.n_marbles + 1).tolist()
     for test in plan:
         summary.records.append(test(summary))
     return summary
 
 
 def scenario_plan(config: ScenarioConfig) -> list[Callable]:
-    """The statistic tests a scenario reports, in order; each maps the summary to a StatRecord."""
+    """The statistic tests a scenario reports, in order; each maps the summary to a StatRecord.
+
+    The plan decides what a run measures: a run fills only the columns that
+    its planned tests read (plan_columns).
+    """
     plan = [event_count_test, poisson_flash_test]
-    if config.backend == "branch":
-        plan += [martingale_test, selection_frequency_test]
-        if config.kind is ScenarioKind.MARBLES and config.ontology is not Ontology.GRW0:
-            plan += [census_mean_test]
-            # one marble: all-inside and the chi-square restate that mean
-            if config.n_marbles > 1:
-                plan += [census_all_inside_test, census_chi2_test]
-        # a verdict flip needs a definite initial verdict: matter density always
-        # has one, flashes only when a collapsed past supplies a pre-window record
-        if config.kind is ScenarioKind.TAIL and (
-            config.ontology is Ontology.GRWM
-            or (
-                config.ontology is Ontology.GRWF
-                and config.history is History.COLLAPSED_PAST
-            )
-        ):
-            plan += [resurrection_rate_test]
-        if (
-            config.ontology is Ontology.GRWF
-            and config.history is History.FRESH_PREPARATION
-            and config.window_flashes is not None
-        ):
-            plan += [grwf_inside_rate_test]
+    if config.backend != "branch":
+        return plan
+    plan += [martingale_test, selection_frequency_test]
+    grwm, grwf = config.ontology is Ontology.GRWM, config.ontology is Ontology.GRWF
+    collapsed = config.history is History.COLLAPSED_PAST
+    if config.kind is ScenarioKind.MARBLES and (grwm or grwf):
+        plan += [census_mean_test]
+        if config.n_marbles > 1:  # one marble: all-inside and the chi-square restate the mean
+            plan += [census_all_inside_test, census_chi2_test]
+    # a verdict flip needs a definite initial verdict: matter density always
+    # has one, flashes only when a collapsed past supplies a pre-window record
+    if config.kind is ScenarioKind.TAIL and (grwm or (grwf and collapsed)):
+        plan += [resurrection_rate_test]
+    if grwf and not collapsed and config.window_flashes is not None:
+        plan += [grwf_inside_rate_test]
     return plan
+
+
+def plan_columns(config: ScenarioConfig) -> set[str]:
+    """The columns a run of config fills: those its planned statistics read."""
+    # the statistics are looked up per call, so one replaced at run time still maps
+    reads = {
+        "events": (event_count_test, poisson_flash_test),
+        "w1": (martingale_test,),
+        "winner": (selection_frequency_test,),
+        "initial": (resurrection_rate_test,),
+        "final": (census_mean_test, census_all_inside_test, census_chi2_test, resurrection_rate_test),
+        "first": (grwf_inside_rate_test,),
+    }
+    plan = scenario_plan(config)
+    return {column for column, tests in reads.items() if any(test in plan for test in tests)}
 
 
 def _unconverged_share(config: ScenarioConfig, total_time: float) -> float:
@@ -440,15 +436,10 @@ def event_count_test(summary: EnsembleSummary) -> StatRecord:
     """Mean collapse count vs the rate law N * lambda_eff * T."""
     config = summary.config
     target = config.num_particles * config.params.lambda_eff * config.params.total_time
-    counts = np.array([t.num_events for t in summary.trajectories], dtype=float)
+    counts = summary.columns["events"].astype(float)
     se = math.sqrt(target / counts.size)  # Poisson variance equals the mean
-    return z_record(
-        "event_count_mean",
-        float(counts.mean()),
-        se,
-        target,
-        "Poisson mean N*lambda_eff*T (collapse rate law)",
-    )
+    provenance = "Poisson mean N*lambda_eff*T (collapse rate law)"
+    return z_record("event_count_mean", float(counts.mean()), se, target, provenance)
 
 
 def _merged_chi2(
@@ -572,7 +563,7 @@ def poisson_flash_test(summary: EnsembleSummary) -> StatRecord:
     """Chi-square of the event-count histogram against Poisson(N lambda T)."""
     config = summary.config
     mu = config.num_particles * config.params.lambda_eff * config.params.total_time
-    counts = np.array([t.num_events for t in summary.trajectories])
+    counts = summary.columns["events"]
     n = counts.size
 
     upper = _poisson_isf(1e-12, mu) + 1
@@ -590,48 +581,42 @@ def martingale_test(summary: EnsembleSummary) -> StatRecord:
     [0, 1] with mean c1_sq, so c1_sq (1 - c1_sq) bounds its variance.  The
     sample SD would read 0 when every run ends in one branch.
     """
-    values = np.array([t.final_weights[0][0] for t in summary.trajectories])
+    values = summary.column("w1")
     target = summary.config.c1_sq
     se = math.sqrt(target * (1.0 - target) / values.size)
-    return z_record(
-        "martingale_w1_final",
-        float(values.mean()),
-        se,
-        target,
-        "branch-weight conservation (Born martingale)",
-    )
+    provenance = "branch-weight conservation (Born martingale)"
+    return z_record("martingale_w1_final", float(values.mean()), se, target, provenance)
 
 
 def selection_frequency_test(summary: EnsembleSummary) -> StatRecord:
     """Winner frequency vs the initial first-branch weight."""
     return frequency_record(
         "selection_frequency",
-        [int(np.argmax(w)) == 0 for t in summary.trajectories for w in t.final_weights],
+        (summary.column("winner") == 0).ravel(),
         summary.config.c1_sq,
         "limit selection probabilities equal initial branch weights",
     )
 
 
+def _inside_counts(summary: EnsembleSummary) -> np.ndarray:
+    """Each trajectory's count of systems whose final verdict is Inside."""
+    return (summary.column("final") == INSIDE).sum(axis=1)
+
+
 def census_mean_test(summary: EnsembleSummary) -> StatRecord:
     config = summary.config
-    inside = np.array([t.census[0] for t in summary.trajectories if t.census is not None])
+    inside = _inside_counts(summary)
     n, p = config.n_marbles, config.c1_sq
     se = math.sqrt(n * p * (1.0 - p) / inside.size)
-    return z_record(
-        "census_inside_mean",
-        float(inside.mean()),
-        se,
-        n * p,
-        "binomial mean: n_marbles * c1_sq marbles end inside",
-    )
+    provenance = "binomial mean: n_marbles * c1_sq marbles end inside"
+    return z_record("census_inside_mean", float(inside.mean()), se, n * p, provenance)
 
 
 def census_all_inside_test(summary: EnsembleSummary) -> StatRecord:
     config = summary.config
-    inside = np.array([t.census[0] for t in summary.trajectories if t.census is not None])
     return frequency_record(
         "census_all_inside",
-        inside == config.n_marbles,
+        _inside_counts(summary) == config.n_marbles,
         config.c1_sq**config.n_marbles,
         "all-inside probability c1_sq ** n_marbles",
     )
@@ -644,19 +629,20 @@ def census_chi2_test(summary: EnsembleSummary) -> StatRecord:
     n, p = config.n_marbles, config.c1_sq
     counts = np.arange(n + 1)
     pmf = _binom_pmf(counts, n, p, _log_factorial(counts))
-    p_val, bins = _merged_chi2(pmf * len(summary.trajectories), observed, 2, "census_chi2_test")
+    p_val, bins = _merged_chi2(pmf * len(summary.columns["events"]), observed, 2, "census_chi2_test")
     return gof_record("census_chi2_p", p_val, f"chi-square vs Binomial({n}, {p:g}), {bins} bins")
 
 
 def resurrection_rate_test(summary: EnsembleSummary) -> StatRecord:
     """Frequency of definite-verdict flips between start and horizon."""
     config = summary.config
-    flags = [t.flipped for t in summary.trajectories if t.flipped is not None]
-    if not flags:
+    initial, final = summary.column("initial"), summary.column("final")[:, 0]
+    definite = np.isin(initial, (INSIDE, OUTSIDE)) & np.isin(final, (INSIDE, OUTSIDE))
+    if not definite.any():
         raise ConfigError("no trajectories with definite initial and final verdicts")
     return frequency_record(
         "resurrection_rate",
-        flags,
+        initial[definite] != final[definite],
         min(config.c1_sq, 1.0 - config.c1_sq),
         "flip probability = weight of the minority branch (martingale limit)",
     )
@@ -710,7 +696,7 @@ def grwf_inside_rate_test(summary: EnsembleSummary) -> StatRecord:
     config = summary.config
     return frequency_record(
         "grwf_inside_rate",
-        [t.first_window_verdict == Verdict.INSIDE.value for t in summary.trajectories],
+        summary.column("first") == INSIDE,
         first_window_inside_probability(config),
         f"exact first-window law: branch mixture of Binomial(min(k={config.window_flashes}, N), q_i)",
     )

@@ -4,8 +4,10 @@ Scenario configs are flat ``key = value`` text; ``#`` or ``;`` starts a
 comment.  Every key maps one-to-one onto a field of ScenarioConfig,
 GrwParams, Hamiltonian or the box, and unknown keys are hard errors with
 line numbers (typos must not become silent defaults).  So are the grid
-keys (GRID_KEYS) unless ``backend = grid``: no branch run reads them.  Keys
-a file leaves out take those classes' own defaults.
+keys (GRID_KEYS) unless ``backend = grid``: no branch run reads them.  So
+are the verdict keys (VERDICT_KEYS) unless the config's ontology reads
+them and its plan fills a verdict column (plan_columns).  Keys a file
+leaves out take those classes' own defaults.
 
 Outputs: collapse events as JSON Lines, flashes and matter-density
 snapshots as flat CSV, ensemble summaries as a six-column CSV plus a richer
@@ -26,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dynamics import GrwParams, Hamiltonian, TrajectoryRecord
-from .ensemble import EnsembleSummary, StatRecord
+from .ensemble import VERDICT_COLUMNS, EnsembleSummary, StatRecord, plan_columns
 from .errors import ConfigError
 from .ontology import MatterDensityField
 from .scenarios import History, Ontology, ScenarioConfig, ScenarioKind
@@ -70,6 +72,8 @@ _SCHEMA: dict[str, Callable[[str], object]] = {
 }
 # the keys only build_scenario's grid arm reads
 GRID_KEYS = ("packet_width", "grid_points", "x_min", "x_max")
+# the keys only the verdicts of one ontology read, and that ontology
+VERDICT_KEYS = {"theta_m": Ontology.GRWM, "theta_f": Ontology.GRWF, "window_flashes": Ontology.GRWF}
 
 
 def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -95,10 +99,6 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
                 f"{source}:{lineno}: bad value for {key!r}: {raw_value.strip()!r} ({exc})"
             ) from exc
         line_of[key] = lineno
-    grid_keys = sorted((line_of[key], key) for key in GRID_KEYS if key in values)
-    if grid_keys and values.get("backend", ScenarioConfig.backend) != "grid":
-        lineno, key = grid_keys[0]
-        raise ConfigError(f"{source}:{lineno}: key {key!r} applies only to backend = grid")
 
     def take(**keys: str) -> dict[str, object]:
         # field name -> value, for the fields whose config key the file sets
@@ -109,7 +109,18 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
         **take(lambda_eff="lambda_eff", sigma="sigma", total_time="total_time"),
     )
     box = replace(ScenarioConfig.box, **take(lower="box_lower", upper="box_upper"))
-    return ScenarioConfig(params=params, box=box, **values)  # type: ignore[arg-type]
+    config = ScenarioConfig(params=params, box=box, **values)  # type: ignore[arg-type]
+    # what each key that this run never reads applies to
+    applies = {key: "backend = grid" for key in GRID_KEYS if config.backend != "grid"}
+    verdicts = plan_columns(config) & VERDICT_COLUMNS
+    for key, ontology in VERDICT_KEYS.items():
+        if not (verdicts and config.ontology is ontology):
+            applies[key] = f"ontology = {ontology.value} runs that plan a verdict statistic"
+    unread = sorted((line_of[key], key) for key in applies if key in line_of)
+    if unread:
+        lineno, key = unread[0]
+        raise ConfigError(f"{source}:{lineno}: key {key!r} applies only to {applies[key]}; this run never reads it")
+    return config
 
 
 def parse_scenario_file(path: str | Path) -> ScenarioConfig:
@@ -176,7 +187,7 @@ def _jsonable(x: float | None):
 def write_summary_json(path: str | Path, summary: EnsembleSummary) -> None:
     payload = {
         "config": config_to_dict(summary.config),
-        "n_trajectories": len(summary.trajectories),
+        "n_trajectories": len(summary.columns["events"]),
         "master_seed": summary.master_seed,
         "failures": summary.failures,
         "diagnostics": summary.diagnostics,

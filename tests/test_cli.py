@@ -249,6 +249,36 @@ class TestConfigErrors:
         assert f"bad.cfg:3: key {key!r}" in err and "backend = grid" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,key,lineno",
+        [
+            ("kind = cat\nontology = grwm\ntheta_m = 0.9\n", "theta_m", 3),
+            ("kind = cat\nontology = grwm\ntheta_f = 0.6\n", "theta_f", 3),
+            (
+                "kind = cat\nontology = grwf\nhistory = collapsed_past\nwindow_flashes = 3\ntheta_f = 0.6\n",
+                "window_flashes",
+                4,
+            ),
+            (
+                "kind = tail\nc1_sq = 0.99\nbackend = grid\nontology = grwf\ntheta_f = 0.6\nwindow_flashes = 3\n",
+                "theta_f",
+                5,
+            ),
+        ],
+        ids=["cat_grwm_theta_m", "cat_grwm_theta_f", "cat_grwf_collapsed_past", "grid_tail_grwf"],
+    )
+    def test_verdict_key_no_statistic_reads_rejected(self, tmp_path, capsys, text, key, lineno):
+        # a cat and a grid run plan no verdict statistic, and theta_f is read
+        # by flash verdicts only; each of these configs used to exit 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--seed", "1", "--trajectories", "50", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"bad.cfg:{lineno}: key {key!r}" in err and "verdict statistic" in err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -485,5 +515,4 @@ def test_readme_config_example_parses():
     assert (config.kind, config.ontology, config.history) == (
         ScenarioKind.TAIL, Ontology.GRWM, History.COLLAPSED_PAST
     )
-    assert config.window_flashes == 100
     assert config.density_times == (0.0, 20.0)

@@ -26,8 +26,12 @@ from grwsim import (
     sample_collapse_center,
 )
 from grwsim.ensemble import (
+    CODES,
     CONVERGENCE_WEIGHT,
+    INSIDE,
+    EnsembleSummary,
     _unconverged_share,
+    _verdict_at,
     first_window_inside_probability,
     frequency_record,
     gof_record,
@@ -38,7 +42,7 @@ from grwsim.ensemble import (
     z_record,
 )
 from grwsim.fileio import parse_scenario_text, write_summary_csv, write_summary_json
-from grwsim.scenarios import Verdict, verdict_from_fraction
+from grwsim.scenarios import PREHISTORY_STREAM_OFFSET, Verdict, verdict_from_fraction
 
 
 def _tail_config():
@@ -62,6 +66,15 @@ def _record_log(out, i, record, prehistory):
     # what a log needs from the run, and the process that wrote it
     lines = [repr(record.times), repr(record.centers), repr(prehistory), str(os.getpid())]
     (out / f"{i}.txt").write_text("\n".join(lines))
+
+
+def _same_columns(a, b):
+    """Whether two summaries hold the same columns, bit for bit, and the same diagnostics."""
+    return (
+        a.columns.keys() == b.columns.keys()
+        and all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
+        and a.diagnostics == b.diagnostics
+    )
 
 
 def _cat_config(c1=0.7, total_time=20.0, **kwargs):
@@ -106,10 +119,10 @@ class TestRunEnsemble:
             out.append([(tmp_path / f"summary-{threads}.{ext}").read_bytes() for ext in ("csv", "json")])
             summaries.append(summary)
         assert out[0] == out[1]
-        assert summaries[0].trajectories == summaries[1].trajectories
+        assert _same_columns(summaries[0], summaries[1])
         scenario = build_scenario(config, np.random.default_rng(0))
         lone = [run_trajectory(scenario.initial_state, config.params, RngStream(12, i)) for i in range(37)]
-        assert [t.num_events for t in summaries[0].trajectories] == [r.num_events for r in lone]
+        assert summaries[0].columns["events"].tolist() == [r.num_events for r in lone]
         assert len({r.num_events for r in lone}) > 1
 
     def test_same_seed_same_summary(self):
@@ -259,7 +272,7 @@ class TestRunEnsemble:
         pids = [seen[3][f"{i}.txt"][1] for i in range(25)]
         assert set(pids[:10]) == {str(os.getpid())}
         assert str(os.getpid()) not in pids[10:]  # one worker may run both blocks
-        assert summaries[1].trajectories == summaries[3].trajectories
+        assert _same_columns(summaries[1], summaries[3])
         assert repr(summaries[1].records) == repr(summaries[3].records)  # nan != nan
 
     def test_aborted_trajectories_fail_ensemble(self, monkeypatch):
@@ -319,11 +332,11 @@ class TestRunEnsemble:
             params=GrwParams(total_time=20.0),
         )
         summary = run_ensemble(config, 100, master_seed=94)
-        assert all(t.initial_verdict == "inside" for t in summary.trajectories)
+        assert (summary.columns["initial"] == INSIDE).all()
 
-    def test_grid_initial_density_read_once(self, monkeypatch):
-        # every trajectory starts from the one shared state, so its matter
-        # density is read once per ensemble; each final verdict reads its own
+    def test_grid_run_reads_no_matter_density(self, monkeypatch):
+        # the grid plans no verdict statistic, so its run reads no matter
+        # density at all (it read the initial one once and each final one)
         import grwsim.ontology
 
         calls = []
@@ -343,8 +356,29 @@ class TestRunEnsemble:
         )
         n = 40
         summary = run_ensemble(config, n, master_seed=99)
-        assert len(calls) == n + 1
-        assert all(t.initial_verdict == "inside" for t in summary.trajectories)
+        assert len(calls) == 0
+        assert set(summary.columns) == {"events"}
+
+    def test_cat_reads_no_flash_verdict(self, monkeypatch):
+        # a cat plans no verdict statistic, so a collapsed-past GRWf cat
+        # classifies no flash window (it classified three per trajectory)
+        import grwsim.ensemble as ens
+
+        calls = []
+        original = ens.classify_grwf
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ens, "classify_grwf", counting)
+        config = ScenarioConfig(
+            kind=ScenarioKind.CAT, ontology=Ontology.GRWF, history=History.COLLAPSED_PAST,
+            params=GrwParams(total_time=20.0),
+        )
+        summary = run_ensemble(config, 40, master_seed=99)
+        assert len(calls) == 0
+        assert set(summary.columns) == {"events", "w1", "winner"}
 
     def test_grwf_first_window_not_certain(self):
         # fresh preparation: Inside over the first window is only very probable
@@ -358,8 +392,8 @@ class TestRunEnsemble:
             params=GrwParams(total_time=150.0),
         )
         summary = run_ensemble(config, 400, master_seed=98)
-        verdicts = [t.first_window_verdict for t in summary.trajectories]
-        inside = sum(v == "inside" for v in verdicts)
+        verdicts = summary.columns["first"]
+        inside = int((verdicts == INSIDE).sum())
         assert 0 < inside < len(verdicts)
 
     def test_grwf_collapsed_past_initial_verdict_defined(self):
@@ -372,11 +406,11 @@ class TestRunEnsemble:
             params=GrwParams(total_time=20.0),
         )
         summary = run_ensemble(config, 100, master_seed=95)
-        assert all(
-            t.initial_verdict == "inside" for t in summary.trajectories
-        )  # prehistory flashes all sit in the box
+        assert (summary.columns["initial"] == INSIDE).all()  # prehistory flashes all sit in the box
 
     def test_grwf_fresh_initial_verdict_undefined(self):
+        # no flashes precede a fresh preparation, so no flip can be read and
+        # the run computes no verdict
         config = ScenarioConfig(
             kind=ScenarioKind.TAIL,
             c1_sq=0.99,
@@ -385,7 +419,9 @@ class TestRunEnsemble:
             params=GrwParams(total_time=20.0),
         )
         summary = run_ensemble(config, 100, master_seed=96)
-        assert all(t.initial_verdict == "undefined" for t in summary.trajectories)
+        assert "initial" not in summary.columns and "final" not in summary.columns
+        empty = (np.empty(0), np.empty(0))
+        assert _verdict_at(config, None, empty, 0.0) == CODES[Verdict.UNDEFINED]
 
     def test_grwf_inside_rate_against_reference(self):
         config = ScenarioConfig(
@@ -423,9 +459,105 @@ class TestRunEnsemble:
         rec = next(r for r in summary.records if r.name == "grwf_inside_rate")
         assert summary.config is config
         assert rec.target == first_window_inside_probability(config)
-        partial = sum(t.first_window_verdict == "partial" for t in summary.trajectories)
-        assert partial > 0.15 * len(summary.trajectories)
+        partial = int((summary.columns["first"] == CODES[Verdict.PARTIAL]).sum())
+        assert partial > 0.15 * len(summary.columns["first"])
         assert rec.passed, f"estimate {rec.estimate} vs {rec.target} (z={rec.z})"
+
+
+# one config per shape of plan: no verdict, flips, a census after a collapsed
+# past, a census with a first window, and the grid's clock alone
+_REFERENCE_CONFIGS = {
+    "grw0_cat": "kind = cat\nc1_sq = 0.7\nontology = grw0\ntotal_time = 20\n",
+    "grwm_tail": "kind = tail\nc1_sq = 0.9\nontology = grwm\ntotal_time = 20\n",
+    "grwf_marbles3_collapsed_past": (
+        "kind = marbles\nn_marbles = 3\nontology = grwf\nhistory = collapsed_past\n"
+        "window_flashes = 40\ntotal_time = 20\n"
+    ),
+    "grwf_marbles2_fresh": (
+        "kind = marbles\nn_marbles = 2\nontology = grwf\nhistory = fresh_preparation\n"
+        "window_flashes = 20\ntotal_time = 40\n"
+    ),
+    "grid_tail": (
+        "kind = tail\nc1_sq = 0.99\nontology = grwm\nbackend = grid\nx_min = -30\nx_max = 50\n"
+        "hamiltonian = free\nmass = 5\ntotal_time = 3\n"
+    ),
+}
+
+
+def _reference(config, n, seed):
+    """Each planned statistic's estimate and the histograms, one trajectory at a time.
+
+    Trajectory i runs on RngStream(seed, i) and its prehistory on
+    (seed, PREHISTORY_STREAM_OFFSET + i); each verdict is one _verdict_at
+    call on one system.
+    """
+    verdict_code = {v: CODES[v] for v in Verdict}
+    events, w1, wins, initial, inside, flips, first = [], [], [], [], [], [], []
+    for i in range(n):
+        scenario = build_scenario(config, RngStream(seed, PREHISTORY_STREAM_OFFSET + i).generator())
+        record = run_trajectory(scenario.initial_state, config.params, RngStream(seed, i))
+        events.append(record.num_events)
+        if config.backend == "grid":
+            continue
+        finals = record.final_state.systems
+        w1.append(float(finals[0].weights[0]))
+        wins += [int(np.argmax(s.weights)) == 0 for s in finals]
+        if config.ontology is Ontology.GRW0:
+            continue
+        pre_t, pre_k, pre_x = scenario.prehistory
+        run_t, run_k, run_x = (np.asarray(c) for c in (record.times, record.particles, record.centers))
+
+        def flashes(k):
+            # system k's prehistory, then its run flashes
+            return (
+                np.concatenate((pre_t[pre_k == k], run_t[run_k == k])),
+                np.concatenate((pre_x[pre_k == k], run_x[run_k == k])),
+            )
+
+        views = [(s, flashes(k)) for k, s in enumerate(finals)]
+        horizon = config.params.total_time
+        verdicts = [_verdict_at(config, s, f, horizon) for s, f in views]
+        inside.append(verdicts.count(verdict_code[Verdict.INSIDE]))
+        start = _verdict_at(config, scenario.initial_state.systems[0], views[0][1], 0.0)
+        initial.append(start)
+        definite = {verdict_code[Verdict.INSIDE], verdict_code[Verdict.OUTSIDE]}
+        if start in definite and verdicts[0] in definite:
+            flips.append(start != verdicts[0])
+        if config.window_flashes is not None:
+            times, centers = flashes(0)
+            k = config.window_flashes
+            closes = times[k - 1] if times.size >= k else horizon
+            first.append(_verdict_at(config, None, (times, centers), closes) == verdict_code[Verdict.INSIDE])
+    estimates = {
+        "event_count_mean": float(np.mean(np.array(events, dtype=float))),
+        "martingale_w1_final": float(np.mean(w1)) if w1 else None,
+        "selection_frequency": float(np.mean(wins)) if wins else None,
+        "census_inside_mean": float(np.mean(inside)) if inside else None,
+        "census_all_inside": float(np.mean([c == config.n_marbles for c in inside])) if inside else None,
+        "resurrection_rate": float(np.mean(flips)) if flips else None,
+        "grwf_inside_rate": float(np.mean(first)) if first else None,
+    }
+    histograms = {"event_count": np.bincount(events).tolist()}
+    if inside:
+        histograms["inside_count"] = np.bincount(inside, minlength=config.n_marbles + 1).tolist()
+    return estimates, histograms
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CONFIGS))
+def test_columns_match_a_per_trajectory_reference(name):
+    # pins the statistics' array expressions on the columns against a plain
+    # loop over trajectories, at one worker and at three
+    config = parse_scenario_text(_REFERENCE_CONFIGS[name])
+    n, seed = 40, 17
+    estimates, histograms = _reference(config, n, seed)
+    for threads in (1, 3):
+        summary = run_ensemble(config, n, master_seed=seed, threads=threads)
+        assert summary.failures == 0
+        for rec in summary.records:
+            if rec.p_value is None:
+                assert rec.estimate.hex() == estimates[rec.name].hex(), (rec.name, threads)
+        expected = histograms if config.n_marbles > 1 else {"event_count": histograms["event_count"]}
+        assert summary.histograms == expected
 
 
 def test_unconverged_share_law_against_engine():
@@ -513,15 +645,11 @@ class TestPoissonFlashTest:
         counts_summary = ens.EnsembleSummary(
             config=config,
             master_seed=0,
-            trajectories=[
-                ens.TrajectoryStats(
-                    index=i, status="completed", diagnostic=None, num_events=0,
-                    final_weights=((0.7, 0.3),),
-                    initial_verdict=None, final_verdict=None, flipped=None,
-                    census=None, first_window_verdict=None,
-                )
-                for i in range(50)
-            ],
+            columns={
+                "events": np.zeros(50, dtype=int),
+                "w1": np.full(50, 0.7),
+                "winner": np.zeros((50, 1), dtype=int),
+            },
             records=[], histograms={}, failures=0, diagnostics=[],
         )
         with pytest.raises(ConfigError):
@@ -596,5 +724,11 @@ def test_resurrection_requires_definite_verdicts():
         params=GrwParams(total_time=20.0),
     )
     summary = run_ensemble(config, 50, master_seed=121)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="filled no 'initial' column"):
         resurrection_rate_test(summary)
+    # verdicts read but never both definite: nothing to count
+    undefined = CODES[Verdict.UNDEFINED]
+    columns = {"events": np.zeros(3, dtype=int), "initial": np.full(3, undefined), "final": np.array([[0], [1], [2]])}
+    hand_built = EnsembleSummary(config, 0, columns, [], {}, 0, [])
+    with pytest.raises(ConfigError, match="no trajectories with definite initial and final verdicts"):
+        resurrection_rate_test(hand_built)

@@ -27,6 +27,10 @@ from grwsim import (
 )
 from grwsim.dynamics import BranchSystems, TrajectoryRecord
 from grwsim.ensemble import (
+    CODES,
+    INSIDE,
+    OUTSIDE,
+    EnsembleSummary,
     census_all_inside_test,
     census_chi2_test,
     census_mean_test,
@@ -277,37 +281,56 @@ def _reduce(record, config):
     return reduce_trajectory(record, Scenario(config, record.initial_state, no_prehistory), 0)
 
 
+def _flipped(row, config):
+    """The flip resurrection_rate_test reads off a one-row ensemble: True, False, or None if undefined."""
+    columns = {name: np.array([value]) for name, value in row.items()}
+    try:
+        record = resurrection_rate_test(EnsembleSummary(config, 0, columns, [], {}, 0, []))
+    except ConfigError:
+        return None
+    return bool(record.estimate)
+
+
+def _census(row):
+    """(inside, outside, partial, undefined) counts of a row's final verdicts."""
+    return tuple(np.bincount(row["final"], minlength=len(Verdict)).tolist())
+
+
 class TestDetectResurrection:
     """Verdict flips as reduce_trajectory reads them: start against horizon."""
 
     _config = ScenarioConfig(kind=ScenarioKind.TAIL, c1_sq=0.999)
 
     def test_monotone_trajectory_no_transitions(self):
-        stats = _reduce(_fabricated_record([0.7, 0.9, 0.999, 0.9999]), self._config)
-        assert (stats.initial_verdict, stats.final_verdict) == ("inside", "inside")
-        assert stats.flipped is False
+        row = _reduce(_fabricated_record([0.7, 0.9, 0.999, 0.9999]), self._config)
+        assert (row["initial"], row["final"]) == (INSIDE, [INSIDE])
+        assert _flipped(row, self._config) is False
 
     def test_single_flip_detected(self):
-        stats = _reduce(_fabricated_record([0.999, 0.999, 0.001]), self._config)
-        assert (stats.initial_verdict, stats.final_verdict) == ("inside", "outside")
-        assert stats.flipped is True
+        row = _reduce(_fabricated_record([0.999, 0.999, 0.001]), self._config)
+        assert (row["initial"], row["final"]) == (INSIDE, [OUTSIDE])
+        assert _flipped(row, self._config) is True
 
     def test_partial_samples_skipped(self):
         # an exact half is Partial: no definite fact at the horizon, so no flip
-        stats = _reduce(_fabricated_record([0.999, 0.5]), self._config)
-        assert stats.final_verdict == "partial"
-        assert stats.flipped is None
+        row = _reduce(_fabricated_record([0.999, 0.5]), self._config)
+        assert row["final"] == [CODES[Verdict.PARTIAL]]
+        assert _flipped(row, self._config) is None
 
     def test_grwf_classifier_on_fabricated_record(self):
-        config = ScenarioConfig(
-            kind=ScenarioKind.TAIL, c1_sq=0.999, ontology=Ontology.GRWF, window=10.0
+        # single flash at the in-anchor at t=1: no flashes before it, Inside after.
+        # A GRWf tail reads its flip verdicts after a collapsed past (here an
+        # empty one), and a fresh marble with count windows its first window
+        flips = ScenarioConfig(
+            kind=ScenarioKind.TAIL, c1_sq=0.999, ontology=Ontology.GRWF, window=10.0,
+            history=History.COLLAPSED_PAST,
         )
-        # single flash at the in-anchor at t=1: no flashes before it, Inside after
-        stats = _reduce(_fabricated_record([0.999, 0.999]), config)
-        assert stats.initial_verdict == "undefined"
-        assert stats.final_verdict == "inside"
-        assert stats.first_window_verdict == "inside"
-        assert stats.flipped is None
+        row = _reduce(_fabricated_record([0.999, 0.999]), flips)
+        assert row["initial"] == CODES[Verdict.UNDEFINED]
+        assert row["final"] == [INSIDE]
+        assert _flipped(row, flips) is None
+        first = ScenarioConfig(kind=ScenarioKind.MARBLES, c1_sq=0.999, ontology=Ontology.GRWF, window_flashes=1)
+        assert _reduce(_fabricated_record([0.999, 0.999]), first)["first"] == INSIDE
 
 
 def _marble_record(final_w1, flashes=(), total_time=20.0):
@@ -337,12 +360,10 @@ class TestMarbleCensus:
         return ScenarioConfig(kind=ScenarioKind.MARBLES, c1_sq=0.9, n_marbles=n, **kwargs)
 
     def test_all_inside(self):
-        stats = _reduce(_marble_record([1.0] * 5), self._config(5))
-        assert stats.census == (5, 0, 0, 0)
+        assert _census(_reduce(_marble_record([1.0] * 5), self._config(5))) == (5, 0, 0, 0)
 
     def test_mixed_census(self):
-        stats = _reduce(_marble_record([0.999, 0.001, 0.999]), self._config(3))
-        assert stats.census == (2, 1, 0, 0)
+        assert _census(_reduce(_marble_record([0.999, 0.001, 0.999]), self._config(3))) == (2, 1, 0, 0)
 
     def test_flash_windows_per_system(self):
         # interleaved flashes, window of 3: particle 0 always in the box,
@@ -354,13 +375,12 @@ class TestMarbleCensus:
         )
         record = _marble_record([0.5] * 4, flashes, total_time=13.0)
         config = self._config(4, ontology=Ontology.GRWF, window_flashes=3)
-        stats = _reduce(record, config)
-        assert stats.census == (1, 1, 1, 1)  # (inside, outside, partial, undefined)
-        assert stats.initial_verdict == "undefined"  # fresh preparation: no flashes yet
-        assert stats.first_window_verdict == "inside"  # particle 0's first 3 flashes
+        row = _reduce(record, config)
+        assert _census(row) == (1, 1, 1, 1)  # (inside, outside, partial, undefined)
+        assert "initial" not in row  # a census plans no flip, so no verdict at t = 0 is read
+        assert row["first"] == INSIDE  # particle 0's first 3 flashes
         # the time window (8, 13] gives each particle the same verdict
-        stats = _reduce(record, self._config(4, ontology=Ontology.GRWF, window=5.0))
-        assert stats.census == (1, 1, 1, 1)
+        assert _census(_reduce(record, self._config(4, ontology=Ontology.GRWF, window=5.0))) == (1, 1, 1, 1)
 
     def test_census_binomial_mean(self):
         # the long-run census: Inside-count mean over seeds near n * c1_sq,
@@ -373,7 +393,7 @@ class TestMarbleCensus:
         means = []
         for seed in range(30):
             rec = run_trajectory(scenario.initial_state, config.params, RngStream(7000, seed))
-            means.append(reduce_trajectory(rec, scenario, seed).census[0])
+            means.append(_census(reduce_trajectory(rec, scenario, seed))[0])
         assert abs(np.mean(means) - 90.0) <= 4.0 * math.sqrt(n * c1 * (1 - c1))
 
 
