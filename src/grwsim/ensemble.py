@@ -105,9 +105,16 @@ def frequency_record(name: str, hits: Sequence, target: float, provenance: str) 
 
 
 def gof_record(name: str, p_value: float, provenance: str) -> StatRecord:
-    """A goodness-of-fit p-value, passed when it reaches P_MIN; it has no SE or z."""
-    nan = float("nan")
-    return StatRecord(name, p_value, nan, P_MIN, nan, p_value >= P_MIN, provenance, p_value=p_value)
+    return StatRecord(
+        name,
+        estimate=p_value,
+        se=float("nan"),
+        target=P_MIN,
+        z=float("nan"),
+        passed=p_value >= P_MIN,
+        provenance=provenance,
+        p_value=p_value,
+    )
 
 
 @dataclass
@@ -136,8 +143,6 @@ def _flash_columns(record: TrajectoryRecord, prehistory: FlashColumns) -> list[t
     times = np.concatenate((prehistory[0], record.times))
     centers = np.concatenate((prehistory[2], record.centers))
     systems = len(record.initial_state.systems)
-    if systems == 1:
-        return [(times, centers)]
     # particle k is system k; a stable sort by system keeps each system's flashes in time order
     system = np.concatenate((prehistory[1], np.asarray(record.particles, dtype=int)))
     order = np.argsort(system, kind="stable")
@@ -159,12 +164,8 @@ def _verdict_at(config: ScenarioConfig, state: BranchState | None, flashes: tupl
 
 
 def reduce_trajectory(
-    record: TrajectoryRecord,
-    scenario: Scenario,
-    index: int,
-    initial_verdict: int | None = None,
-    *,
-    reads: set[str] | None = None,
+    record: TrajectoryRecord, scenario: Scenario, index: int, initial_verdict: int | None = None,
+    *, reads: set[str] | None = None,
 ) -> dict[str, object]:
     """Trajectory index's row: a value for each column that the scenario's plan reads.
 
@@ -272,9 +273,9 @@ def run_ensemble(
     this process runs the first, a pool of worker processes the rest.
     Deterministic given the master seed irrespective of N: trajectory i
     always runs on RngStream(master_seed, i) (its prehistory on a disjoint
-    stream block) and the blocks' columns concatenate in index order.  Each trajectory
-    i < log_first is handed to on_logged, a picklable hook, in the process
-    that ran it, as soon as it finishes (a grid trajectory: its chunk).
+    stream block) and the blocks' columns join in index order.  Each
+    trajectory i < log_first is handed to on_logged, a picklable hook, in the
+    process that ran it, as soon as it finishes (a grid trajectory: its chunk).
     Any aborted trajectory is counted and fails the ensemble.  A worker process that dies raises WorkerError,
     naming the first block that did not finish.  A horizon too short for
     the planned limit statistics is rejected before anything runs.

@@ -268,8 +268,8 @@ class TestConfigErrors:
         ids=["cat_grwm_theta_m", "cat_grwm_theta_f", "cat_grwf_collapsed_past", "grid_tail_grwf"],
     )
     def test_verdict_key_no_statistic_reads_rejected(self, tmp_path, capsys, text, key, lineno):
-        # a cat and a grid run plan no verdict statistic, and theta_f is read
-        # by flash verdicts only; each of these configs used to exit 0
+        # these cats and this grid run plan no verdict statistic, and theta_f
+        # is read by flash verdicts only; each of these configs used to exit 0
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         out = tmp_path / "o"

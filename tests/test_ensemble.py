@@ -360,7 +360,7 @@ class TestRunEnsemble:
         assert set(summary.columns) == {"events"}
 
     def test_cat_reads_no_flash_verdict(self, monkeypatch):
-        # a cat plans no verdict statistic, so a collapsed-past GRWf cat
+        # a collapsed-past cat plans no verdict statistic, so a GRWf one
         # classifies no flash window (it classified three per trajectory)
         import grwsim.ensemble as ens
 
