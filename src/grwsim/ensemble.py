@@ -164,19 +164,17 @@ def _verdict_at(config: ScenarioConfig, state: BranchState | None, flashes: tupl
 
 
 def reduce_trajectory(
-    record: TrajectoryRecord, scenario: Scenario, index: int, initial_verdict: int | None = None,
-    *, reads: set[str] | None = None,
+    record: TrajectoryRecord, scenario: Scenario, index: int, initial_verdict: int | None = None
 ) -> dict[str, object]:
-    """Trajectory index's row: a value for each column that the scenario's plan reads.
+    """Trajectory index's row: a value for each column that the scenario's plan reads (plan_columns).
 
     A column no planned statistic reads is left out, so a run computes no
-    verdict that nothing reports.  The caller may pass what it already
-    knows: reads, the plan's columns (plan_columns), and initial_verdict,
-    the code of the verdict at t = 0 (an ensemble's matter-density verdict
-    of its shared initial state); otherwise each is worked out here.
+    verdict that nothing reports.  initial_verdict, when given, is the code
+    of the verdict at t = 0 read by the caller (an ensemble's matter-density
+    verdict of its shared initial state); otherwise it is read here.
     """
     config = scenario.config
-    reads = plan_columns(config) if reads is None else reads
+    reads = plan_columns(config)
     row: dict[str, object] = {"events": record.num_events}
     if "w1" in reads:
         row["w1"] = float(record.final_state.systems[0].weights[0])
@@ -220,11 +218,10 @@ def _run_block(
     # a disjoint block, and build_scenario draws trajectory lo's.
     first = build_scenario(config, prehistory_rng(lo))
     redraw = config.history is History.COLLAPSED_PAST
-    reads = plan_columns(config)
     # matter density reads only that shared state, so one initial verdict
     # serves every trajectory; flash verdicts read each prehistory
     initial_verdict = None
-    if config.ontology is Ontology.GRWM and "initial" in reads:
+    if config.ontology is Ontology.GRWM and "initial" in plan_columns(config):
         initial_verdict = _verdict_at(config, first.initial_state.systems[0], None, 0.0)
 
     rows, aborted = [], []
@@ -233,7 +230,7 @@ def _run_block(
         scenario = first
         if redraw and i > lo:
             scenario = replace(first, prehistory=seed_prehistory(config, prehistory_rng(i)))
-        rows.append(reduce_trajectory(record, scenario, i, initial_verdict, reads=reads))
+        rows.append(reduce_trajectory(record, scenario, i, initial_verdict))
         if record.status != "completed":
             aborted.append((i, record.diagnostic))
         if i < log_first and on_logged is not None:
